@@ -144,6 +144,7 @@ def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, policy: str,
 
 
 def cmd_spmm(args) -> int:
+    """``spmm`` and ``sim``: ``sim`` is ``spmm`` without ``--out``."""
     cfg = load_config(args.config)
     a_trip = _load_sparse(args.a, "parse")
     b_trip = _load_sparse(args.b, "parse")
@@ -159,24 +160,7 @@ def cmd_spmm(args) -> int:
             write_matrix_market(result, args.out)
         else:
             write_dense_csv(result, args.out)
-    info = {"command": "spmm", "requested_mode": args.mode,
-            "resolved_mode": mode, "auto_threshold": args.sdmm_threshold,
-            "predicted_dram_bits": plan.predicted_dram}
-    _write(args.report, _report_lines([(args.a, stats)], args.report_format,
-                                      info))
-    return 0
-
-
-def cmd_sim(args) -> int:
-    cfg = load_config(args.config)
-    a_trip = _load_sparse(args.a, "parse")
-    b_trip = _load_sparse(args.b, "parse")
-    if a_trip.n_cols != b_trip.n_rows:
-        raise CommandError("parse", "dimension mismatch")
-    mode = _resolve_mode(args.mode, b_trip, args.sdmm_threshold)
-    _, stats, plan = _run_one(a_trip, b_trip, mode, cfg, args.policy, args.a,
-                              args.plan)
-    info = {"command": "sim", "requested_mode": args.mode,
+    info = {"command": args.command, "requested_mode": args.mode,
             "resolved_mode": mode, "auto_threshold": args.sdmm_threshold,
             "predicted_dram_bits": plan.predicted_dram}
     _write(args.report, _report_lines([(args.a, stats)], args.report_format,
@@ -338,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("spill", "fail"), default="spill")
     p.add_argument("--plan", help="use this plan record instead of planning")
     common(p)
-    p.set_defaults(func=cmd_sim)
+    p.set_defaults(func=cmd_spmm, out=None)
 
     p = sub.add_parser("plan", help="print the DRAM-minimal partition plan")
     p.add_argument("--a")

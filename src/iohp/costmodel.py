@@ -28,7 +28,8 @@ from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, encode_cp_csr,
 from .errors import DimensionError
 from .engine import (EngineConfig, MODE_SDMM, MODE_SSMM, OutputBlock, PsumGrid,
                      address_map, assemble_output, compute_psums,
-                     gather_dense_rows, merge_output_blocks, sdmm_compute)
+                     gather_dense_rows, merge_join, merge_output_blocks,
+                     sdmm_compute)
 from .matrices import CscMatrix, CsrMatrix, DenseMatrix, TripletMatrix, to_csr
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
                       STRATEGY_RAF, STRATEGY_RBF)
@@ -116,16 +117,15 @@ class SimStats:
     traces: list[StageTrace] = field(default_factory=list)
 
     def csv_row(self, workload: str) -> str:
-        vals = (workload, self.mode, self.strategy, self.t_m, self.t_k,
-                self.t_n, self.total_cycles, self.dram.bytes_a_read,
-                self.dram.bytes_b_read, self.dram.bytes_psum_spill,
-                self.dram.bytes_c_write, f"{self.buffer_utilization_a:.6g}",
-                f"{self.buffer_utilization_b:.6g}",
-                f"{self.buffer_utilization_psum:.6g}", self.achieved_macs)
-        return ",".join(str(v) for v in vals)
+        fields = dict(self._fields(workload))
+        return ",".join(str(fields[c]) for c in CSV_COLUMNS)
 
     def to_text(self, workload: str = "workload") -> str:
-        pairs = [
+        return "".join(f"{k}={v}\n" for k, v in self._fields(workload))
+
+    def _fields(self, workload: str) -> list[tuple[str, object]]:
+        """Every report field, formatted, in text-report order."""
+        return [
             ("workload", workload), ("mode", self.mode),
             ("strategy", self.strategy), ("T_M", self.t_m),
             ("T_K", self.t_k), ("T_N", self.t_n),
@@ -147,59 +147,27 @@ class SimStats:
             ("predicted_dram_bits", self.predicted_dram_bits),
             ("actual_input_bits", self.dram.bits_input_read),
         ]
-        return "".join(f"{k}={v}\n" for k, v in pairs)
-
-
-def _position_maxes(lengths, bitmaps, n_groups: int) -> np.ndarray:
-    """Busiest member group's stream length at each shared index position."""
-    lenpos = [0] * n_groups
-    out = np.zeros(len(bitmaps), dtype=np.int64)
-    for p in range(len(bitmaps)):
-        bm = int(bitmaps[p])
-        best = 0
-        g = 0
-        while bm:
-            if bm & 1:
-                v = int(lengths[g][lenpos[g]])
-                lenpos[g] += 1
-                if v > best:
-                    best = v
-            bm >>= 1
-            g += 1
-        out[p] = best
-    return out
 
 
 def compute_cycles(a_blk: RpCscBlock, b_blk: CpCsrBlock,
                    geom: TilingGeometry | None = None) -> int:
-    """Lockstep merge-join cost: busiest PE per matched index, 1 per skip."""
+    """Lockstep merge-join cost: busiest PE per matched index, 1 per skip.
+
+    Every inner index either stream holds without a match costs one cycle,
+    including the leftover tail of the longer stream.
+    """
     del geom
-    ma = _position_maxes(a_blk.col_len, a_blk.group_bitmap, a_blk.g_na)
-    mb = _position_maxes(b_blk.row_len, b_blk.group_bitmap, b_blk.g_nb)
-    i = j = 0
-    cycles = 0
-    while i < a_blk.col_all_len and j < b_blk.row_all_len:
-        ka = int(a_blk.col_idx[i])
-        kb = int(b_blk.row_idx[j])
-        if ka == kb:
-            cycles += int(ma[i]) * int(mb[j])
-            i += 1
-            j += 1
-        elif ka < kb:
-            cycles += 1
-            i += 1
-        else:
-            cycles += 1
-            j += 1
-    # draining the leftover stream still consumes one index per cycle
-    cycles += (a_blk.col_all_len - i) + (b_blk.row_all_len - j)
-    return cycles
+    ia, ib = merge_join(a_blk, b_blk)
+    ma = a_blk.group_walk[1][ia]
+    mb = b_blk.group_walk[1][ib]
+    unmatched = a_blk.col_all_len + b_blk.row_all_len - 2 * len(ia)
+    return int(ma @ mb) + unmatched
 
 
 def sdmm_compute_cycles(a_blk: RpCscBlock, span: int, n_t: int) -> int:
     """Column-wise dense accumulation cost: busiest group times PE width."""
-    ma = _position_maxes(a_blk.col_len, a_blk.group_bitmap, a_blk.g_na)
-    return int(ma.sum()) * min(n_t, span) if span > 0 else 0
+    busiest = a_blk.group_walk[1]
+    return int(busiest.sum()) * min(n_t, span) if span > 0 else 0
 
 
 def addrmap_cycles(grid: PsumGrid) -> int:
@@ -262,13 +230,11 @@ class Workload:
     label: str = "workload"
 
     def spec(self, cfg: HardwareConfig) -> WorkloadSpec:
-        if isinstance(self.b, DenseMatrix):
-            return WorkloadSpec.from_counts(self.a.n_rows, self.a.n_cols,
-                                            self.b.n_cols, self.a.nnz, 0, cfg,
-                                            b_dense=True)
+        b_dense = isinstance(self.b, DenseMatrix)
         return WorkloadSpec.from_counts(self.a.n_rows, self.a.n_cols,
-                                        self.b.n_cols, self.a.nnz, self.b.nnz,
-                                        cfg)
+                                        self.b.n_cols, self.a.nnz,
+                                        0 if b_dense else self.b.nnz, cfg,
+                                        b_dense=b_dense)
 
 
 def _passes(strategy: str, geom: TilingGeometry):
@@ -278,16 +244,12 @@ def _passes(strategy: str, geom: TilingGeometry):
             for m in range(geom.t_m):
                 for k in range(geom.t_k):
                     yield m, n, k, True, m == 0
-    elif strategy == STRATEGY_RAF:
-        for m in range(geom.t_m):
-            for n in range(geom.t_n):
-                for k in range(geom.t_k):
-                    yield m, n, k, n == 0, True
     else:
+        reuse_a = strategy == STRATEGY_RAF
         for m in range(geom.t_m):
             for n in range(geom.t_n):
                 for k in range(geom.t_k):
-                    yield m, n, k, True, True
+                    yield m, n, k, n == 0 or not reuse_a, True
 
 
 def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,

@@ -7,6 +7,11 @@ columns: the block-local column index and a bitmap of which groups touch that
 column.  B is encoded the same way mirrored over rows, with ``g_nb`` column
 groups of ``n_t``.
 
+Both are one format seen from the two sides of the inner dimension k, so a
+single codec (encode, validate, decode, dump) works on the orientation-free
+:class:`GroupStreams`; ``_LAYOUT`` maps each block type's field names onto
+them.
+
 Edge blocks may be ragged: streams simply contain fewer entries; the geometry
 carries the full dimensions so global coordinates can be reconstructed.
 Lengths are recorded only for columns where a group participates — the bitmap
@@ -15,13 +20,19 @@ is the sole membership record (no zero-length entries).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BoundsError, DegenerateInputError, MalformedBlockError
+from .errors import (BoundsError, DegenerateInputError, GridLimitError,
+                     MalformedBlockError)
 from .matrices import CscMatrix, CsrMatrix, TripletMatrix, canonicalize
+
+
+MAX_GROUPS = 64  # group bitmaps are uint64
 
 
 @dataclass(frozen=True)
@@ -82,6 +93,11 @@ def make_geometry(plan, dims: tuple[int, int, int],
         raise DegenerateInputError(f"matrix dimensions must be positive, got {dims}")
     if g_na <= 0 or g_nb <= 0:
         raise DegenerateInputError(f"group counts must be positive, got {groups}")
+    for name, count in (("g_na", g_na), ("g_nb", g_nb)):
+        if count > MAX_GROUPS:
+            raise GridLimitError(
+                f"{name}={count} exceeds the {MAX_GROUPS}-group limit of "
+                "the 64-bit group bitmap")
     if plan.m_t <= 0 or plan.k_t <= 0 or plan.n_t <= 0:
         raise DegenerateInputError("tile dimensions must be positive")
     t_m = math.ceil(m / (g_na * plan.m_t))
@@ -92,8 +108,62 @@ def make_geometry(plan, dims: tuple[int, int, int],
                           g_na=g_na, g_nb=g_nb)
 
 
+class GroupStreams(NamedTuple):
+    """A block's streams, named from the inner dimension k's side.
+
+    Per group g: ``value[g]``, ``local_idx[g]`` (group-local outer index: an
+    A row or a B column) and ``lengths[g]`` (one per shared position the group
+    belongs to).  Shared: ``inner_idx`` (block-local k of each non-empty
+    position), its group ``bitmap`` and their length ``inner_len``.
+    """
+
+    n_groups: int
+    tile: int
+    value: list
+    local_idx: list
+    lengths: list
+    inner_idx: np.ndarray
+    bitmap: np.ndarray
+    inner_len: int
+
+
+class _GroupBlock:
+    """Orientation-free behaviour shared by both block types."""
+
+    @property
+    def streams(self) -> GroupStreams:
+        return GroupStreams(*(getattr(self, f) for f in _LAYOUT[type(self)].fields))
+
+    @property
+    def nnz(self) -> int:
+        return sum(len(v) for v in self.value)
+
+    @functools.cached_property
+    def group_walk(self) -> tuple[list[list[tuple]], np.ndarray]:
+        """Each shared position's member-group slices and busiest length.
+
+        ``slices[p]`` lists ``(group, local_idx, value)`` slices of the
+        member groups' streams in ascending group order; ``busiest[p]`` is
+        the longest of them.  This is the one walk over the group bitmap;
+        it is cached because a block joins several passes, and each pass
+        reads it for both products and cycle counts.
+        """
+        s = self.streams
+        slices = [[] for _ in range(s.inner_len)]
+        busiest = np.zeros(s.inner_len, dtype=np.int64)
+        for g in range(s.n_groups):
+            member = _members(s.bitmap, g)
+            lengths = s.lengths[g]
+            busiest[member] = np.maximum(busiest[member], lengths)
+            stops = np.cumsum(lengths)
+            for p, lo, hi in zip(member.tolist(), (stops - lengths).tolist(),
+                                 stops.tolist()):
+                slices[p].append((g, s.local_idx[g][lo:hi], s.value[g][lo:hi]))
+        return slices, busiest
+
+
 @dataclass(frozen=True)
-class RpCscBlock:
+class RpCscBlock(_GroupBlock):
     """Row-partitioned CSC encoding of one A block.
 
     value[g] / row_idx[g] / col_len[g] are per-group streams in column-major
@@ -112,13 +182,9 @@ class RpCscBlock:
     group_bitmap: np.ndarray
     col_all_len: int
 
-    @property
-    def nnz(self) -> int:
-        return sum(len(v) for v in self.value)
-
 
 @dataclass(frozen=True)
-class CpCsrBlock:
+class CpCsrBlock(_GroupBlock):
     """Column-partitioned CSR encoding of one B block (mirror over rows).
 
     col_idx[g] holds group-local column indices (0..n_t-1); row_idx and
@@ -136,68 +202,84 @@ class CpCsrBlock:
     group_bitmap: np.ndarray
     row_all_len: int
 
-    @property
-    def nnz(self) -> int:
-        return sum(len(v) for v in self.value)
+
+class _Layout(NamedTuple):
+    kind: str
+    coords: tuple[str, str]
+    fields: GroupStreams  # each block field name at its stream's place
 
 
-def _group_runs(gids: np.ndarray) -> list[tuple[int, int, int]]:
-    """(group, start, stop) runs of a non-decreasing group-id array."""
-    runs = []
-    start = 0
-    for i in range(1, len(gids) + 1):
-        if i == len(gids) or gids[i] != gids[start]:
-            runs.append((int(gids[start]), start, i))
-            start = i
-    return runs
+# The one place that maps each orientation's field names onto GroupStreams.
+_LAYOUT = {
+    RpCscBlock: _Layout("rp_csc", ("block_row", "block_k"), GroupStreams(
+        "g_na", "m_t", "value", "row_idx", "col_len", "col_idx",
+        "group_bitmap", "col_all_len")),
+    CpCsrBlock: _Layout("cp_csr", ("block_k", "block_col"), GroupStreams(
+        "g_nb", "n_t", "value", "col_idx", "row_len", "row_idx",
+        "group_bitmap", "row_all_len")),
+}
+
+
+def _members(bitmap: np.ndarray, g: int) -> np.ndarray:
+    """Shared positions whose bitmap has group g's bit set."""
+    bits = np.asarray(bitmap, dtype=np.uint64)
+    return np.flatnonzero((bits >> np.uint64(g)) & np.uint64(1))
+
+
+def _encode_strip(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray,
+                  k_span: tuple[int, int], outer_span: tuple[int, int],
+                  n_groups: int, tile: int) -> GroupStreams:
+    """Group-partition one strip of a matrix compressed along k.
+
+    ``ptr``/``idx``/``val`` are A's CSC or B's CSR arrays.  Entries of the k
+    range whose outer index lies in ``outer_span`` land in group
+    ``(idx - lo) // tile`` with group-local indices; k positions with no such
+    entry are omitted from the shared streams.  One mask and one stable sort
+    by group keep every group's entries in (k, outer) order.
+    """
+    k_lo, k_hi = k_span
+    lo, hi = outer_span
+    first, last = ptr[k_lo], ptr[k_hi]
+    inner = np.repeat(np.arange(k_hi - k_lo, dtype=np.int64),
+                      np.diff(ptr[k_lo:k_hi + 1]))
+    outer = idx[first:last]
+    keep = (outer >= lo) & (outer < hi)
+    inner, outer, vals = inner[keep], outer[keep] - lo, val[first:last][keep]
+    group = outer // tile
+    order = np.argsort(group, kind="stable")
+    local = (outer - group * tile)[order]
+    inner, group, vals = inner[order], group[order], vals[order]
+    # one length per (group, k) run, and each run sets one bitmap bit
+    _, runs, run_len = np.unique(group * (k_hi - k_lo) + inner,
+                                 return_index=True, return_counts=True)
+    inner_idx = np.unique(inner)
+    bitmap = np.zeros(len(inner_idx), dtype=np.uint64)
+    np.bitwise_or.at(bitmap, np.searchsorted(inner_idx, inner[runs]),
+                     np.left_shift(np.uint64(1), group[runs].astype(np.uint64)))
+    at = np.searchsorted(group, np.arange(n_groups + 1))
+    run_at = np.searchsorted(group[runs], np.arange(n_groups + 1))
+    return GroupStreams(
+        n_groups, tile,
+        value=[vals[at[g]:at[g + 1]] for g in range(n_groups)],
+        local_idx=[local[at[g]:at[g + 1]] for g in range(n_groups)],
+        lengths=[run_len[run_at[g]:run_at[g + 1]] for g in range(n_groups)],
+        inner_idx=inner_idx, bitmap=bitmap, inner_len=len(inner_idx))
+
+
+def _block(cls, streams: GroupStreams, **coords):
+    return cls(**dict(zip(_LAYOUT[cls].fields, streams)), **coords)
 
 
 def encode_rp_csc(a: CscMatrix, geom: TilingGeometry,
                   block_row: int, block_k: int) -> RpCscBlock:
-    """Encode the (block_row, block_k) tile of A.
-
-    Walks the strip's columns in order; each entry lands in the group
-    ``(row - strip_base) // m_t`` with its row stored group-locally.  Columns
-    with no entries anywhere in the strip are omitted from the shared streams.
-    """
+    """Encode the (block_row, block_k) tile of A, grouped over rows."""
     if not (0 <= block_row < geom.t_m and 0 <= block_k < geom.t_k):
         raise BoundsError(
             f"block ({block_row},{block_k}) outside {geom.t_m}x{geom.t_k} grid")
-    base, row_hi = geom.block_rows(block_row)
-    k_lo, k_hi = geom.k_span(block_k)
-
-    vals = [[] for _ in range(geom.g_na)]
-    rows = [[] for _ in range(geom.g_na)]
-    lens = [[] for _ in range(geom.g_na)]
-    col_idx = []
-    bitmaps = []
-    for c in range(k_lo, k_hi):
-        col_rows, col_vals = a.column(c)
-        lo = np.searchsorted(col_rows, base, side="left")
-        hi = np.searchsorted(col_rows, row_hi, side="left")
-        if lo == hi:
-            continue
-        in_rows = col_rows[lo:hi] - base
-        in_vals = col_vals[lo:hi]
-        gids = in_rows // geom.m_t
-        bitmap = 0
-        for g, s, e in _group_runs(gids):
-            vals[g].append(in_vals[s:e])
-            rows[g].append(in_rows[s:e] - g * geom.m_t)
-            lens[g].append(e - s)
-            bitmap |= 1 << g
-        col_idx.append(c - k_lo)
-        bitmaps.append(bitmap)
-
-    return RpCscBlock(
-        g_na=geom.g_na, m_t=geom.m_t, block_row=block_row, block_k=block_k,
-        value=[_cat_f(v) for v in vals],
-        row_idx=[_cat_i(r) for r in rows],
-        col_len=[np.asarray(l, dtype=np.int64) for l in lens],
-        col_idx=np.asarray(col_idx, dtype=np.int64),
-        group_bitmap=np.asarray(bitmaps, dtype=np.uint64),
-        col_all_len=len(col_idx),
-    )
+    streams = _encode_strip(a.col_ptr, a.row_idx, a.value,
+                            geom.k_span(block_k), geom.block_rows(block_row),
+                            geom.g_na, geom.m_t)
+    return _block(RpCscBlock, streams, block_row=block_row, block_k=block_k)
 
 
 def encode_cp_csr(b: CsrMatrix, geom: TilingGeometry,
@@ -206,170 +288,81 @@ def encode_cp_csr(b: CsrMatrix, geom: TilingGeometry,
     if not (0 <= block_k < geom.t_k and 0 <= block_col < geom.t_n):
         raise BoundsError(
             f"block ({block_k},{block_col}) outside {geom.t_k}x{geom.t_n} grid")
-    k_lo, k_hi = geom.k_span(block_k)
-    base, col_hi = geom.block_cols(block_col)
-
-    vals = [[] for _ in range(geom.g_nb)]
-    cols = [[] for _ in range(geom.g_nb)]
-    lens = [[] for _ in range(geom.g_nb)]
-    row_idx = []
-    bitmaps = []
-    for r in range(k_lo, k_hi):
-        row_cols, row_vals = b.row(r)
-        lo = np.searchsorted(row_cols, base, side="left")
-        hi = np.searchsorted(row_cols, col_hi, side="left")
-        if lo == hi:
-            continue
-        in_cols = row_cols[lo:hi] - base
-        in_vals = row_vals[lo:hi]
-        gids = in_cols // geom.n_t
-        bitmap = 0
-        for g, s, e in _group_runs(gids):
-            vals[g].append(in_vals[s:e])
-            cols[g].append(in_cols[s:e] - g * geom.n_t)
-            lens[g].append(e - s)
-            bitmap |= 1 << g
-        row_idx.append(r - k_lo)
-        bitmaps.append(bitmap)
-
-    return CpCsrBlock(
-        g_nb=geom.g_nb, n_t=geom.n_t, block_k=block_k, block_col=block_col,
-        value=[_cat_f(v) for v in vals],
-        col_idx=[_cat_i(c) for c in cols],
-        row_len=[np.asarray(l, dtype=np.int64) for l in lens],
-        row_idx=np.asarray(row_idx, dtype=np.int64),
-        group_bitmap=np.asarray(bitmaps, dtype=np.uint64),
-        row_all_len=len(row_idx),
-    )
+    streams = _encode_strip(b.row_ptr, b.col_idx, b.value,
+                            geom.k_span(block_k), geom.block_cols(block_col),
+                            geom.g_nb, geom.n_t)
+    return _block(CpCsrBlock, streams, block_k=block_k, block_col=block_col)
 
 
-def _cat_f(chunks) -> np.ndarray:
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
-
-
-def _cat_i(chunks) -> np.ndarray:
-    return (np.concatenate(chunks).astype(np.int64)
-            if chunks else np.empty(0, dtype=np.int64))
-
-
-def validate_rp_csc(blk: RpCscBlock) -> None:
+def validate_block(blk: RpCscBlock | CpCsrBlock) -> None:
     """Raise MalformedBlockError on any structural invariant violation."""
-    if len(blk.col_idx) != len(blk.group_bitmap) or len(blk.col_idx) != blk.col_all_len:
-        raise MalformedBlockError("shared stream lengths disagree with col_all_len")
-    if blk.col_all_len and np.any(np.diff(blk.col_idx) <= 0):
-        raise MalformedBlockError("col_idx not strictly increasing")
-    for g in range(blk.g_na):
-        if int(np.sum(blk.col_len[g])) != len(blk.value[g]):
-            raise MalformedBlockError(f"group {g}: col_len sum != stream length")
-        if len(blk.value[g]) != len(blk.row_idx[g]):
-            raise MalformedBlockError(f"group {g}: value/row_idx length mismatch")
-        member_cols = sum(1 for b in blk.group_bitmap if int(b) >> g & 1)
-        if member_cols != len(blk.col_len[g]):
-            raise MalformedBlockError(f"group {g}: bitmap/col_len count mismatch")
-        if len(blk.row_idx[g]) and int(blk.row_idx[g].max()) >= blk.m_t:
-            raise MalformedBlockError(f"group {g}: row index >= m_t")
+    s = blk.streams
+    name = _LAYOUT[type(blk)].fields
+    if len(s.inner_idx) != len(s.bitmap) or len(s.inner_idx) != s.inner_len:
+        raise MalformedBlockError(
+            f"shared stream lengths disagree with {name.inner_len}")
+    if s.inner_len and np.any(np.diff(s.inner_idx) <= 0):
+        raise MalformedBlockError(f"{name.inner_idx} not strictly increasing")
+    for g in range(s.n_groups):
+        if int(np.sum(s.lengths[g])) != len(s.value[g]):
+            raise MalformedBlockError(
+                f"group {g}: {name.lengths} sum != stream length")
+        if len(s.value[g]) != len(s.local_idx[g]):
+            raise MalformedBlockError(
+                f"group {g}: value/{name.local_idx} length mismatch")
+        if len(_members(s.bitmap, g)) != len(s.lengths[g]):
+            raise MalformedBlockError(
+                f"group {g}: bitmap/{name.lengths} count mismatch")
+        if len(s.local_idx[g]) and int(s.local_idx[g].max()) >= s.tile:
+            raise MalformedBlockError(
+                f"group {g}: {name.local_idx} entry >= {name.tile}")
 
 
-def validate_cp_csr(blk: CpCsrBlock) -> None:
-    if len(blk.row_idx) != len(blk.group_bitmap) or len(blk.row_idx) != blk.row_all_len:
-        raise MalformedBlockError("shared stream lengths disagree with row_all_len")
-    if blk.row_all_len and np.any(np.diff(blk.row_idx) <= 0):
-        raise MalformedBlockError("row_idx not strictly increasing")
-    for g in range(blk.g_nb):
-        if int(np.sum(blk.row_len[g])) != len(blk.value[g]):
-            raise MalformedBlockError(f"group {g}: row_len sum != stream length")
-        if len(blk.value[g]) != len(blk.col_idx[g]):
-            raise MalformedBlockError(f"group {g}: value/col_idx length mismatch")
-        member_rows = sum(1 for b in blk.group_bitmap if int(b) >> g & 1)
-        if member_rows != len(blk.row_len[g]):
-            raise MalformedBlockError(f"group {g}: bitmap/row_len count mismatch")
-        if len(blk.col_idx[g]) and int(blk.col_idx[g].max()) >= blk.n_t:
-            raise MalformedBlockError(f"group {g}: col index >= n_t")
-
-
-def decode_rp_csc(blk: RpCscBlock, geom: TilingGeometry,
-                  coords: tuple[int, int] | None = None) -> TripletMatrix:
-    """Reconstruct the global-coordinate triplets of an A block."""
-    validate_rp_csc(blk)
-    block_row, block_k = coords if coords is not None else (blk.block_row, blk.block_k)
+def decode_block(blk: RpCscBlock | CpCsrBlock,
+                 geom: TilingGeometry) -> TripletMatrix:
+    """Reconstruct the global-coordinate triplets of an A or a B block."""
+    validate_block(blk)
+    is_a = isinstance(blk, RpCscBlock)
+    coords = tuple(getattr(blk, c) for c in _LAYOUT[type(blk)].coords)
+    block_outer, block_k = coords if is_a else coords[::-1]
+    outer_span = geom.row_span if is_a else geom.col_span
     k_lo, _ = geom.k_span(block_k)
-    cursor = [0] * blk.g_na
-    len_cursor = [0] * blk.g_na
+    s = blk.streams
     entries = []
-    for p in range(blk.col_all_len):
-        c = k_lo + int(blk.col_idx[p])
-        bitmap = int(blk.group_bitmap[p])
-        for g in range(blk.g_na):
-            if not bitmap >> g & 1:
-                continue
-            length = int(blk.col_len[g][len_cursor[g]])
-            s = cursor[g]
-            row_lo, _ = geom.row_span(block_row, g)
-            for j in range(s, s + length):
-                entries.append((row_lo + int(blk.row_idx[g][j]), c,
-                                float(blk.value[g][j])))
-            cursor[g] += length
-            len_cursor[g] += 1
-    return canonicalize(geom.m, geom.k, entries)
+    for p, members in enumerate(blk.group_walk[0]):
+        kk = k_lo + int(s.inner_idx[p])
+        for g, local, vals in members:
+            lo, _ = outer_span(block_outer, g)
+            for o, v in zip((lo + local).tolist(), vals.tolist()):
+                entries.append((o, kk, v) if is_a else (kk, o, v))
+    return canonicalize(*((geom.m, geom.k) if is_a else (geom.k, geom.n)),
+                        entries)
 
 
-def decode_cp_csr(blk: CpCsrBlock, geom: TilingGeometry,
-                  coords: tuple[int, int] | None = None) -> TripletMatrix:
-    """Reconstruct the global-coordinate triplets of a B block."""
-    validate_cp_csr(blk)
-    block_k, block_col = coords if coords is not None else (blk.block_k, blk.block_col)
-    k_lo, _ = geom.k_span(block_k)
-    cursor = [0] * blk.g_nb
-    len_cursor = [0] * blk.g_nb
-    entries = []
-    for p in range(blk.row_all_len):
-        r = k_lo + int(blk.row_idx[p])
-        bitmap = int(blk.group_bitmap[p])
-        for g in range(blk.g_nb):
-            if not bitmap >> g & 1:
-                continue
-            length = int(blk.row_len[g][len_cursor[g]])
-            s = cursor[g]
-            col_lo, _ = geom.col_span(block_col, g)
-            for j in range(s, s + length):
-                entries.append((r, col_lo + int(blk.col_idx[g][j]),
-                                float(blk.value[g][j])))
-            cursor[g] += length
-            len_cursor[g] += 1
-    return canonicalize(geom.k, geom.n, entries)
-
-
-def dump_rp_csc(blk: RpCscBlock) -> str:
+def dump_block(blk: RpCscBlock | CpCsrBlock) -> str:
     """Structured one-line-per-stream text dump for golden-file tests."""
+    layout = _LAYOUT[type(blk)]
+    name = layout.fields
+    s = blk.streams
     lines = [
-        "kind=rp_csc",
-        f"block=({blk.block_row},{blk.block_k})",
-        f"col_all_len={blk.col_all_len}",
-        "col_idx=" + _ints(blk.col_idx),
-        "group_bitmap=" + _ints(blk.group_bitmap),
+        f"kind={layout.kind}",
+        "block=({},{})".format(*(getattr(blk, c) for c in layout.coords)),
+        f"{name.inner_len}={s.inner_len}",
+        f"{name.inner_idx}=" + _ints(s.inner_idx),
+        f"{name.bitmap}=" + _ints(s.bitmap),
     ]
-    for g in range(blk.g_na):
+    for g in range(s.n_groups):
         lines.append(
-            f"group={g} col_len=" + _ints(blk.col_len[g])
-            + " row_idx=" + _ints(blk.row_idx[g])
-            + " value=" + _floats(blk.value[g]))
+            f"group={g} {name.lengths}=" + _ints(s.lengths[g])
+            + f" {name.local_idx}=" + _ints(s.local_idx[g])
+            + " value=" + _floats(s.value[g]))
     return "\n".join(lines) + "\n"
 
 
-def dump_cp_csr(blk: CpCsrBlock) -> str:
-    lines = [
-        "kind=cp_csr",
-        f"block=({blk.block_k},{blk.block_col})",
-        f"row_all_len={blk.row_all_len}",
-        "row_idx=" + _ints(blk.row_idx),
-        "group_bitmap=" + _ints(blk.group_bitmap),
-    ]
-    for g in range(blk.g_nb):
-        lines.append(
-            f"group={g} row_len=" + _ints(blk.row_len[g])
-            + " col_idx=" + _ints(blk.col_idx[g])
-            + " value=" + _floats(blk.value[g]))
-    return "\n".join(lines) + "\n"
+# per-orientation names kept for existing callers
+validate_rp_csc = validate_cp_csr = validate_block
+decode_rp_csc = decode_cp_csr = decode_block
+dump_rp_csc = dump_cp_csr = dump_block
 
 
 def _ints(arr) -> str:

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, encode_cp_csr,
-                       encode_rp_csc, make_geometry)
+from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry
 from .errors import (DimensionError, GatherError, MalformedBlockError,
                      PsumOverflowError)
-from .matrices import CscMatrix, CsrMatrix, DenseMatrix, TripletMatrix, to_csr
+from .matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc
+from .planner import HardwareConfig
 
 OVERFLOW_FAIL = "fail"
 OVERFLOW_SPILL = "spill"
@@ -103,19 +103,11 @@ class PsumStore:
 
     @property
     def value_psum(self) -> np.ndarray:
-        if not self._value_chunks:
-            return np.empty(0, dtype=np.float64)
-        if len(self._value_chunks) > 1:
-            self._value_chunks = [np.concatenate(self._value_chunks)]
-        return self._value_chunks[0]
+        return _joined(self._value_chunks, np.float64)
 
     @property
     def col_idx_psum(self) -> np.ndarray:
-        if not self._col_chunks:
-            return np.empty(0, dtype=np.int64)
-        if len(self._col_chunks) > 1:
-            self._col_chunks = [np.concatenate(self._col_chunks)]
-        return self._col_chunks[0]
+        return _joined(self._col_chunks, np.int64)
 
     def append_products(self, rows_a: np.ndarray, vals_a: np.ndarray,
                         cols_b: np.ndarray, vals_b: np.ndarray) -> None:
@@ -173,6 +165,15 @@ class PsumStore:
         self.id_psum = 0
 
 
+def _joined(chunks: list[np.ndarray], dtype) -> np.ndarray:
+    """The chunks as one array, concatenated in place so it happens once."""
+    if not chunks:
+        return np.empty(0, dtype=dtype)
+    if len(chunks) > 1:
+        chunks[:] = [np.concatenate(chunks)]
+    return chunks[0]
+
+
 @dataclass
 class PsumGrid:
     """One PsumStore per PE of a block pair's grid."""
@@ -204,36 +205,17 @@ class DensePsumGrid:
     width: int
 
 
-class _GroupCursor:
-    """Sequential reader of one block's per-group streams.
+def merge_join(a_blk: RpCscBlock,
+               b_blk: CpCsrBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the inner indices both blocks hold, in ascending k.
 
-    Each shared index position is consumed exactly once, in order, advancing
-    the member groups' entry and length cursors past that position's slice.
+    Returns ``(ia, ib)``: ``a_blk.col_idx[ia] == b_blk.row_idx[ib]``.  Every
+    other shared position is consumed without products.
     """
-
-    def __init__(self, values, indices, lengths, bitmaps, n_groups):
-        self.values = values
-        self.indices = indices
-        self.lengths = lengths
-        self.bitmaps = bitmaps
-        self.entry = [0] * n_groups
-        self.lenpos = [0] * n_groups
-
-    def consume(self, pos: int):
-        """Slices [(group, idx_slice, val_slice)] at shared position pos."""
-        out = []
-        bitmap = int(self.bitmaps[pos])
-        g = 0
-        while bitmap:
-            if bitmap & 1:
-                ln = int(self.lengths[g][self.lenpos[g]])
-                s = self.entry[g]
-                out.append((g, self.indices[g][s:s + ln], self.values[g][s:s + ln]))
-                self.entry[g] = s + ln
-                self.lenpos[g] += 1
-            bitmap >>= 1
-            g += 1
-        return out
+    _, ia, ib = np.intersect1d(a_blk.col_idx[:a_blk.col_all_len],
+                               b_blk.row_idx[:b_blk.row_all_len],
+                               assume_unique=True, return_indices=True)
+    return ia, ib
 
 
 def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
@@ -241,10 +223,8 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
                   tile: tuple = ()) -> PsumGrid:
     """Merge-join the block pair's shared index streams and fill the grid.
 
-    The shared column indices of A and row indices of B advance two-pointer
-    style; on a match every (g,h) with both bitmap bits set appends the full
-    outer product of its slices.  Mismatched indices are consumed without
-    products (their entries are skipped).
+    At every inner index both blocks hold, in ascending order, each (g,h)
+    with both bitmap bits set appends the full outer product of its slices.
     """
     if a_blk.block_k != b_blk.block_k:
         raise DimensionError(
@@ -255,28 +235,12 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     stores = [[PsumStore(a_blk.m_t, s, cfg.psum_capacity, cfg.overflow_policy,
                          tile=tile)
                for _ in range(b_blk.g_nb)] for _ in range(a_blk.g_na)]
-    a_cur = _GroupCursor(a_blk.value, a_blk.row_idx, a_blk.col_len,
-                         a_blk.group_bitmap, a_blk.g_na)
-    b_cur = _GroupCursor(b_blk.value, b_blk.col_idx, b_blk.row_len,
-                         b_blk.group_bitmap, b_blk.g_nb)
-    col_id = row_id = 0
-    while col_id < a_blk.col_all_len and row_id < b_blk.row_all_len:
-        ka = int(a_blk.col_idx[col_id])
-        kb = int(b_blk.row_idx[row_id])
-        if ka < kb:
-            a_cur.consume(col_id)
-            col_id += 1
-        elif kb < ka:
-            b_cur.consume(row_id)
-            row_id += 1
-        else:
-            a_slices = a_cur.consume(col_id)
-            b_slices = b_cur.consume(row_id)
-            for g, rows_a, vals_a in a_slices:
-                for h, cols_b, vals_b in b_slices:
-                    stores[g][h].append_products(rows_a, vals_a, cols_b, vals_b)
-            col_id += 1
-            row_id += 1
+    a_slices, _ = a_blk.group_walk
+    b_slices, _ = b_blk.group_walk
+    for i, j in zip(*(pos.tolist() for pos in merge_join(a_blk, b_blk))):
+        for g, rows_a, vals_a in a_slices[i]:
+            for h, cols_b, vals_b in b_slices[j]:
+                stores[g][h].append_products(rows_a, vals_a, cols_b, vals_b)
     return PsumGrid(stores=stores, g_na=a_blk.g_na, g_nb=b_blk.g_nb, tile=tile)
 
 
@@ -417,14 +381,12 @@ def sdmm_compute(a_blk: RpCscBlock, b_rows: DenseMatrix,
         raise GatherError(
             f"need {a_blk.col_all_len} gathered rows, got {b_rows.n_rows}")
     banks = np.zeros((a_blk.g_na, geom.g_nb, a_blk.m_t, geom.n_t))
-    a_cur = _GroupCursor(a_blk.value, a_blk.row_idx, a_blk.col_len,
-                         a_blk.group_bitmap, a_blk.g_na)
     macs = 0
     width = b_rows.n_cols
-    for p in range(a_blk.col_all_len):
+    for p, members in enumerate(a_blk.group_walk[0]):
         brow = b_rows.data[p]
         nnz_brow = int(np.count_nonzero(brow))
-        for g, rows_a, vals_a in a_cur.consume(p):
+        for g, rows_a, vals_a in members:
             macs += len(vals_a) * nnz_brow
             for h in range(geom.g_nb):
                 w_lo = h * geom.n_t
@@ -456,84 +418,16 @@ MODE_SDMM = "sdmm"
 
 def spmm(a, b, mode: str, plan, cfg: EngineConfig | None = None,
          groups: tuple[int, int] = (8, 8)):
-    """Run the full tiled dataflow: encode, compute, accumulate, assemble.
+    """Run the full tiled dataflow (``costmodel.run``) and return its result.
 
     ``a`` is the sparse (CSC) operand.  SSMM takes sparse ``b`` and returns a
-    CscMatrix; SDMM takes dense ``b`` and returns a DenseMatrix.
+    CscMatrix; SDMM takes dense ``b`` and returns a DenseMatrix.  The grid is
+    ``groups`` and each store holds ``cfg.psum_capacity`` psums.
     """
+    from .costmodel import Workload, run  # costmodel imports this module
     if isinstance(a, TripletMatrix):
-        from .matrices import to_csc
         a = to_csc(a)
-    if mode == MODE_SSMM:
-        if isinstance(b, TripletMatrix):
-            b = to_csr(b)
-        if not isinstance(b, CsrMatrix):
-            raise DimensionError("ssmm needs a sparse (CSR) right operand")
-    elif mode == MODE_SDMM:
-        if not isinstance(b, DenseMatrix):
-            raise DimensionError("sdmm needs a dense right operand")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if a.n_cols != b.n_rows:
-        raise DimensionError(
-            f"dimension mismatch: {a.n_rows}x{a.n_cols} @ {b.n_rows}x{b.n_cols}")
-    geom = make_geometry(plan, (a.n_rows, a.n_cols, b.n_cols), groups)
     cfg = cfg or EngineConfig()
-    if mode == MODE_SSMM:
-        return _run_ssmm(a, b, geom, cfg)
-    return _run_sdmm(a, b, geom, cfg)
-
-
-def _run_ssmm(a: CscMatrix, b: CsrMatrix, geom: TilingGeometry,
-              cfg: EngineConfig) -> CscMatrix:
-    a_blocks: dict[tuple[int, int], RpCscBlock] = {}
-    b_blocks: dict[tuple[int, int], CpCsrBlock] = {}
-    parts: dict[tuple[int, int, int, int], list[OutputBlock]] = {}
-    for m in range(geom.t_m):
-        for n in range(geom.t_n):
-            for k in range(geom.t_k):
-                a_blk = a_blocks.get((m, k))
-                if a_blk is None:
-                    a_blk = a_blocks[(m, k)] = encode_rp_csc(a, geom, m, k)
-                b_blk = b_blocks.get((k, n))
-                if b_blk is None:
-                    b_blk = b_blocks[(k, n)] = encode_cp_csr(b, geom, k, n)
-                grid = compute_psums(a_blk, b_blk, cfg, tile=(m, n, k))
-                for g in range(geom.g_na):
-                    for h in range(geom.g_nb):
-                        st = grid.stores[g][h]
-                        blks = list(st.spilled)
-                        final = address_map(st)
-                        if final.nnz:
-                            blks.append(final)
-                        if blks:
-                            parts.setdefault((m, g, n, h), []).extend(blks)
-    merged = {key: merge_output_blocks(blocks) for key, blocks in parts.items()}
-    return assemble_output(merged, geom)
-
-
-def _run_sdmm(a: CscMatrix, b: DenseMatrix, geom: TilingGeometry,
-              cfg: EngineConfig) -> DenseMatrix:
-    del cfg  # dense banks are sized by the plan; no overflow path here
-    result = np.zeros((geom.m, geom.n))
-    a_blocks: dict[tuple[int, int], RpCscBlock] = {}
-    for m in range(geom.t_m):
-        for n in range(geom.t_n):
-            acc = np.zeros((geom.g_na, geom.g_nb, geom.m_t, geom.n_t))
-            for k in range(geom.t_k):
-                a_blk = a_blocks.get((m, k))
-                if a_blk is None:
-                    a_blk = a_blocks[(m, k)] = encode_rp_csc(a, geom, m, k)
-                b_rows = gather_dense_rows(b, a_blk, geom, n)
-                acc += sdmm_compute(a_blk, b_rows, geom).banks
-            for g in range(geom.g_na):
-                r_lo, r_hi = geom.row_span(m, g)
-                if r_lo >= r_hi:
-                    continue
-                for h in range(geom.g_nb):
-                    c_lo, c_hi = geom.col_span(n, h)
-                    if c_lo >= c_hi:
-                        continue
-                    result[r_lo:r_hi, c_lo:c_hi] = acc[g, h, :r_hi - r_lo,
-                                                       :c_hi - c_lo]
-    return DenseMatrix(geom.m, geom.n, result)
+    hw = HardwareConfig(c_psum=cfg.psum_capacity, g_na=groups[0],
+                        g_nb=groups[1])
+    return run(Workload(a, b), plan, hw, mode, cfg)[0]

@@ -17,6 +17,10 @@ class DegenerateInputError(ValueError):
     """A dimension or tile parameter is zero or negative."""
 
 
+class GridLimitError(ValueError):
+    """A PE grid dimension exceeds what the block encoding can represent."""
+
+
 class MalformedBlockError(ValueError):
     """A block encoding violates its structural invariants."""
 

@@ -96,17 +96,9 @@ class WorkloadSpec:
                   cfg: HardwareConfig, b_dense: bool = False) -> "WorkloadSpec":
         if min(m, k, n) <= 0:
             raise DegenerateInputError(f"dimensions must be positive: {(m, k, n)}")
-        nnz_a = round(m * k * d_a)
-        if b_dense:
-            return cls(m, k, n, d_a, 1.0,
-                       m_a=_sparse_bits(nnz_a, k, cfg),
-                       m_b=k * n * cfg.bits_value,
-                       nnz_a=nnz_a, nnz_b=k * n, b_dense=True)
-        nnz_b = round(k * n * d_b)
-        return cls(m, k, n, d_a, d_b,
-                   m_a=_sparse_bits(nnz_a, k, cfg),
-                   m_b=_sparse_bits(nnz_b, k, cfg),
-                   nnz_a=nnz_a, nnz_b=nnz_b)
+        nnz_b = 0 if b_dense else round(k * n * d_b)
+        spec = cls.from_counts(m, k, n, round(m * k * d_a), nnz_b, cfg, b_dense)
+        return replace(spec, d_a=d_a, d_b=1.0 if b_dense else d_b)
 
     @classmethod
     def from_counts(cls, m: int, k: int, n: int, nnz_a: int, nnz_b: int,
@@ -171,9 +163,8 @@ def storage_size(rows: int, cols: int, density: float, cfg: HardwareConfig,
 
     CSC orientation carries one pointer per column; CSR mirrors with rows.
     """
-    entry_bits = rows * cols * density * (cfg.bits_value + cfg.bits_index)
     ptr = cols if orientation == "csc" else rows
-    return entry_bits + ptr * cfg.bits_len
+    return _sparse_bits(rows * cols * density, ptr, cfg)
 
 
 def feasible(plan: PartitionPlan, cfg: HardwareConfig, wl: WorkloadSpec) -> bool:
@@ -227,20 +218,19 @@ def plan_partition(cfg: HardwareConfig, wl: WorkloadSpec) -> PartitionPlan:
         raise DegenerateInputError("workload dimensions must be positive")
     best = None
     best_key = None
+    k_tiles = _tile_candidates(wl.k, 1)
+    n_tiles = _tile_candidates(wl.n, cfg.g_nb)
     for m_t, t_m in _tile_candidates(wl.m, cfg.g_na):
-        if not m_t * wl.d_a < cfg.c_a * cfg.r_x:  # even k_t = 1 infeasible
-            continue
-        for k_t, t_k in _tile_candidates(wl.k, 1):
-            if not m_t * k_t * wl.d_a < cfg.c_a * cfg.r_x:
+        for k_t, t_k in k_tiles:
+            # every constraint grows with n_t, so n_t = 1 bounds the pair
+            if not feasible(PartitionPlan(t_m, t_k, 1, m_t, k_t, 1,
+                                          STRATEGY_RABE, 0), cfg, wl):
                 continue
-            for n_t, t_n in _tile_candidates(wl.n, cfg.g_nb):
-                if not k_t * n_t * wl.d_b < cfg.c_b * cfg.r_x:
-                    continue
-                if not (m_t * wl.d_a * n_t * wl.d_b * k_t
-                        < cfg.c_psum * cfg.r_x):
-                    continue
+            for n_t, t_n in n_tiles:
                 trial = PartitionPlan(t_m, t_k, t_n, m_t, k_t, n_t,
                                       STRATEGY_RABE, 0)
+                if not feasible(trial, cfg, wl):
+                    continue
                 for strategy, cost in dram_access(trial, cfg, wl):
                     key = (cost, t_m * t_k * t_n, _STRATEGY_RANK[strategy],
                            -k_t, -m_t, -n_t)
