@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costmodel import CSV_COLUMNS, SimStats, Workload, run
+from .encoding import make_geometry
 from .engine import MODE_SDMM, MODE_SSMM, EngineConfig
-from .errors import MatrixFormatError
 from .matrices import (DenseMatrix, TripletMatrix, dense_matmul,
                        load_dense_csv, load_matrix_market, to_csc, to_csr,
                        to_dense, to_triplets, write_dense_csv,
@@ -69,15 +69,16 @@ def load_config(path: str | None) -> HardwareConfig:
                 continue
             key, sep, val = text.partition("=")
             key = key.strip().lower()
-            val = val.strip()
+            where = f"{path} line {i}"
             if not sep:
-                raise MatrixFormatError(f"line {i}: expected key=value")
-            if key in int_keys:
-                kwargs[key] = int(val)
-            elif key in float_keys:
-                kwargs[key] = float(val)
-            else:
-                raise MatrixFormatError(f"line {i}: unknown config key {key!r}")
+                raise CommandError("config", f"{where}: expected key=value")
+            if key not in int_keys | float_keys:
+                raise CommandError("config", f"{where}: {key}: unknown config key")
+            try:
+                kwargs[key] = (int if key in int_keys else float)(val.strip())
+                HardwareConfig(**kwargs)  # name the line that breaks a bound
+            except ValueError as e:
+                raise CommandError("config", f"{where}: {key}: {e}") from e
     return HardwareConfig(**kwargs)
 
 
@@ -93,6 +94,9 @@ def _load_sparse(path: str, stage: str):
 def _resolve_mode(requested: str, b_triplets, threshold: float) -> str:
     if requested != "auto":
         return requested
+    if b_triplets.n_rows * b_triplets.n_cols == 0:
+        raise CommandError("parse", "auto mode needs a non-empty B, got "
+                           f"{b_triplets.n_rows}x{b_triplets.n_cols}")
     density = b_triplets.nnz / (b_triplets.n_rows * b_triplets.n_cols)
     return MODE_SDMM if density > threshold else MODE_SSMM
 
@@ -131,9 +135,10 @@ def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, policy: str,
         if plan_file:
             with open(plan_file, "r", encoding="ascii") as f:
                 plan = PartitionPlan.from_text(f.read())
+            _check_plan_counts(plan, workload, cfg)
         else:
             plan = plan_partition(plan_cfg, workload.spec(plan_cfg))
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, OSError) as e:
         raise CommandError("plan", str(e)) from e
     engine_cfg = EngineConfig(psum_capacity=cfg.c_psum, overflow_policy=policy)
     try:
@@ -141,6 +146,18 @@ def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, policy: str,
     except Exception as e:
         raise CommandError("compute", str(e)) from e
     return result, stats, plan
+
+
+def _check_plan_counts(plan: PartitionPlan, workload: Workload,
+                       cfg: HardwareConfig) -> None:
+    """Reject a plan record whose tile counts were made for other dims."""
+    geom = make_geometry(plan, (workload.a.n_rows, workload.a.n_cols,
+                                workload.b.n_cols), (cfg.g_na, cfg.g_nb))
+    for name in ("t_m", "t_k", "t_n"):
+        if getattr(plan, name) != getattr(geom, name):
+            raise ValueError(
+                f"plan record does not fit this workload: expected "
+                f"{name}={getattr(geom, name)}, found {getattr(plan, name)}")
 
 
 def cmd_spmm(args) -> int:
@@ -171,23 +188,22 @@ def cmd_spmm(args) -> int:
 def cmd_plan(args) -> int:
     cfg = load_config(args.config)
     plan_cfg = cfg.sdmm_variant() if args.mode == MODE_SDMM else cfg
-    if args.a:
-        a_trip = _load_sparse(args.a, "parse")
-        if args.b:
+    try:  # parse failures raise CommandError, which passes through
+        if args.a:
+            a_trip = _load_sparse(args.a, "parse")
+            if not args.b:
+                raise CommandError("parse", "--a requires --b")
             b_trip = _load_sparse(args.b, "parse")
             spec = WorkloadSpec.from_counts(
                 a_trip.n_rows, a_trip.n_cols, b_trip.n_cols, a_trip.nnz,
                 b_trip.nnz, plan_cfg, b_dense=args.mode == MODE_SDMM)
         else:
-            raise CommandError("parse", "--a requires --b")
-    else:
-        if None in (args.m, args.k, args.n, args.da, args.db):
-            raise CommandError("parse",
-                               "need --a/--b files or all of --m --k --n --da --db")
-        spec = WorkloadSpec.from_dims(args.m, args.k, args.n, args.da,
-                                      args.db, plan_cfg,
-                                      b_dense=args.mode == MODE_SDMM)
-    try:
+            if None in (args.m, args.k, args.n, args.da, args.db):
+                raise CommandError(
+                    "parse", "need --a/--b files or all of --m --k --n --da --db")
+            spec = WorkloadSpec.from_dims(args.m, args.k, args.n, args.da,
+                                          args.db, plan_cfg,
+                                          b_dense=args.mode == MODE_SDMM)
         plan = plan_partition(plan_cfg, spec)
     except ValueError as e:
         raise CommandError("plan", str(e)) from e

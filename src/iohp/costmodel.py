@@ -149,14 +149,12 @@ class SimStats:
         ]
 
 
-def compute_cycles(a_blk: RpCscBlock, b_blk: CpCsrBlock,
-                   geom: TilingGeometry | None = None) -> int:
+def compute_cycles(a_blk: RpCscBlock, b_blk: CpCsrBlock) -> int:
     """Lockstep merge-join cost: busiest PE per matched index, 1 per skip.
 
     Every inner index either stream holds without a match costs one cycle,
     including the leftover tail of the longer stream.
     """
-    del geom
     ia, ib = merge_join(a_blk, b_blk)
     ma = a_blk.group_walk[1][ia]
     mb = b_blk.group_walk[1][ib]
@@ -311,17 +309,12 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
             macs += grid.appended_products
             peak = max((st.peak_id for st in grid), default=0)
             util_psum.append(min(1.0, peak / psum_cap))
-            for g in range(geom.g_na):
-                for h in range(geom.g_nb):
-                    st = grid.stores[g][h]
-                    blks = list(st.spilled)
-                    for blk in st.spilled:
-                        bits_spill += blk.nnz * (cfg.bits_value
-                                                 + REDUCED_BITS_INDEX)
-                    final = address_map(st)
-                    if final.nnz:
-                        blks.append(final)
-                    if blks:
+            for g, row in enumerate(grid.stores):
+                for h, st in enumerate(row):
+                    bits_spill += sum(blk.nnz for blk in st.spilled) * (
+                        cfg.bits_value + REDUCED_BITS_INDEX)
+                    blks = st.spilled + [address_map(st)]
+                    if any(blk.nnz for blk in blks):
                         parts.setdefault((m, g, n, h), []).extend(blks)
         else:
             k_lo, k_hi = geom.k_span(k)
@@ -330,22 +323,14 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
                 bits_b += (k_hi - k_lo) * (c_hi - c_lo) * cfg.bits_value
             b_rows = gather_dense_rows(b, a_blk, geom, n)
             util_b.append(min(1.0, b_rows.n_rows * b_rows.n_cols / cfg.c_b))
-            dense_grid = sdmm_compute(a_blk, b_rows, geom)
+            dense_grid = sdmm_compute(a_blk, b_rows)
             comp = sdmm_compute_cycles(a_blk, c_hi - c_lo, geom.n_t)
             addr = 0
             pass_spills = 0
             macs += dense_grid.macs
             util_psum.append(min(1.0, geom.m_t * geom.n_t / psum_cap))
-            for g in range(geom.g_na):
-                r_lo, r_hi = geom.row_span(m, g)
-                if r_lo >= r_hi:
-                    continue
-                for h in range(geom.g_nb):
-                    cc_lo, cc_hi = geom.col_span(n, h)
-                    if cc_lo >= cc_hi:
-                        continue
-                    dense_result[r_lo:r_hi, cc_lo:cc_hi] += \
-                        dense_grid.banks[g, h, :r_hi - r_lo, :cc_hi - cc_lo]
+            r_lo, r_hi = geom.block_rows(m)
+            dense_result[r_lo:r_hi, c_lo:c_hi] += dense_grid.strip[:r_hi - r_lo]
         spills += pass_spills
         traces.append(StageTrace(encode, comp, addr, pass_spills))
 

@@ -7,9 +7,11 @@ B-group slice.  Products land in an append-only psum store whose per-row
 address directory makes the later sort/accumulate pass regular.
 
 Accumulation order is fixed by the traversal: products append in
-(inner index, A entry, B entry) order, the per-row column sort is stable, and
-runs of equal column index are summed left to right.  Distinct PEs share no
-state, so results are identical under any PE scheduling.
+(inner index, A entry, B entry) order, address mapping is one stable sort of
+the whole store by (row, column), and runs of equal coordinates are summed
+left to right.  The sparse-dense path adds each A row's products into one
+dense strip in ascending inner index.  Distinct PEs share no state, so
+results are identical under any PE scheduling.
 
 Store overflow (a row segment exceeding ``s`` slots, or the store exceeding
 ``psum_capacity`` entries) either aborts (policy ``fail``) or flushes the
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry
+from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry, _members
 from .errors import (DimensionError, GatherError, MalformedBlockError,
                      PsumOverflowError)
 from .matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc
@@ -198,11 +200,10 @@ class PsumGrid:
 
 @dataclass
 class DensePsumGrid:
-    """Dense accumulator banks (m_t x n_t per PE) for the sparse-dense path."""
+    """Dense accumulators of one sparse-dense pass, one strip row per A row."""
 
-    banks: np.ndarray  # (g_na, g_nb, m_t, n_t)
+    strip: np.ndarray  # (g_na * m_t, width); row g * m_t + r is group g's row r
     macs: int
-    width: int
 
 
 def merge_join(a_blk: RpCscBlock,
@@ -244,52 +245,56 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     return PsumGrid(stores=stores, g_na=a_blk.g_na, g_nb=b_blk.g_nb, tile=tile)
 
 
+def _directory(ps: PsumStore) -> tuple[np.ndarray, np.ndarray]:
+    """Every directory entry in use: its row and address, row-major.
+
+    Each row's addresses keep insertion order.  Only the ``row_len`` slots in
+    use are read, never the whole ``m_t x s`` directory.
+    """
+    rows = np.repeat(np.arange(ps.m_t, dtype=np.int64), ps.row_len)
+    row_start = np.cumsum(ps.row_len) - ps.row_len
+    slots = np.arange(len(rows), dtype=np.int64) - row_start[rows]
+    return rows, ps.vc_addr[rows, slots]
+
+
 def validate_psum_store(ps: PsumStore) -> None:
     """Check the store's directory invariants; raise MalformedBlockError."""
     if ps.id_psum != len(ps.value_psum) or ps.id_psum != len(ps.col_idx_psum):
         raise MalformedBlockError("id_psum disagrees with stream lengths")
     if int(ps.row_len.sum()) != ps.id_psum:
         raise MalformedBlockError("row_len sum != id_psum")
-    seen = []
-    for r in range(ps.m_t):
-        seg = ps.vc_addr[r, :ps.row_len[r]]
-        if len(seg) and (seg.min() < 0 or seg.max() >= ps.id_psum):
-            raise MalformedBlockError(f"row {r}: address out of range")
-        seen.append(seg)
-    if ps.id_psum:
-        all_addrs = np.concatenate(seen)
-        if len(np.unique(all_addrs)) != ps.id_psum:
-            raise MalformedBlockError("addresses not a permutation of 0..id_psum-1")
+    if np.any(ps.row_len < 0) or np.any(ps.row_len > ps.s):
+        raise MalformedBlockError(f"row_len outside 0..{ps.s}")
+    rows, addrs = _directory(ps)
+    bad = (addrs < 0) | (addrs >= ps.id_psum)
+    if bad.any():
+        raise MalformedBlockError(
+            f"row {int(rows[np.argmax(bad)])}: address out of range")
+    if len(np.unique(addrs)) != ps.id_psum:
+        raise MalformedBlockError("addresses not a permutation of 0..id_psum-1")
 
 
-def address_map(ps: PsumStore, cfg: EngineConfig | None = None) -> OutputBlock:
+def address_map(ps: PsumStore) -> OutputBlock:
     """Sort and accumulate one store's psums into output triplets.
 
-    Per non-empty row: fetch the column indices through the address segment,
-    stable-sort them ascending (ties keep insertion order), fetch values
-    through the sorted addresses, and sum runs of equal column index.
+    The store's psums, fetched through the directory, are stable-sorted by
+    (row, column), so equal columns of a row keep insertion order, and each
+    run of equal coordinates is summed left to right.
     """
-    del cfg  # store carries its own limits
-    value = ps.value_psum
-    col = ps.col_idx_psum
-    rows_out, cols_out, vals_out = [], [], []
-    for r in range(ps.m_t):
-        ln = int(ps.row_len[r])
-        if ln == 0:
-            continue
-        addrs = ps.vc_addr[r, :ln]
-        cols = col[addrs]
-        order = np.argsort(cols, kind="stable")
-        scols = cols[order]
-        svals = value[addrs[order]]
-        starts = np.flatnonzero(np.concatenate(([True], scols[1:] != scols[:-1])))
-        rows_out.append(np.full(len(starts), r, dtype=np.int64))
-        cols_out.append(scols[starts])
-        vals_out.append(np.add.reduceat(svals, starts))
-    if not rows_out:
+    rows, addrs = _directory(ps)
+    if not len(rows):
         return OutputBlock.empty()
-    return OutputBlock(np.concatenate(rows_out), np.concatenate(cols_out),
-                       np.concatenate(vals_out))
+    rows, cols, vals, starts = _coordinate_runs(
+        rows, ps.col_idx_psum[addrs], ps.value_psum[addrs])
+    return OutputBlock(rows[starts], cols[starts], np.add.reduceat(vals, starts))
+
+
+def _coordinate_runs(rows, cols, vals):
+    """Stable-sort triplets by (row, col); return them and each run's start."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    change = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
+    return rows, cols, vals, np.flatnonzero(change)
 
 
 def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
@@ -303,17 +308,14 @@ def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
         return OutputBlock.empty()
     if len(parts) == 1:
         return parts[0]
-    rows = np.concatenate([p.row for p in parts])
-    cols = np.concatenate([p.col for p in parts])
-    vals = np.concatenate([p.value for p in parts])
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    change = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
-    starts = np.flatnonzero(change)
+    rows, cols, vals, starts = _coordinate_runs(
+        np.concatenate([p.row for p in parts]),
+        np.concatenate([p.col for p in parts]),
+        np.concatenate([p.value for p in parts]))
     ends = np.append(starts[1:], len(rows))
-    out_vals = np.empty(len(starts))
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        out_vals[i] = vals[s] if e - s == 1 else math.fsum(vals[s:e])
+    out_vals = vals[starts].astype(np.float64)
+    for i in np.flatnonzero(ends - starts > 1).tolist():
+        out_vals[i] = math.fsum(vals[starts[i]:ends[i]])
     return OutputBlock(rows[starts], cols[starts], out_vals)
 
 
@@ -368,33 +370,28 @@ def gather_dense_rows(b: DenseMatrix, a_blk: RpCscBlock, geom: TilingGeometry,
     return DenseMatrix(len(rows), c_hi - c_lo, data)
 
 
-def sdmm_compute(a_blk: RpCscBlock, b_rows: DenseMatrix,
-                 geom: TilingGeometry) -> DensePsumGrid:
-    """Dense-bank accumulation of one A block against gathered dense rows.
+def sdmm_compute(a_blk: RpCscBlock, b_rows: DenseMatrix) -> DensePsumGrid:
+    """Dense accumulation of one A block against gathered dense rows.
 
-    For each non-empty A column (in traversal order) and each member group g,
-    every PE row adds the outer product of the group's slice against its
-    group's slice of the dense row.  The MAC counter only counts products
-    whose dense operand is nonzero, matching the nonzero-product optimum.
+    Every A entry adds its value times its column's dense row into its strip
+    row; a strip row receives its products in ascending inner index.  The MAC
+    counter only counts products whose dense operand is nonzero, matching
+    the nonzero-product optimum.
     """
     if b_rows.n_rows != a_blk.col_all_len:
         raise GatherError(
             f"need {a_blk.col_all_len} gathered rows, got {b_rows.n_rows}")
-    banks = np.zeros((a_blk.g_na, geom.g_nb, a_blk.m_t, geom.n_t))
-    macs = 0
-    width = b_rows.n_cols
-    for p, members in enumerate(a_blk.group_walk[0]):
-        brow = b_rows.data[p]
-        nnz_brow = int(np.count_nonzero(brow))
-        for g, rows_a, vals_a in members:
-            macs += len(vals_a) * nnz_brow
-            for h in range(geom.g_nb):
-                w_lo = h * geom.n_t
-                if w_lo >= width:
-                    break
-                w_hi = min(w_lo + geom.n_t, width)
-                banks[g, h][rows_a, :w_hi - w_lo] += np.outer(vals_a, brow[w_lo:w_hi])
-    return DensePsumGrid(banks=banks, macs=macs, width=width)
+    # every entry's position and strip row, in stream order (group-major)
+    member = [_members(a_blk.group_bitmap, g) for g in range(a_blk.g_na)]
+    run_len = np.concatenate(a_blk.col_len)
+    pos = np.repeat(np.concatenate(member), run_len)
+    group = np.repeat(np.arange(a_blk.g_na), [len(m) for m in member])
+    rows = np.repeat(group, run_len) * a_blk.m_t + np.concatenate(a_blk.row_idx)
+    strip = np.zeros((a_blk.g_na * a_blk.m_t, b_rows.n_cols))
+    # unbuffered: a repeated strip row takes its products in stream order
+    np.add.at(strip, rows, np.concatenate(a_blk.value)[:, None] * b_rows.data[pos])
+    macs = int(np.count_nonzero(b_rows.data, axis=1)[pos].sum())
+    return DensePsumGrid(strip=strip, macs=macs)
 
 
 def dump_psum_store(ps: PsumStore) -> str:

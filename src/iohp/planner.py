@@ -25,6 +25,8 @@ STRATEGY_RAF = "RAF"
 STRATEGY_RBF = "RBF"
 STRATEGY_RABE = "RABE"
 _STRATEGY_RANK = {STRATEGY_RAF: 0, STRATEGY_RBF: 1, STRATEGY_RABE: 2}
+_PLAN_FIELDS = ("t_m", "t_k", "t_n", "m_t", "k_t", "n_t", "strategy",
+                "predicted_dram")
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,6 @@ class WorkloadSpec:
     @classmethod
     def from_dims(cls, m: int, k: int, n: int, d_a: float, d_b: float,
                   cfg: HardwareConfig, b_dense: bool = False) -> "WorkloadSpec":
-        if min(m, k, n) <= 0:
-            raise DegenerateInputError(f"dimensions must be positive: {(m, k, n)}")
         nnz_b = 0 if b_dense else round(k * n * d_b)
         spec = cls.from_counts(m, k, n, round(m * k * d_a), nnz_b, cfg, b_dense)
         return replace(spec, d_a=d_a, d_b=1.0 if b_dense else d_b)
@@ -104,6 +104,8 @@ class WorkloadSpec:
     def from_counts(cls, m: int, k: int, n: int, nnz_a: int, nnz_b: int,
                     cfg: HardwareConfig, b_dense: bool = False) -> "WorkloadSpec":
         """Exact spec for concrete matrices (densities derived from counts)."""
+        if min(m, k, n) <= 0:
+            raise DegenerateInputError(f"dimensions must be positive: {(m, k, n)}")
         if b_dense:
             return cls(m, k, n, nnz_a / (m * k), 1.0,
                        m_a=_sparse_bits(nnz_a, k, cfg),
@@ -137,12 +139,11 @@ class PartitionPlan:
 
     def to_text(self) -> str:
         """Flat key=value record, one field per line."""
-        return "".join(f"{k}={getattr(self, k)}\n" for k in (
-            "t_m", "t_k", "t_n", "m_t", "k_t", "n_t", "strategy",
-            "predicted_dram"))
+        return "".join(f"{k}={getattr(self, k)}\n" for k in _PLAN_FIELDS)
 
     @classmethod
     def from_text(cls, text: str) -> "PartitionPlan":
+        """Parse a ``to_text`` record; ValueError names a missing field."""
         fields = {}
         for line in text.splitlines():
             line = line.strip()
@@ -150,11 +151,13 @@ class PartitionPlan:
                 continue
             key, _, val = line.partition("=")
             fields[key.strip()] = val.strip()
-        return cls(t_m=int(fields["t_m"]), t_k=int(fields["t_k"]),
-                   t_n=int(fields["t_n"]), m_t=int(fields["m_t"]),
-                   k_t=int(fields["k_t"]), n_t=int(fields["n_t"]),
-                   strategy=fields["strategy"],
-                   predicted_dram=int(fields["predicted_dram"]))
+        missing = [name for name in _PLAN_FIELDS if name not in fields]
+        if missing:
+            raise ValueError(f"plan record is missing {', '.join(missing)}")
+        if fields["strategy"] not in _STRATEGY_RANK:
+            raise ValueError(f"plan record: unknown strategy {fields['strategy']!r}")
+        return cls(**{name: fields[name] if name == "strategy"
+                      else int(fields[name]) for name in _PLAN_FIELDS})
 
 
 def storage_size(rows: int, cols: int, density: float, cfg: HardwareConfig,

@@ -278,3 +278,43 @@ class TestConfigFile:
         cfgfile.write_text("nonsense=1\n")
         with pytest.raises(Exception, match="unknown config key"):
             load_config(str(cfgfile))
+
+    @pytest.mark.parametrize("text, message", [
+        ("c_a=abc\n", "line 1: c_a: invalid literal for int()"),
+        ("# header\nr_x=1.5\n", "line 2: r_x: r_x must be in (0, 1]"),
+        ("foo=1\n", "line 1: foo: unknown config key"),
+        ("g_na\n", "line 1: expected key=value"),
+    ])
+    def test_errors_name_stage_line_and_key(self, tmp_path, worked_files,
+                                            capsys, text, message):
+        a_path, b_path, _, _ = worked_files
+        cfgfile = tmp_path / "hw.cfg"
+        cfgfile.write_text(text)
+        rc = main(["sim", "--a", a_path, "--b", b_path,
+                   "--config", str(cfgfile)])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {cfgfile} {message}")
+
+
+class TestZeroDimensionOperand:
+    """B is 3x0: every command fails at a named stage, never internally."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        return (write_mtx(tmp_path / "a.mtx", TripletMatrix(3, 3, [(0, 0, 2.0)])),
+                write_mtx(tmp_path / "b.mtx", TripletMatrix(3, 0, [])))
+
+    @pytest.mark.parametrize("argv, stage", [
+        (["plan"], "plan"),
+        (["sim", "--mode", "ssmm"], "plan"),
+        (["sim"], "parse"),  # --mode auto measures B's density
+        (["sweep"], "parse"),
+    ])
+    def test_fails_with_typed_error(self, files, capsys, argv, stage):
+        a, b = files
+        rc = main(argv + ["--a", a, "--b", b])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stage}: ")
+        assert "internal" not in err and "division" not in err

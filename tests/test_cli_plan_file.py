@@ -35,3 +35,43 @@ def test_bad_plan_record_reports_plan_stage(tmp_path, capsys):
                "ssmm", "--plan", str(bad)])
     assert rc != 0
     assert "plan" in capsys.readouterr().err
+
+
+def _plan_run(tmp_path, record: str):
+    ta = TripletMatrix(3, 3, [(0, 0, 1.0), (2, 1, 2.0)])
+    a_path = tmp_path / "a.mtx"
+    write_matrix_market(ta, a_path)
+    plan_path = tmp_path / "plan.txt"
+    plan_path.write_text(record)
+    return main(["sim", "--a", str(a_path), "--b", str(a_path), "--mode",
+                 "ssmm", "--plan", str(plan_path)])
+
+
+# the record the planner writes for a 3x3 product on the default 8x8 grid
+FITTING = ("t_m=1\nt_k=1\nt_n=1\nm_t=1\nk_t=3\nn_t=1\nstrategy=RAF\n"
+           "predicted_dram=480\n")
+
+
+def test_fitting_plan_record_runs(tmp_path):
+    assert _plan_run(tmp_path, FITTING) == 0
+
+
+def test_plan_record_missing_field_is_named(tmp_path, capsys):
+    rc = _plan_run(tmp_path, FITTING.replace("t_k=1\n", ""))
+    assert rc != 0
+    assert capsys.readouterr().err == "error: plan: plan record is missing t_k\n"
+
+
+def test_plan_record_unknown_strategy_rejected(tmp_path, capsys):
+    rc = _plan_run(tmp_path, FITTING.replace("RAF", "FOO"))
+    assert rc != 0
+    assert capsys.readouterr().err == (
+        "error: plan: plan record: unknown strategy 'FOO'\n")
+
+
+def test_plan_record_for_another_workload_rejected(tmp_path, capsys):
+    rc = _plan_run(tmp_path, FITTING.replace("t_n=1", "t_n=9"))
+    assert rc != 0
+    assert capsys.readouterr().err == (
+        "error: plan: plan record does not fit this workload: "
+        "expected t_n=1, found 9\n")

@@ -254,16 +254,16 @@ class TestSdmm:
         geom = make_geometry(plan_of(2, 1, 2), (2, 1, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
         b_rows = DenseMatrix.from_rows([[3.0, 4.0]])
-        grid = sdmm_compute(a_blk, b_rows, geom)
-        assert grid.banks[0, 0].tolist() == [[6.0, 8.0], [0.0, 0.0]]
+        grid = sdmm_compute(a_blk, b_rows)
+        assert grid.strip.tolist() == [[6.0, 8.0], [0.0, 0.0]]
         assert grid.macs == 2
 
     def test_empty_a(self):
         a = to_csc(TripletMatrix(2, 2, []))
         geom = make_geometry(plan_of(2, 2, 2), (2, 2, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
-        grid = sdmm_compute(a_blk, DenseMatrix.zeros(0, 2), geom)
-        assert not grid.banks.any()
+        grid = sdmm_compute(a_blk, DenseMatrix.zeros(0, 2))
+        assert not grid.strip.any()
         assert grid.macs == 0
 
     def test_repeated_cell_accumulation(self):
@@ -274,16 +274,16 @@ class TestSdmm:
         a_blk = encode_rp_csc(a, geom, 0, 0)
         assert a_blk.col_all_len == 3
         rows = b.data[[0, 1, 3]]
-        grid = sdmm_compute(a_blk, DenseMatrix(3, 2, rows), geom)
+        grid = sdmm_compute(a_blk, DenseMatrix(3, 2, rows))
         oracle = dense_matmul(to_dense(a), b).data
-        assert np.allclose(grid.banks[0, 0], oracle, rtol=1e-12, atol=0)
+        assert np.allclose(grid.strip, oracle, rtol=1e-12, atol=0)
 
     def test_missing_rows_rejected(self):
         a = to_csc(TripletMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0)]))
         geom = make_geometry(plan_of(2, 2, 2), (2, 2, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
         with pytest.raises(GatherError):
-            sdmm_compute(a_blk, DenseMatrix.zeros(1, 2), geom)
+            sdmm_compute(a_blk, DenseMatrix.zeros(1, 2))
 
     def test_gather_dense_rows_bounds(self):
         a = to_csc(TripletMatrix(2, 3, [(0, 2, 1.0)]))

@@ -1,0 +1,216 @@
+"""The engine's whole-array accumulations against the per-element loops they
+replaced, kept here as references.
+
+Each reference adds the same products in the same order, so results must be
+bit-identical (compared as bytes, which also tells -0.0 from 0.0) and carry
+the same dtypes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from iohp import engine
+from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
+from iohp.engine import (EngineConfig, OutputBlock, PsumStore, address_map,
+                         compute_psums, gather_dense_rows, merge_output_blocks,
+                         sdmm_compute, validate_psum_store)
+from iohp.errors import MalformedBlockError
+from iohp.matrices import DenseMatrix, TripletMatrix, to_csc, to_csr
+from iohp.planner import PartitionPlan
+from iohp.synthetic import random_dense, random_triplets
+
+
+def sdmm_banks_reference(a_blk, b_rows, g_nb, n_t):
+    """Per-(position, group, PE-column) accumulation into (g, h) banks."""
+    banks = np.zeros((a_blk.g_na, g_nb, a_blk.m_t, n_t))
+    macs = 0
+    width = b_rows.n_cols
+    for p, members in enumerate(a_blk.group_walk[0]):
+        brow = b_rows.data[p]
+        nnz_brow = int(np.count_nonzero(brow))
+        for g, rows_a, vals_a in members:
+            macs += len(vals_a) * nnz_brow
+            for h in range(g_nb):
+                w_lo = h * n_t
+                if w_lo >= width:
+                    break
+                w_hi = min(w_lo + n_t, width)
+                banks[g, h][rows_a, :w_hi - w_lo] += np.outer(vals_a,
+                                                              brow[w_lo:w_hi])
+    return banks, macs
+
+
+def address_map_reference(ps):
+    """Per-row stable argsort of the columns, then a run-wise reduceat."""
+    value = ps.value_psum
+    col = ps.col_idx_psum
+    rows_out, cols_out, vals_out = [], [], []
+    for r in range(ps.m_t):
+        ln = int(ps.row_len[r])
+        if ln == 0:
+            continue
+        addrs = ps.vc_addr[r, :ln]
+        cols = col[addrs]
+        order = np.argsort(cols, kind="stable")
+        scols = cols[order]
+        svals = value[addrs[order]]
+        starts = np.flatnonzero(np.concatenate(([True], scols[1:] != scols[:-1])))
+        rows_out.append(np.full(len(starts), r, dtype=np.int64))
+        cols_out.append(scols[starts])
+        vals_out.append(np.add.reduceat(svals, starts))
+    if not rows_out:
+        return OutputBlock.empty()
+    return OutputBlock(np.concatenate(rows_out), np.concatenate(cols_out),
+                       np.concatenate(vals_out))
+
+
+def merge_reference(parts):
+    """Per-coordinate merge: fsum on every run, copy a lone entry."""
+    parts = [p for p in parts if p.nnz]
+    if not parts:
+        return OutputBlock.empty()
+    if len(parts) == 1:
+        return parts[0]
+    rows = np.concatenate([p.row for p in parts])
+    cols = np.concatenate([p.col for p in parts])
+    vals = np.concatenate([p.value for p in parts])
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    change = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
+    starts = np.flatnonzero(change)
+    ends = np.append(starts[1:], len(rows))
+    out_vals = np.empty(len(starts))
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        out_vals[i] = vals[s] if e - s == 1 else math.fsum(vals[s:e])
+    return OutputBlock(rows[starts], cols[starts], out_vals)
+
+
+def assert_same_array(got, ref):
+    assert got.dtype == ref.dtype
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def assert_same_block(got, ref):
+    for field in ("row", "col", "value"):
+        assert_same_array(getattr(got, field), getattr(ref, field))
+
+
+def with_negative_zero(t: TripletMatrix) -> TripletMatrix:
+    if not t.entries:
+        return t
+    r, c, _ = t.entries[0]
+    return TripletMatrix(t.n_rows, t.n_cols, [(r, c, -0.0)] + t.entries[1:])
+
+
+# (m, k, n, m_t, k_t, n_t, groups): ragged m/n edges, t_k > 1, several groups
+CASES = [
+    (7, 9, 11, 2, 4, 3, (2, 3)),
+    (13, 5, 6, 3, 2, 4, (3, 2)),
+    (10, 12, 10, 5, 12, 5, (2, 2)),
+    (9, 17, 23, 1, 3, 2, (4, 5)),
+    (6, 40, 5, 3, 20, 5, (2, 1)),  # long runs of equal (row, col) psums
+    (1, 1, 1, 1, 1, 1, (1, 1)),
+]
+
+
+def geometry(case):
+    m, k, n, m_t, k_t, n_t, groups = case
+    return make_geometry(PartitionPlan(1, 1, 1, m_t, k_t, n_t, "RABE", 0),
+                         (m, k, n), groups)
+
+
+@pytest.mark.parametrize("values", ["int", "float"])
+@pytest.mark.parametrize("case", CASES)
+def test_sdmm_strip_equals_bank_loop(case, values):
+    rng = np.random.default_rng(17)
+    m, k, n = case[:3]
+    ta = with_negative_zero(random_triplets(m, k, 0.4, rng, values))
+    b = random_dense(k, n, rng)
+    if values == "int":
+        b = DenseMatrix(k, n, np.floor(b.data * 9))
+    b.data[rng.random(b.data.shape) < 0.2] = 0.0
+    b.data[rng.random(b.data.shape) < 0.1] = -0.0
+    geom, a = geometry(case), to_csc(ta)
+    for bm in range(geom.t_m):
+        for bk in range(geom.t_k):
+            a_blk = encode_rp_csc(a, geom, bm, bk)
+            for bn in range(geom.t_n):
+                b_rows = gather_dense_rows(b, a_blk, geom, bn)
+                grid = sdmm_compute(a_blk, b_rows)
+                banks, macs = sdmm_banks_reference(a_blk, b_rows, geom.g_nb,
+                                                   geom.n_t)
+                width = b_rows.n_cols
+                g_na, g_nb, m_t, n_t = banks.shape
+                flat = banks.transpose(0, 2, 1, 3).reshape(g_na * m_t,
+                                                           g_nb * n_t)
+                assert not flat[:, width:].any()
+                assert_same_array(grid.strip, np.ascontiguousarray(flat[:, :width]))
+                assert grid.macs == macs
+
+
+@pytest.mark.parametrize("values", ["int", "float"])
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("limits", [(4, 2), (10 ** 9, None)])
+def test_address_map_equals_row_loop(case, values, limits, monkeypatch):
+    rng = np.random.default_rng(29)
+    m, k, n = case[:3]
+    ta = with_negative_zero(random_triplets(m, k, 0.4, rng, values))
+    tb = with_negative_zero(random_triplets(k, n, 0.4, rng, values))
+    geom, a, b = geometry(case), to_csc(ta), to_csr(tb)
+    flushes = []
+
+    def checked(ps):  # spill flushes call address_map through the module
+        got = new_map(ps)
+        assert_same_block(got, address_map_reference(ps))
+        flushes.append(got)
+        return got
+
+    new_map = engine.address_map
+    monkeypatch.setattr(engine, "address_map", checked)
+    capacity, s = limits
+    cfg = EngineConfig(psum_capacity=capacity, s=s)
+    for bm in range(geom.t_m):
+        for bk in range(geom.t_k):
+            for bn in range(geom.t_n):
+                grid = compute_psums(encode_rp_csc(a, geom, bm, bk),
+                                     encode_cp_csr(b, geom, bk, bn), cfg)
+                for st in grid:
+                    validate_psum_store(st)
+                    assert_same_block(address_map(st),
+                                      address_map_reference(st))
+    if capacity == 4 and case[-1] != (1, 1):
+        assert flushes  # the spill path was exercised
+
+
+def test_merge_equals_coordinate_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        parts = []
+        for _ in range(int(rng.integers(0, 6))):
+            nnz = int(rng.integers(0, 12))
+            coords = np.unique(rng.integers(0, 16, nnz))
+            # magnitudes far apart, so that the summation order shows
+            vals = rng.uniform(-1, 1, len(coords)) * 10.0 ** rng.integers(
+                -8, 17, len(coords))
+            vals[rng.random(len(coords)) < 0.1] = -0.0
+            parts.append(OutputBlock(coords // 4, coords % 4, vals))
+        assert_same_block(merge_output_blocks(parts), merge_reference(parts))
+
+
+def test_validate_names_the_bad_directory_entry():
+    st = PsumStore(m_t=3, s=4, capacity=16, policy="fail")
+    st.append_products(np.array([0, 2]), np.array([1.0, 2.0]),
+                       np.array([0, 1]), np.array([3.0, 4.0]))
+    validate_psum_store(st)
+    st.vc_addr[2, 1] = 9
+    with pytest.raises(MalformedBlockError, match="row 2: address out of range"):
+        validate_psum_store(st)
+    st.vc_addr[2, 1] = 0
+    with pytest.raises(MalformedBlockError, match="not a permutation"):
+        validate_psum_store(st)
+    st.row_len[1], st.row_len[2] = 5, -3
+    with pytest.raises(MalformedBlockError, match="row_len outside"):
+        validate_psum_store(st)
