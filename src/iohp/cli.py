@@ -22,7 +22,7 @@ from .matrices import (DenseMatrix, TripletMatrix, dense_matmul,
                        to_dense, to_triplets, write_dense_csv,
                        write_matrix_market)
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
-                      plan_partition)
+                      dram_access, plan_partition)
 from .synthetic import random_dense, random_triplets
 
 DEFAULT_SDMM_THRESHOLD = 0.25
@@ -62,23 +62,27 @@ def load_config(path: str | None) -> HardwareConfig:
                 "bits_value", "bits_index", "bits_len"}
     float_keys = {"r_x", "freq_hz"}
     kwargs = {}
-    with open(path, "r", encoding="ascii") as f:
-        for i, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, sep, val = text.partition("=")
-            key = key.strip().lower()
-            where = f"{path} line {i}"
-            if not sep:
-                raise CommandError("config", f"{where}: expected key=value")
-            if key not in int_keys | float_keys:
-                raise CommandError("config", f"{where}: {key}: unknown config key")
-            try:
-                kwargs[key] = (int if key in int_keys else float)(val.strip())
-                HardwareConfig(**kwargs)  # name the line that breaks a bound
-            except ValueError as e:
-                raise CommandError("config", f"{where}: {key}: {e}") from e
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CommandError("config", f"cannot read {path}: {e}") from e
+    for i, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        key, sep, val = text.partition("=")
+        key = key.strip().lower()
+        where = f"{path} line {i}"
+        if not sep:
+            raise CommandError("config", f"{where}: expected key=value")
+        if key not in int_keys | float_keys:
+            raise CommandError("config", f"{where}: {key}: unknown config key")
+        try:
+            kwargs[key] = (int if key in int_keys else float)(val.strip())
+            HardwareConfig(**kwargs)  # name the line that breaks a bound
+        except ValueError as e:
+            raise CommandError("config", f"{where}: {key}: {e}") from e
     return HardwareConfig(**kwargs)
 
 
@@ -135,7 +139,7 @@ def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, policy: str,
         if plan_file:
             with open(plan_file, "r", encoding="ascii") as f:
                 plan = PartitionPlan.from_text(f.read())
-            _check_plan_counts(plan, workload, cfg)
+            _check_plan_record(plan, workload, cfg, plan_cfg)
         else:
             plan = plan_partition(plan_cfg, workload.spec(plan_cfg))
     except (ValueError, OSError) as e:
@@ -148,9 +152,13 @@ def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, policy: str,
     return result, stats, plan
 
 
-def _check_plan_counts(plan: PartitionPlan, workload: Workload,
-                       cfg: HardwareConfig) -> None:
-    """Reject a plan record whose tile counts were made for other dims."""
+def _check_plan_record(plan: PartitionPlan, workload: Workload,
+                       cfg: HardwareConfig, plan_cfg: HardwareConfig) -> None:
+    """Reject a plan record made for other dims or with a wrong cost.
+
+    The tile counts must be ``make_geometry``'s, and the record's strategy
+    must be one ``dram_access`` offers here, at the cost it predicts.
+    """
     geom = make_geometry(plan, (workload.a.n_rows, workload.a.n_cols,
                                 workload.b.n_cols), (cfg.g_na, cfg.g_nb))
     for name in ("t_m", "t_k", "t_n"):
@@ -158,6 +166,15 @@ def _check_plan_counts(plan: PartitionPlan, workload: Workload,
             raise ValueError(
                 f"plan record does not fit this workload: expected "
                 f"{name}={getattr(geom, name)}, found {getattr(plan, name)}")
+    costs = dict(dram_access(plan, plan_cfg, workload.spec(plan_cfg)))
+    if plan.strategy not in costs:
+        raise ValueError(
+            f"plan record: strategy {plan.strategy} is not available for this "
+            f"workload (available: {', '.join(costs)})")
+    if costs[plan.strategy] != plan.predicted_dram:
+        raise ValueError(
+            f"plan record: predicted_dram={plan.predicted_dram}, but "
+            f"{plan.strategy} costs {costs[plan.strategy]} bits here")
 
 
 def cmd_spmm(args) -> int:

@@ -283,7 +283,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
     b_blocks: dict[tuple[int, int], CpCsrBlock] = {}
     parts: dict[tuple[int, int, int, int], list[OutputBlock]] = {}
     dense_result = np.zeros((geom.m, geom.n)) if mode == MODE_SDMM else None
-    psum_cap = cfg.c_psum if mode == MODE_SSMM else 2 * cfg.c_psum
+    psum_cap = cfg.c_psum if mode == MODE_SSMM else cfg.sdmm_variant().c_psum
 
     for m, n, k, a_loaded, b_loaded in _passes(plan.strategy, geom):
         a_blk = a_blocks.get((m, k))

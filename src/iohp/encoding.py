@@ -139,26 +139,39 @@ class _GroupBlock:
         return sum(len(v) for v in self.value)
 
     @functools.cached_property
+    def entry_table(self) -> tuple[np.ndarray, ...]:
+        """Every entry as ``(position, group, local_idx, value)`` arrays.
+
+        ``position`` indexes the shared inner stream; entries are in
+        (position, group, stream) order.  This is the one walk over the group
+        bitmap, cached because a block joins several passes.
+        """
+        s = self.streams
+        member = [_members(s.bitmap, g) for g in range(s.n_groups)]
+        position = np.repeat(np.concatenate(member), np.concatenate(s.lengths))
+        group = np.repeat(np.arange(s.n_groups), [len(v) for v in s.value])
+        order = np.argsort(position, kind="stable")
+        return (position[order], group[order], np.concatenate(s.local_idx)[order],
+                np.concatenate(s.value)[order])
+
+    @functools.cached_property
     def group_walk(self) -> tuple[list[list[tuple]], np.ndarray]:
         """Each shared position's member-group slices and busiest length.
 
         ``slices[p]`` lists ``(group, local_idx, value)`` slices of the
-        member groups' streams in ascending group order; ``busiest[p]`` is
-        the longest of them.  This is the one walk over the group bitmap;
-        it is cached because a block joins several passes, and each pass
-        reads it for both products and cycle counts.
+        member groups' entries in ascending group order; ``busiest[p]`` is
+        the longest of them.  Each pass reads it for its cycle count.
         """
-        s = self.streams
-        slices = [[] for _ in range(s.inner_len)]
-        busiest = np.zeros(s.inner_len, dtype=np.int64)
-        for g in range(s.n_groups):
-            member = _members(s.bitmap, g)
-            lengths = s.lengths[g]
-            busiest[member] = np.maximum(busiest[member], lengths)
-            stops = np.cumsum(lengths)
-            for p, lo, hi in zip(member.tolist(), (stops - lengths).tolist(),
-                                 stops.tolist()):
-                slices[p].append((g, s.local_idx[g][lo:hi], s.value[g][lo:hi]))
+        position, group, local, value = self.entry_table
+        starts = np.flatnonzero(np.diff(position * self.streams.n_groups + group,
+                                        prepend=-1))  # one per (position, group)
+        lengths = np.diff(starts, append=len(position))
+        busiest = np.zeros(self.streams.inner_len, dtype=np.int64)
+        np.maximum.at(busiest, position[starts], lengths)
+        slices = [[] for _ in busiest]
+        for p, g, lo, hi in zip(*(x.tolist() for x in (
+                position[starts], group[starts], starts, starts + lengths))):
+            slices[p].append((g, local[lo:hi], value[lo:hi]))
         return slices, busiest
 
 
@@ -327,16 +340,13 @@ def decode_block(blk: RpCscBlock | CpCsrBlock,
     block_outer, block_k = coords if is_a else coords[::-1]
     outer_span = geom.row_span if is_a else geom.col_span
     k_lo, _ = geom.k_span(block_k)
-    s = blk.streams
-    entries = []
-    for p, members in enumerate(blk.group_walk[0]):
-        kk = k_lo + int(s.inner_idx[p])
-        for g, local, vals in members:
-            lo, _ = outer_span(block_outer, g)
-            for o, v in zip((lo + local).tolist(), vals.tolist()):
-                entries.append((o, kk, v) if is_a else (kk, o, v))
+    position, group, local, value = blk.entry_table
+    group_lo = [outer_span(block_outer, g)[0] for g in range(len(blk.value))]
+    outer = (np.asarray(group_lo, dtype=np.int64)[group] + local).tolist()
+    kk = (k_lo + np.asarray(blk.streams.inner_idx)[position]).tolist()
+    rows, cols = (outer, kk) if is_a else (kk, outer)
     return canonicalize(*((geom.m, geom.k) if is_a else (geom.k, geom.n)),
-                        entries)
+                        zip(rows, cols, value.tolist()))
 
 
 def dump_block(blk: RpCscBlock | CpCsrBlock) -> str:

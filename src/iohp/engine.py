@@ -6,17 +6,20 @@ matched inner index each active PE multiplies its A-group slice against its
 B-group slice.  Products land in an append-only psum store whose per-row
 address directory makes the later sort/accumulate pass regular.
 
-Accumulation order is fixed by the traversal: products append in
-(inner index, A entry, B entry) order, address mapping is one stable sort of
-the whole store by (row, column), and runs of equal coordinates are summed
-left to right.  The sparse-dense path adds each A row's products into one
-dense strip in ascending inner index.  Distinct PEs share no state, so
-results are identical under any PE scheduling.
+Accumulation order is fixed by the traversal: a block pair's products are
+built at once and each store appends its own in (inner index, A entry,
+B entry) order; address mapping is one stable sort of the whole store by
+(row, column), and runs of equal coordinates are summed left to right.  The
+sparse-dense path adds each A row's products into one dense strip in
+ascending inner index.  Distinct PEs share no state, so results are
+identical under any PE scheduling.
 
-Store overflow (a row segment exceeding ``s`` slots, or the store exceeding
-``psum_capacity`` entries) either aborts (policy ``fail``) or flushes the
-whole store early through address mapping, emitting a partial output block
-that the cross-tile merge folds back in (policy ``spill``).
+Store overflow (a product finding its row segment's ``s`` slots or the
+store's ``psum_capacity`` entries full) either aborts (policy ``fail``) or
+flushes the whole store through address mapping, emitting a partial output
+block that the cross-tile merge folds back in (policy ``spill``).  A store
+has one append path: it appends the longest prefix that fits, then
+overflows, so it loops once per overflow event, never once per product.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry, _members
+from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry
 from .errors import (DimensionError, GatherError, MalformedBlockError,
                      PsumOverflowError)
 from .matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc
@@ -93,8 +96,8 @@ class PsumStore:
         self.capacity = capacity
         self.policy = policy
         self.tile = tile
-        self._value_chunks: list[np.ndarray] = []
-        self._col_chunks: list[np.ndarray] = []
+        self.value_psum = np.empty(0, dtype=np.float64)
+        self.col_idx_psum = np.empty(0, dtype=np.int64)
         self.vc_addr = np.zeros((m_t, s), dtype=np.int64)
         self.row_len = np.zeros(m_t, dtype=np.int64)
         self.id_psum = 0
@@ -103,53 +106,45 @@ class PsumStore:
         self.spilled: list[OutputBlock] = []
         self.spill_events = 0
 
-    @property
-    def value_psum(self) -> np.ndarray:
-        return _joined(self._value_chunks, np.float64)
-
-    @property
-    def col_idx_psum(self) -> np.ndarray:
-        return _joined(self._col_chunks, np.int64)
-
     def append_products(self, rows_a: np.ndarray, vals_a: np.ndarray,
                         cols_b: np.ndarray, vals_b: np.ndarray) -> None:
         """Append the len(a) x len(b) outer-product batch of one (g,h,k) step."""
-        la, lb = len(vals_a), len(vals_b)
-        if la == 0 or lb == 0:
-            return
-        self.appended_total += la * lb
-        if (self.id_psum + la * lb <= self.capacity
-                and int(self.row_len[rows_a].max()) + lb <= self.s):
-            self._value_chunks.append(np.multiply.outer(vals_a, vals_b).ravel())
-            self._col_chunks.append(np.tile(cols_b, la))
-            slots = self.row_len[rows_a][:, None] + np.arange(lb)[None, :]
-            addrs = self.id_psum + np.arange(la)[:, None] * lb + np.arange(lb)[None, :]
-            self.vc_addr[rows_a[:, None], slots] = addrs
-            self.row_len[rows_a] += lb
-            self.id_psum += la * lb
-        else:
-            self._append_slow(rows_a, vals_a, cols_b, vals_b)
-        self.peak_id = max(self.peak_id, self.id_psum)
+        self.append(np.repeat(rows_a, len(cols_b)), np.tile(cols_b, len(rows_a)),
+                    np.multiply.outer(vals_a, vals_b).ravel())
 
-    def _append_slow(self, rows_a, vals_a, cols_b, vals_b) -> None:
-        lb = len(vals_b)
-        for i in range(len(vals_a)):
-            r = int(rows_a[i])
-            va = vals_a[i]
-            j = 0
-            while j < lb:
-                if self.id_psum >= self.capacity or self.row_len[r] >= self.s:
-                    self._overflow()
-                room = min(self.capacity - self.id_psum,
-                           self.s - int(self.row_len[r]), lb - j)
-                self._value_chunks.append(va * vals_b[j:j + room])
-                self._col_chunks.append(np.asarray(cols_b[j:j + room]))
-                self.vc_addr[r, self.row_len[r]:self.row_len[r] + room] = \
-                    self.id_psum + np.arange(room)
-                self.row_len[r] += room
-                self.id_psum += room
-                self.peak_id = max(self.peak_id, self.id_psum)
-                j += room
+    def append(self, rows: np.ndarray, cols: np.ndarray,
+               vals: np.ndarray) -> None:
+        """Append products in order, overflowing before each that does not fit.
+
+        A product does not fit when the store is full or its row already
+        holds ``s`` entries.  Each step appends the longest prefix that fits,
+        so the loop runs once per overflow event, never once per product.
+        """
+        n = len(rows)
+        self.appended_total += n
+        # no prefix that fits is longer than the free entries or free slots
+        room = min(self.capacity, self.m_t * self.s)
+        lo = 0
+        while lo < n:
+            window = rows[lo:min(n, lo + room - self.id_psum)]
+            # each product's slot: row_len plus its rank among equal rows
+            order = np.argsort(window, kind="stable")
+            first = np.flatnonzero(np.diff(window[order], prepend=-1))
+            slot = self.row_len[window]
+            slot[order] += np.arange(len(window)) - np.repeat(
+                first, np.diff(first, append=len(window)))
+            full = np.flatnonzero(slot >= self.s)
+            stop = lo + (int(full[0]) if len(full) else len(window))
+            self.vc_addr[rows[lo:stop], slot[:stop - lo]] = \
+                self.id_psum + np.arange(stop - lo)
+            self.row_len += np.bincount(rows[lo:stop], minlength=self.m_t)
+            self.value_psum = np.concatenate((self.value_psum, vals[lo:stop]))
+            self.col_idx_psum = np.concatenate((self.col_idx_psum, cols[lo:stop]))
+            self.id_psum += stop - lo
+            self.peak_id = max(self.peak_id, self.id_psum)
+            if stop < n:
+                self._overflow()
+            lo = stop
 
     def _overflow(self) -> None:
         if self.policy == OVERFLOW_FAIL:
@@ -160,20 +155,10 @@ class PsumStore:
         if flushed.nnz:
             self.spilled.append(flushed)
         self.spill_events += 1
-        self._value_chunks = []
-        self._col_chunks = []
-        self.vc_addr.fill(0)
+        self.value_psum = self.value_psum[:0]
+        self.col_idx_psum = self.col_idx_psum[:0]
         self.row_len.fill(0)
         self.id_psum = 0
-
-
-def _joined(chunks: list[np.ndarray], dtype) -> np.ndarray:
-    """The chunks as one array, concatenated in place so it happens once."""
-    if not chunks:
-        return np.empty(0, dtype=dtype)
-    if len(chunks) > 1:
-        chunks[:] = [np.concatenate(chunks)]
-    return chunks[0]
 
 
 @dataclass
@@ -183,7 +168,6 @@ class PsumGrid:
     stores: list[list[PsumStore]]
     g_na: int
     g_nb: int
-    tile: tuple = ()
 
     def __iter__(self):
         for row in self.stores:
@@ -226,6 +210,9 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
 
     At every inner index both blocks hold, in ascending order, each (g,h)
     with both bitmap bits set appends the full outer product of its slices.
+    All products are built at once; each store appends its own in (k, A
+    entry, B entry) order.  Under ``fail`` the overflow raised is the first
+    in (k, g, h) order.
     """
     if a_blk.block_k != b_blk.block_k:
         raise DimensionError(
@@ -233,16 +220,36 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
             f"B k-block {b_blk.block_k}")
     cfg = cfg or EngineConfig()
     s = cfg.s if cfg.s is not None else max(1, b_blk.n_t)
-    stores = [[PsumStore(a_blk.m_t, s, cfg.psum_capacity, cfg.overflow_policy,
-                         tile=tile)
-               for _ in range(b_blk.g_nb)] for _ in range(a_blk.g_na)]
-    a_slices, _ = a_blk.group_walk
-    b_slices, _ = b_blk.group_walk
-    for i, j in zip(*(pos.tolist() for pos in merge_join(a_blk, b_blk))):
-        for g, rows_a, vals_a in a_slices[i]:
-            for h, cols_b, vals_b in b_slices[j]:
-                stores[g][h].append_products(rows_a, vals_a, cols_b, vals_b)
-    return PsumGrid(stores=stores, g_na=a_blk.g_na, g_nb=b_blk.g_nb, tile=tile)
+    grid = PsumGrid([[PsumStore(a_blk.m_t, s, cfg.psum_capacity,
+                                cfg.overflow_policy, tile=tile)
+                      for _ in range(b_blk.g_nb)] for _ in range(a_blk.g_na)],
+                    a_blk.g_na, b_blk.g_nb)
+    pos_a, group_a, rows_a, vals_a = a_blk.entry_table
+    pos_b, group_b, cols_b, vals_b = b_blk.entry_table
+    # the entries at a matched position are one run of each table
+    ia, ib = merge_join(a_blk, b_blk)
+    a_lo, b_lo = np.searchsorted(pos_a, ia), np.searchsorted(pos_b, ib)
+    na = np.searchsorted(pos_a, ia, side="right") - a_lo
+    nb = np.searchsorted(pos_b, ib, side="right") - b_lo
+    count = na * nb
+    pair = np.repeat(np.arange(len(count)), count)
+    within = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    ea = a_lo[pair] + within // nb[pair]
+    eb = b_lo[pair] + within % nb[pair]
+    pe = group_a[ea] * b_blk.g_nb + group_b[eb]
+    order = np.argsort(pe, kind="stable")  # PE-major, (k, a, b) within a PE
+    pair, ea, eb = pair[order], ea[order], eb[order]
+    rows, cols, vals = rows_a[ea], cols_b[eb], vals_a[ea] * vals_b[eb]
+    bounds = np.searchsorted(pe[order], np.arange(a_blk.g_na * b_blk.g_nb + 1))
+    failed = []  # (matched position, store, error) of each overflow
+    for i, (st, lo, hi) in enumerate(zip(grid, bounds[:-1], bounds[1:])):
+        try:
+            st.append(rows[lo:hi], cols[lo:hi], vals[lo:hi])
+        except PsumOverflowError as err:  # before any flush, at product id_psum
+            failed.append((int(pair[lo + st.id_psum]), i, err))
+    if failed:
+        raise min(failed)[2]
+    return grid
 
 
 def _directory(ps: PsumStore) -> tuple[np.ndarray, np.ndarray]:
@@ -381,15 +388,10 @@ def sdmm_compute(a_blk: RpCscBlock, b_rows: DenseMatrix) -> DensePsumGrid:
     if b_rows.n_rows != a_blk.col_all_len:
         raise GatherError(
             f"need {a_blk.col_all_len} gathered rows, got {b_rows.n_rows}")
-    # every entry's position and strip row, in stream order (group-major)
-    member = [_members(a_blk.group_bitmap, g) for g in range(a_blk.g_na)]
-    run_len = np.concatenate(a_blk.col_len)
-    pos = np.repeat(np.concatenate(member), run_len)
-    group = np.repeat(np.arange(a_blk.g_na), [len(m) for m in member])
-    rows = np.repeat(group, run_len) * a_blk.m_t + np.concatenate(a_blk.row_idx)
+    pos, group, rows, vals = a_blk.entry_table
     strip = np.zeros((a_blk.g_na * a_blk.m_t, b_rows.n_cols))
-    # unbuffered: a repeated strip row takes its products in stream order
-    np.add.at(strip, rows, np.concatenate(a_blk.value)[:, None] * b_rows.data[pos])
+    # unbuffered: a repeated strip row takes its products in table (k) order
+    np.add.at(strip, group * a_blk.m_t + rows, vals[:, None] * b_rows.data[pos])
     macs = int(np.count_nonzero(b_rows.data, axis=1)[pos].sum())
     return DensePsumGrid(strip=strip, macs=macs)
 

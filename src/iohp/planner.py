@@ -134,9 +134,6 @@ class PartitionPlan:
     strategy: str
     predicted_dram: int
 
-    def total_blocks(self) -> int:
-        return self.t_m * self.t_k * self.t_n
-
     def to_text(self) -> str:
         """Flat key=value record, one field per line."""
         return "".join(f"{k}={getattr(self, k)}\n" for k in _PLAN_FIELDS)

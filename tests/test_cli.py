@@ -318,3 +318,28 @@ class TestZeroDimensionOperand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {stage}: ")
         assert "internal" not in err and "division" not in err
+
+
+class TestUnreadableConfig:
+    @pytest.mark.parametrize("command", ["sim", "plan", "sweep"])
+    def test_missing_file_fails_at_config(self, tmp_path, worked_files, capsys,
+                                          command):
+        a_path, b_path, _, _ = worked_files
+        missing = tmp_path / "nope.cfg"
+        rc = main([command, "--a", a_path, "--b", b_path,
+                   "--config", str(missing)])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot read {missing}: ")
+        assert "No such file" in err
+
+    def test_non_ascii_file_fails_at_config(self, tmp_path, worked_files,
+                                            capsys):
+        a_path, b_path, _, _ = worked_files
+        cfgfile = tmp_path / "hw.cfg"
+        cfgfile.write_bytes(b"c_a=\xff\n")
+        rc = main(["sim", "--a", a_path, "--b", b_path,
+                   "--config", str(cfgfile)])
+        assert rc != 0
+        assert capsys.readouterr().err.startswith(
+            f"error: config: cannot read {cfgfile}: ")

@@ -75,3 +75,44 @@ def test_plan_record_for_another_workload_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: plan: plan record does not fit this workload: "
         "expected t_n=1, found 9\n")
+
+
+def test_plan_record_with_a_wrong_cost_rejected(tmp_path, capsys):
+    record = FITTING.replace("RAF", "RBF").replace("=480", "=7")
+    rc = _plan_run(tmp_path, record)
+    assert rc != 0
+    assert capsys.readouterr().err == (
+        "error: plan: plan record: predicted_dram=7, but RBF costs 480 bits "
+        "here\n")
+
+
+def test_plan_record_with_an_unavailable_strategy_rejected(tmp_path, capsys):
+    # RAF's whole A row strip (3 * 2/9 entries) exceeds c_a * r_x = 0.5
+    cfgfile = tmp_path / "hw.cfg"
+    cfgfile.write_text("c_a=1\nc_b=1\nr_x=0.5\n")
+    ta = TripletMatrix(3, 3, [(0, 0, 1.0), (2, 1, 2.0)])
+    a_path = tmp_path / "a.mtx"
+    write_matrix_market(ta, a_path)
+    plan_path = tmp_path / "plan.txt"
+    plan_path.write_text(FITTING)
+    rc = main(["sim", "--a", str(a_path), "--b", str(a_path), "--mode",
+               "ssmm", "--plan", str(plan_path), "--config", str(cfgfile)])
+    assert rc != 0
+    assert capsys.readouterr().err == (
+        "error: plan: plan record: strategy RAF is not available for this "
+        "workload (available: RABE)\n")
+
+
+def test_sdmm_plan_record_from_the_planner_runs(tmp_path):
+    # a record the planner wrote for a dense B re-costs to its own prediction
+    ta = TripletMatrix(4, 4, [(0, 0, 5.0), (1, 2, 7.0), (2, 1, 3.0)])
+    tb = TripletMatrix(4, 2, [(r, c, 1.0 + r + c) for r in range(4)
+                              for c in range(2)])
+    a_path, b_path = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix_market(ta, a_path)
+    write_matrix_market(tb, b_path)
+    plan_path = tmp_path / "plan.txt"
+    assert main(["plan", "--a", str(a_path), "--b", str(b_path), "--mode",
+                 "sdmm", "--report", str(plan_path)]) == 0
+    assert main(["sim", "--a", str(a_path), "--b", str(b_path), "--mode",
+                 "sdmm", "--plan", str(plan_path)]) == 0

@@ -410,3 +410,18 @@ class TestOracleEquivalenceSmall:
             c = spmm(to_csc(ta), to_csr(tb), "ssmm", plan, groups=(3, 3))
             oracle = dense_matmul(to_dense(ta), to_dense(tb)).data
             assert np.allclose(to_dense(c).data, oracle, rtol=1e-9, atol=1e-12)
+
+
+class TestAppendProducts:
+    def test_repeated_row_gets_one_slot_per_product(self):
+        st = PsumStore(m_t=2, s=4, capacity=16, policy="fail")
+        st.append_products(np.array([0, 0]), np.array([1.0, 2.0]),
+                           np.array([0, 1]), np.array([3.0, 4.0]))
+        assert st.id_psum == 4
+        assert st.row_len.tolist() == [4, 0]
+        assert st.vc_addr[0].tolist() == [0, 1, 2, 3]
+        validate_psum_store(st)
+        out = address_map(st)
+        assert out.row.tolist() == [0, 0]
+        assert out.col.tolist() == [0, 1]
+        assert out.value.tolist() == [1.0 * 3.0 + 2.0 * 3.0, 1.0 * 4.0 + 2.0 * 4.0]

@@ -14,9 +14,10 @@ import pytest
 from iohp import engine
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import (EngineConfig, OutputBlock, PsumStore, address_map,
-                         compute_psums, gather_dense_rows, merge_output_blocks,
-                         sdmm_compute, validate_psum_store)
-from iohp.errors import MalformedBlockError
+                         compute_psums, dump_psum_store, gather_dense_rows,
+                         merge_join, merge_output_blocks, sdmm_compute,
+                         validate_psum_store)
+from iohp.errors import MalformedBlockError, PsumOverflowError
 from iohp.matrices import DenseMatrix, TripletMatrix, to_csc, to_csr
 from iohp.planner import PartitionPlan
 from iohp.synthetic import random_dense, random_triplets
@@ -214,3 +215,147 @@ def test_validate_names_the_bad_directory_entry():
     st.row_len[1], st.row_len[2] = 5, -3
     with pytest.raises(MalformedBlockError, match="row_len outside"):
         validate_psum_store(st)
+
+
+class ReferenceStore:
+    """A psum store that appends one product at a time.
+
+    Before each product it overflows when the store is full or the
+    product's row already holds ``s`` entries; a spill flush goes through
+    ``address_map_reference``.  It exposes the fields ``dump_psum_store``
+    and ``address_map_reference`` read.
+    """
+
+    def __init__(self, m_t, s, capacity, policy, tile=()):
+        self.m_t, self.s, self.capacity = m_t, s, capacity
+        self.policy, self.tile = policy, tile
+        self.values, self.cols = [], []
+        self.vc_addr = np.zeros((m_t, s), dtype=np.int64)
+        self.row_len = np.zeros(m_t, dtype=np.int64)
+        self.appended_total = self.peak_id = self.spill_events = 0
+        self.spilled = []
+
+    @property
+    def id_psum(self):
+        return len(self.values)
+
+    @property
+    def value_psum(self):
+        return np.array(self.values, dtype=np.float64)
+
+    @property
+    def col_idx_psum(self):
+        return np.array(self.cols, dtype=np.int64)
+
+    def add(self, r, c, v):
+        if self.id_psum >= self.capacity or self.row_len[r] >= self.s:
+            if self.policy == "fail":
+                raise PsumOverflowError(
+                    f"psum overflow at tile {self.tile}: id_psum={self.id_psum}, "
+                    f"capacity={self.capacity}, segment size={self.s}")
+            flushed = address_map_reference(self)
+            if flushed.nnz:
+                self.spilled.append(flushed)
+            self.spill_events += 1
+            self.values, self.cols = [], []
+            self.vc_addr.fill(0)
+            self.row_len.fill(0)
+        self.vc_addr[r, self.row_len[r]] = self.id_psum
+        self.row_len[r] += 1
+        self.values.append(v)
+        self.cols.append(c)
+        self.peak_id = max(self.peak_id, self.id_psum)
+
+
+def compute_psums_reference(a_blk, b_blk, cfg, tile):
+    """Per-(k, g, h) walk over the group_walk slices, product by product."""
+    s = cfg.s if cfg.s is not None else max(1, b_blk.n_t)
+    stores = [[ReferenceStore(a_blk.m_t, s, cfg.psum_capacity,
+                              cfg.overflow_policy, tile)
+               for _ in range(b_blk.g_nb)] for _ in range(a_blk.g_na)]
+    a_slices, b_slices = a_blk.group_walk[0], b_blk.group_walk[0]
+    for i, j in zip(*merge_join(a_blk, b_blk)):
+        for g, rows_a, vals_a in a_slices[i]:
+            for h, cols_b, vals_b in b_slices[j]:
+                st = stores[g][h]
+                st.appended_total += len(rows_a) * len(cols_b)
+                for r, va in zip(rows_a.tolist(), vals_a):
+                    for c, vb in zip(cols_b.tolist(), vals_b):
+                        st.add(r, c, va * vb)
+    return [st for row in stores for st in row]
+
+
+def assert_same_store(got, ref):
+    assert dump_psum_store(got) == dump_psum_store(ref)
+    assert_same_array(got.value_psum, ref.value_psum)
+    assert_same_array(got.col_idx_psum, ref.col_idx_psum)
+    assert len(got.spilled) == len(ref.spilled)
+    for blk, ref_blk in zip(got.spilled, ref.spilled):
+        assert_same_block(blk, ref_blk)
+    assert ((got.peak_id, got.appended_total, got.spill_events)
+            == (ref.peak_id, ref.appended_total, ref.spill_events))
+
+
+def psum_operands(case, values):
+    rng = np.random.default_rng(29)
+    m, k, n = case[:3]
+    ta = with_negative_zero(random_triplets(m, k, 0.4, rng, values))
+    tb = with_negative_zero(random_triplets(k, n, 0.4, rng, values))
+    return geometry(case), to_csc(ta), to_csr(tb)
+
+
+@pytest.mark.parametrize("policy", ["spill", "fail"])
+@pytest.mark.parametrize("values", ["int", "float"])
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("limits", [(4, 2), (10 ** 9, None)])
+def test_compute_psums_equals_product_loop(case, values, limits, policy):
+    geom, a, b = psum_operands(case, values)
+    capacity, s = limits
+    cfg = EngineConfig(psum_capacity=capacity, s=s, overflow_policy=policy)
+    for bm in range(geom.t_m):
+        for bk in range(geom.t_k):
+            for bn in range(geom.t_n):
+                a_blk = encode_rp_csc(a, geom, bm, bk)
+                b_blk = encode_cp_csr(b, geom, bk, bn)
+                tile = (bm, bn, bk)
+                try:
+                    ref = compute_psums_reference(a_blk, b_blk, cfg, tile)
+                except PsumOverflowError as err:
+                    with pytest.raises(PsumOverflowError) as got:
+                        compute_psums(a_blk, b_blk, cfg, tile)
+                    assert str(got.value) == str(err)
+                    continue
+                grid = compute_psums(a_blk, b_blk, cfg, tile)
+                for st, ref_st in zip(grid, ref, strict=True):
+                    assert_same_store(st, ref_st)
+
+
+def test_fail_names_the_first_overflow_in_k_g_h_order():
+    # Message recorded with the serial (k, g, h) walk.  A PE-major walk would
+    # raise store (0, 0)'s overflow (id_psum=4), which comes later in k.
+    geom, a, b = psum_operands(CASES[0], "int")
+    cfg = EngineConfig(psum_capacity=4, s=2, overflow_policy="fail")
+    with pytest.raises(PsumOverflowError) as err:
+        compute_psums(encode_rp_csc(a, geom, 0, 0), encode_cp_csr(b, geom, 0, 0),
+                      cfg, (0, 0, 0))
+    assert str(err.value) == ("psum overflow at tile (0, 0, 0): id_psum=3, "
+                              "capacity=4, segment size=2")
+
+
+@pytest.mark.parametrize("limits", [(1, 1), (3, 2), (5, 1), (7, 3), (64, 4)])
+def test_append_equals_product_loop(limits):
+    # arbitrary row order with repeats, over two appends to one store
+    rng = np.random.default_rng(53)
+    capacity, s = limits
+    st = PsumStore(m_t=4, s=s, capacity=capacity, policy="spill")
+    ref = ReferenceStore(4, s, capacity, "spill")
+    for n in (int(rng.integers(0, 40)), int(rng.integers(0, 40))):
+        rows = rng.integers(0, 4, n)
+        cols = rng.integers(0, 6, n)
+        vals = rng.uniform(-1, 1, n)
+        st.append(rows, cols, vals)
+        ref.appended_total += n
+        for r, c, v in zip(rows.tolist(), cols.tolist(), vals):
+            ref.add(r, c, v)
+        validate_psum_store(st)
+        assert_same_store(st, ref)
