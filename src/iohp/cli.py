@@ -244,7 +244,7 @@ def cmd_gcn(args) -> int:
         try:
             w1 = load_dense_csv(args.w1)
             w2 = load_dense_csv(args.w2)
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             raise CommandError("parse", str(e)) from e
     gcn = GcnWorkload(a_trip, x_trip, w1, w2)
     gcn.validate()

@@ -156,16 +156,15 @@ def compute_cycles(a_blk: RpCscBlock, b_blk: CpCsrBlock) -> int:
     including the leftover tail of the longer stream.
     """
     ia, ib = merge_join(a_blk, b_blk)
-    ma = a_blk.group_walk[1][ia]
-    mb = b_blk.group_walk[1][ib]
+    ma = a_blk.busiest[ia]
+    mb = b_blk.busiest[ib]
     unmatched = a_blk.col_all_len + b_blk.row_all_len - 2 * len(ia)
     return int(ma @ mb) + unmatched
 
 
 def sdmm_compute_cycles(a_blk: RpCscBlock, span: int, n_t: int) -> int:
     """Column-wise dense accumulation cost: busiest group times PE width."""
-    busiest = a_blk.group_walk[1]
-    return int(busiest.sum()) * min(n_t, span) if span > 0 else 0
+    return int(a_blk.busiest.sum()) * min(n_t, span) if span > 0 else 0
 
 
 def addrmap_cycles(grid: PsumGrid) -> int:

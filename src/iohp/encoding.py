@@ -155,24 +155,19 @@ class _GroupBlock:
                 np.concatenate(s.value)[order])
 
     @functools.cached_property
-    def group_walk(self) -> tuple[list[list[tuple]], np.ndarray]:
-        """Each shared position's member-group slices and busiest length.
+    def busiest(self) -> np.ndarray:
+        """Each shared position's longest member-group run (its busiest PE).
 
-        ``slices[p]`` lists ``(group, local_idx, value)`` slices of the
-        member groups' entries in ascending group order; ``busiest[p]`` is
-        the longest of them.  Each pass reads it for its cycle count.
+        Read from the entry table, where each run of equal (position, group)
+        is one group's entries at one position.  Each pass reads it for its
+        cycle count.
         """
-        position, group, local, value = self.entry_table
+        position, group, _, _ = self.entry_table
         starts = np.flatnonzero(np.diff(position * self.streams.n_groups + group,
                                         prepend=-1))  # one per (position, group)
-        lengths = np.diff(starts, append=len(position))
-        busiest = np.zeros(self.streams.inner_len, dtype=np.int64)
-        np.maximum.at(busiest, position[starts], lengths)
-        slices = [[] for _ in busiest]
-        for p, g, lo, hi in zip(*(x.tolist() for x in (
-                position[starts], group[starts], starts, starts + lengths))):
-            slices[p].append((g, local[lo:hi], value[lo:hi]))
-        return slices, busiest
+        out = np.zeros(self.streams.inner_len, dtype=np.int64)
+        np.maximum.at(out, position[starts], np.diff(starts, append=len(position)))
+        return out
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ address directory makes the later sort/accumulate pass regular.
 Accumulation order is fixed by the traversal: a block pair's products are
 built at once and each store appends its own in (inner index, A entry,
 B entry) order; address mapping is one stable sort of the whole store by
-(row, column), and runs of equal coordinates are summed left to right.  The
+(row, column), and each run of equal coordinates is summed as its first
+value plus numpy's pairwise sum of the rest (``np.add.reduceat``).  The
 sparse-dense path adds each A row's products into one dense strip in
 ascending inner index.  Distinct PEs share no state, so results are
 identical under any PE scheduling.
@@ -286,7 +287,9 @@ def address_map(ps: PsumStore) -> OutputBlock:
 
     The store's psums, fetched through the directory, are stable-sorted by
     (row, column), so equal columns of a row keep insertion order, and each
-    run of equal coordinates is summed left to right.
+    run of equal coordinates is summed by ``np.add.reduceat``: the run's
+    first value plus numpy's pairwise sum of the rest (so a run 1.0, 1e16,
+    -1e16 sums to 1.0, not to the left-to-right 0.0).
     """
     rows, addrs = _directory(ps)
     if not len(rows):

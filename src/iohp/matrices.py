@@ -142,7 +142,7 @@ def canonicalize(n_rows: int, n_cols: int, entries: Iterable[Entry]) -> TripletM
     acc: dict[tuple[int, int], float] = {}
     for r, c, v in entries:
         key = (r, c)
-        acc[key] = acc.get(key, 0.0) + v
+        acc[key] = acc.get(key, -0.0) + v  # -0.0 + v is v, bit for bit
     out = [(r, c, v) for (r, c), v in sorted(acc.items())]
     return TripletMatrix(n_rows, n_cols, out)
 

@@ -1,4 +1,4 @@
-"""Adaptive tiling: exhaustive search for the DRAM-minimal partition.
+"""Adaptive tiling: a lattice search for the DRAM-minimal partition.
 
 Tile dimensions must keep each A tile, B tile, and the per-PE psum estimate
 inside the reserved fraction ``r_x`` of the corresponding buffer (strict
@@ -11,11 +11,12 @@ inequalities).  Three reuse strategies are costed:
 
 The candidate lattice enumerates tile counts (ceiling-divided tile sizes),
 which keeps the space finite and covers ragged edges; costs depend only on
-the resulting strip counts, and feasibility is monotone in tile size.
+the strip counts ``t_m`` and ``t_n``, and feasibility is monotone in tile size.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -96,6 +97,9 @@ class WorkloadSpec:
     @classmethod
     def from_dims(cls, m: int, k: int, n: int, d_a: float, d_b: float,
                   cfg: HardwareConfig, b_dense: bool = False) -> "WorkloadSpec":
+        for name, density in (("d_a", d_a), ("d_b", d_b)):
+            if not 0 <= density <= 1:  # NaN fails too
+                raise DegenerateInputError(f"density {name}={density} outside [0, 1]")
         nnz_b = 0 if b_dense else round(k * n * d_b)
         spec = cls.from_counts(m, k, n, round(m * k * d_a), nnz_b, cfg, b_dense)
         return replace(spec, d_a=d_a, d_b=1.0 if b_dense else d_b)
@@ -106,15 +110,13 @@ class WorkloadSpec:
         """Exact spec for concrete matrices (densities derived from counts)."""
         if min(m, k, n) <= 0:
             raise DegenerateInputError(f"dimensions must be positive: {(m, k, n)}")
-        if b_dense:
-            return cls(m, k, n, nnz_a / (m * k), 1.0,
-                       m_a=_sparse_bits(nnz_a, k, cfg),
-                       m_b=k * n * cfg.bits_value,
-                       nnz_a=nnz_a, nnz_b=k * n, b_dense=True)
+        if b_dense:  # every element stored, no index or pointer streams
+            nnz_b = k * n
         return cls(m, k, n, nnz_a / (m * k), nnz_b / (k * n),
                    m_a=_sparse_bits(nnz_a, k, cfg),
-                   m_b=_sparse_bits(nnz_b, k, cfg),
-                   nnz_a=nnz_a, nnz_b=nnz_b)
+                   m_b=nnz_b * cfg.bits_value if b_dense
+                   else _sparse_bits(nnz_b, k, cfg),
+                   nnz_a=nnz_a, nnz_b=nnz_b, b_dense=b_dense)
 
 
 def _sparse_bits(nnz: int, ptr_len: int, cfg: HardwareConfig) -> int:
@@ -209,38 +211,36 @@ def _tile_candidates(dim: int, group: int) -> list[tuple[int, int]]:
 
 
 def plan_partition(cfg: HardwareConfig, wl: WorkloadSpec) -> PartitionPlan:
-    """Exhaustively search the tile-count lattice for minimal DRAM access.
+    """Search the (m_t, n_t) lattice for minimal DRAM access.
 
-    Ties break toward fewer total blocks, then RAF > RBF > RABE, then larger
-    k_t (then m_t, n_t) so the result is fully deterministic.
+    Ties break toward fewer blocks, then RAF > RBF > RABE, then larger k_t
+    (then m_t, n_t).  No cost reads k_t, so each pair is costed once, at its
+    largest feasible k_t, found by bisection (a larger k_t never fits better).
     """
     if min(wl.m, wl.k, wl.n) <= 0:
         raise DegenerateInputError("workload dimensions must be positive")
-    best = None
-    best_key = None
-    k_tiles = _tile_candidates(wl.k, 1)
+    k_tiles = _tile_candidates(wl.k, 1)  # largest first: feasible() flips once
     n_tiles = _tile_candidates(wl.n, cfg.g_nb)
-    for m_t, t_m in _tile_candidates(wl.m, cfg.g_na):
-        for k_t, t_k in k_tiles:
-            # every constraint grows with n_t, so n_t = 1 bounds the pair
-            if not feasible(PartitionPlan(t_m, t_k, 1, m_t, k_t, 1,
-                                          STRATEGY_RABE, 0), cfg, wl):
-                continue
-            for n_t, t_n in n_tiles:
-                trial = PartitionPlan(t_m, t_k, t_n, m_t, k_t, n_t,
-                                      STRATEGY_RABE, 0)
-                if not feasible(trial, cfg, wl):
-                    continue
-                for strategy, cost in dram_access(trial, cfg, wl):
-                    key = (cost, t_m * t_k * t_n, _STRATEGY_RANK[strategy],
-                           -k_t, -m_t, -n_t)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = replace(trial, strategy=strategy,
-                                       predicted_dram=cost)
-    if best is None:
+    costed = []
+    for m_tile in _tile_candidates(wl.m, cfg.g_na):
+        for n_tile in n_tiles:
+            at = bisect.bisect_left(k_tiles, True, key=lambda k_tile: feasible(
+                _trial(m_tile, k_tile, n_tile), cfg, wl))
+            if at < len(k_tiles):
+                trial = _trial(m_tile, k_tiles[at], n_tile)
+                costed += [replace(trial, strategy=strategy, predicted_dram=cost)
+                           for strategy, cost in dram_access(trial, cfg, wl)]
+    if not costed:
         raise InfeasibleError(_name_violation(cfg, wl))
-    return best
+    return min(costed, key=lambda p: (
+        p.predicted_dram, p.t_m * p.t_k * p.t_n, _STRATEGY_RANK[p.strategy],
+        -p.k_t, -p.m_t, -p.n_t))
+
+
+def _trial(m_tile, k_tile, n_tile) -> PartitionPlan:
+    """An uncosted plan from three ``(tile_dim, tile_count)`` candidates."""
+    (m_t, t_m), (k_t, t_k), (n_t, t_n) = m_tile, k_tile, n_tile
+    return PartitionPlan(t_m, t_k, t_n, m_t, k_t, n_t, STRATEGY_RABE, 0)
 
 
 def _name_violation(cfg: HardwareConfig, wl: WorkloadSpec) -> str:

@@ -134,6 +134,16 @@ class TestPlanCommand:
         assert rc != 0
         assert "constraint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("da, db, bad", [("-0.5", "0.1", "d_a=-0.5"),
+                                             ("0.1", "1.5", "d_b=1.5"),
+                                             ("nan", "0.1", "d_a=nan")])
+    def test_density_outside_unit_interval(self, capsys, da, db, bad):
+        rc = main(["plan", "--m", "4", "--k", "4", "--n", "4",
+                   "--da", da, "--db", db])
+        assert rc != 0
+        assert capsys.readouterr().err == (
+            f"error: plan: density {bad} outside [0, 1]\n")
+
 
 class TestGcnCommand:
     def test_identity_adjacency(self, tmp_path):
@@ -211,6 +221,17 @@ class TestGcnCommand:
                    "--w2", str(w2_path)])
         assert rc != 0
         assert "step1" in capsys.readouterr().err
+
+    def test_missing_weight_file_fails_at_parse(self, tmp_path, worked_files,
+                                                capsys):
+        a_path, _, _, _ = worked_files
+        missing = tmp_path / "nope.csv"
+        rc = main(["gcn", "--a", a_path, "--x", a_path, "--w1", str(missing),
+                   "--w2", str(missing)])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse: ")
+        assert "No such file" in err and str(missing) in err
 
 
 class TestSweepCommand:

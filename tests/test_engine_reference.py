@@ -23,12 +23,32 @@ from iohp.planner import PartitionPlan
 from iohp.synthetic import random_dense, random_triplets
 
 
+def group_slices(blk):
+    """Each shared position's ``(group, local_idx, value)`` member slices.
+
+    Read off the block's raw streams: group g's entries fill its member
+    positions (set bitmap bits, ascending) run by run, one length each.
+    Slices are listed in ascending group order.
+    """
+    s = blk.streams
+    slices = [[] for _ in range(s.inner_len)]
+    for g in range(s.n_groups):
+        members = [p for p in range(s.inner_len) if int(s.bitmap[p]) >> g & 1]
+        lo = 0
+        for p, run in zip(members, s.lengths[g].tolist(), strict=True):
+            slices[p].append((g, s.local_idx[g][lo:lo + run],
+                              s.value[g][lo:lo + run]))
+            lo += run
+        assert lo == len(s.value[g])
+    return slices
+
+
 def sdmm_banks_reference(a_blk, b_rows, g_nb, n_t):
     """Per-(position, group, PE-column) accumulation into (g, h) banks."""
     banks = np.zeros((a_blk.g_na, g_nb, a_blk.m_t, n_t))
     macs = 0
     width = b_rows.n_cols
-    for p, members in enumerate(a_blk.group_walk[0]):
+    for p, members in enumerate(group_slices(a_blk)):
         brow = b_rows.data[p]
         nnz_brow = int(np.count_nonzero(brow))
         for g, rows_a, vals_a in members:
@@ -268,12 +288,12 @@ class ReferenceStore:
 
 
 def compute_psums_reference(a_blk, b_blk, cfg, tile):
-    """Per-(k, g, h) walk over the group_walk slices, product by product."""
+    """Per-(k, g, h) walk over the group slices, product by product."""
     s = cfg.s if cfg.s is not None else max(1, b_blk.n_t)
     stores = [[ReferenceStore(a_blk.m_t, s, cfg.psum_capacity,
                               cfg.overflow_policy, tile)
                for _ in range(b_blk.g_nb)] for _ in range(a_blk.g_na)]
-    a_slices, b_slices = a_blk.group_walk[0], b_blk.group_walk[0]
+    a_slices, b_slices = group_slices(a_blk), group_slices(b_blk)
     for i, j in zip(*merge_join(a_blk, b_blk)):
         for g, rows_a, vals_a in a_slices[i]:
             for h, cols_b, vals_b in b_slices[j]:
@@ -359,3 +379,16 @@ def test_append_equals_product_loop(limits):
             ref.add(r, c, v)
         validate_psum_store(st)
         assert_same_store(st, ref)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_busiest_is_the_longest_member_run(case):
+    geom, a, b = psum_operands(case, "float")
+    blocks = [encode_rp_csc(a, geom, bm, bk)
+              for bm in range(geom.t_m) for bk in range(geom.t_k)]
+    blocks += [encode_cp_csr(b, geom, bk, bn)
+               for bk in range(geom.t_k) for bn in range(geom.t_n)]
+    for blk in blocks:
+        longest = [max(len(vals) for _, _, vals in members)
+                   for members in group_slices(blk)]
+        assert_same_array(blk.busiest, np.array(longest, dtype=np.int64))

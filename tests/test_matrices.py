@@ -3,11 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from iohp.encoding import decode_block, encode_rp_csc, make_geometry
 from iohp.errors import BoundsError, DimensionError, MatrixFormatError
 from iohp.matrices import (CscMatrix, DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, load_dense_csv, load_matrix_market,
                            to_csc, to_csr, to_dense, to_triplets,
                            write_dense_csv, write_matrix_market)
+from iohp.planner import PartitionPlan
 
 
 def mm(text: str):
@@ -129,6 +131,22 @@ class TestConversions:
         a = to_csc(t)
         deltas = np.diff(a.col_ptr)
         assert np.all(deltas >= 0) and deltas.sum() == t.nnz
+
+    def test_negative_zero_survives_round_trips(self):
+        t = TripletMatrix(2, 2, [(0, 0, -0.0), (1, 1, 2.0)])
+        geom = make_geometry(PartitionPlan(1, 1, 1, 1, 2, 2, "RABE", 0),
+                             (2, 2, 2), (2, 1))
+        for back in (to_triplets(to_csc(t)),
+                     decode_block(encode_rp_csc(to_csc(t), geom, 0, 0), geom)):
+            assert [(r, c) for r, c, _ in back.entries] == [(0, 0), (1, 1)]
+            assert (np.array([v for _, _, v in back.entries]).tobytes()
+                    == np.array([-0.0, 2.0]).tobytes())
+
+    def test_duplicate_sums_keep_their_value(self):
+        t = canonicalize(1, 2, [(0, 0, -0.0), (0, 0, -0.0), (0, 1, -0.0),
+                                (0, 1, 0.0)])
+        assert np.array([v for _, _, v in t.entries]).tobytes() == \
+            np.array([-0.0, 0.0]).tobytes()
 
     def test_to_triplets_inverse(self):
         t = canonicalize(3, 4, [(0, 1, 2.0), (2, 3, -1.5)])

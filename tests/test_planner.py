@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from iohp.errors import InfeasibleError
 from iohp.planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
-                          dram_access, feasible, plan_partition, storage_size)
+                          _name_violation, _tile_candidates, dram_access,
+                          feasible, plan_partition, storage_size)
 
 
 def brute_force_min_cost(cfg: HardwareConfig, wl: WorkloadSpec):
@@ -35,6 +37,49 @@ def brute_force_min_cost(cfg: HardwareConfig, wl: WorkloadSpec):
                 if best is None or low < best:
                     best = low
     return best
+
+
+def plan_partition_reference(cfg: HardwareConfig, wl: WorkloadSpec):
+    """The planner's former search: every (m_t, k_t, n_t) of the lattice.
+
+    A (m_t, k_t) pair is pruned by ``feasible`` at n_t = 1; every feasible
+    trial is costed and compared under the tie key.
+    """
+    best = None
+    best_key = None
+    k_tiles = _tile_candidates(wl.k, 1)
+    n_tiles = _tile_candidates(wl.n, cfg.g_nb)
+    for m_t, t_m in _tile_candidates(wl.m, cfg.g_na):
+        for k_t, t_k in k_tiles:
+            if not feasible(PartitionPlan(t_m, t_k, 1, m_t, k_t, 1,
+                                          "RABE", 0), cfg, wl):
+                continue
+            for n_t, t_n in n_tiles:
+                trial = PartitionPlan(t_m, t_k, t_n, m_t, k_t, n_t, "RABE", 0)
+                if not feasible(trial, cfg, wl):
+                    continue
+                for strategy, cost in dram_access(trial, cfg, wl):
+                    key = (cost, t_m * t_k * t_n,
+                           ("RAF", "RBF", "RABE").index(strategy),
+                           -k_t, -m_t, -n_t)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best = dataclasses.replace(trial, strategy=strategy,
+                                                   predicted_dram=cost)
+    if best is None:
+        raise InfeasibleError(_name_violation(cfg, wl))
+    return best
+
+
+def assert_plans_agree(cfg: HardwareConfig, wl: WorkloadSpec):
+    try:
+        ref = plan_partition_reference(cfg, wl)
+    except InfeasibleError as err:
+        with pytest.raises(InfeasibleError) as got:
+            plan_partition(cfg, wl)
+        assert str(got.value) == str(err)
+        return
+    assert plan_partition(cfg, wl) == ref
 
 
 def small_cfg(**overrides):
@@ -209,6 +254,61 @@ class TestPlanPartition:
         wl3 = WorkloadSpec.from_dims(4, 4, 4, 0.9, 0.9, cfg3)
         with pytest.raises(InfeasibleError, match=r"constraint \(3\)"):
             plan_partition(cfg3, wl3)
+
+
+class TestPlanMatchesReference:
+    """The (m_t, n_t) search with a bisected k_t against the triple loop."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            # each buffer either 1-8 slots or large; grids 1-64
+            caps = [int(rng.integers(1, 9)) if rng.random() < 0.4
+                    else int(rng.integers(9, 4097)) for _ in range(3)]
+            cfg = HardwareConfig(c_a=caps[0], c_b=caps[1], c_psum=caps[2],
+                                 g_na=int(rng.integers(1, 65)),
+                                 g_nb=int(rng.integers(1, 65)),
+                                 r_x=float(rng.choice([0.5, 0.75, 1.0,
+                                                       rng.uniform(0.01, 1)])))
+            b_dense = bool(rng.random() < 0.3)
+            if b_dense:
+                cfg = cfg.sdmm_variant()
+            d_a, d_b = (float(rng.choice([0.0, 1.0, rng.uniform(0, 0.01),
+                                          rng.uniform(0, 1)]))
+                        for _ in range(2))
+            wl = WorkloadSpec.from_dims(*(int(d) for d in rng.integers(1, 601, 3)),
+                                        d_a, d_b, cfg, b_dense=b_dense)
+            assert_plans_agree(cfg, wl)
+
+    def test_exact_boundary(self):
+        # m_t*k_t*d_a == c_a*r_x at m_t = k_t = 2: strict, so infeasible there
+        cfg = HardwareConfig(c_a=4, c_b=100, c_psum=100, r_x=0.5)
+        wl = WorkloadSpec.from_dims(4, 4, 4, 0.5, 0.01, cfg)
+        assert_plans_agree(cfg, wl)
+        assert_plans_agree(cfg.with_grid(1, 1), wl)
+
+    @pytest.mark.parametrize("caps", [(1, 1000, 1000), (1000, 1, 1000),
+                                      (1000, 1000, 1)])
+    def test_infeasible_at_unit_tiles(self, caps):
+        # each case breaks a different one of the three constraints
+        cfg = HardwareConfig(c_a=caps[0], c_b=caps[1], c_psum=caps[2], r_x=0.5)
+        assert_plans_agree(cfg, WorkloadSpec.from_dims(5, 6, 7, 0.9, 0.9, cfg))
+
+    def test_large_ssmm(self):
+        cfg = HardwareConfig()
+        assert_plans_agree(cfg, WorkloadSpec.from_dims(2000, 2000, 2000, 0.002,
+                                                       0.002, cfg))
+
+    # the four dense-B products of the Cora-sized two-layer GCN chain
+    @pytest.mark.parametrize("m, k, n, d_a", [(2708, 1433, 16, 0.0127),
+                                              (2708, 2708, 16, 0.0014),
+                                              (2708, 16, 7, 1.0),
+                                              (2708, 2708, 7, 0.0014)])
+    def test_gcn_steps(self, m, k, n, d_a):
+        cfg = HardwareConfig().sdmm_variant()
+        assert_plans_agree(cfg, WorkloadSpec.from_dims(m, k, n, d_a, 1.0, cfg,
+                                                       b_dense=True))
 
 
 class TestPlanSerialization:
