@@ -86,13 +86,14 @@ def load_config(path: str | None) -> HardwareConfig:
     return HardwareConfig(**kwargs)
 
 
-def _load_sparse(path: str, stage: str):
+def _load(parse, path: str):
+    """Read one input file with ``parse``; a malformed file is named."""
     try:
-        return load_matrix_market(path)
+        return parse(path)
     except OSError as e:
-        raise CommandError(stage, str(e)) from e
+        raise CommandError("parse", str(e)) from e
     except ValueError as e:
-        raise CommandError(stage, f"{path}: {e}") from e
+        raise CommandError("parse", f"{path}: {e}") from e
 
 
 def _resolve_mode(requested: str, b_triplets, threshold: float) -> str:
@@ -180,8 +181,8 @@ def _check_plan_record(plan: PartitionPlan, workload: Workload,
 def cmd_spmm(args) -> int:
     """``spmm`` and ``sim``: ``sim`` is ``spmm`` without ``--out``."""
     cfg = load_config(args.config)
-    a_trip = _load_sparse(args.a, "parse")
-    b_trip = _load_sparse(args.b, "parse")
+    a_trip = _load(load_matrix_market, args.a)
+    b_trip = _load(load_matrix_market, args.b)
     if a_trip.n_cols != b_trip.n_rows:
         raise CommandError("parse", "dimension mismatch: "
                            f"A is {a_trip.n_rows}x{a_trip.n_cols}, "
@@ -207,10 +208,10 @@ def cmd_plan(args) -> int:
     plan_cfg = cfg.sdmm_variant() if args.mode == MODE_SDMM else cfg
     try:  # parse failures raise CommandError, which passes through
         if args.a:
-            a_trip = _load_sparse(args.a, "parse")
+            a_trip = _load(load_matrix_market, args.a)
             if not args.b:
                 raise CommandError("parse", "--a requires --b")
-            b_trip = _load_sparse(args.b, "parse")
+            b_trip = _load(load_matrix_market, args.b)
             spec = WorkloadSpec.from_counts(
                 a_trip.n_rows, a_trip.n_cols, b_trip.n_cols, a_trip.nnz,
                 b_trip.nnz, plan_cfg, b_dense=args.mode == MODE_SDMM)
@@ -239,13 +240,10 @@ def cmd_gcn(args) -> int:
     else:
         if None in (args.a, args.x, args.w1, args.w2):
             raise CommandError("parse", "need --a --x --w1 --w2 or --synthetic")
-        a_trip = _load_sparse(args.a, "parse")
-        x_trip = _load_sparse(args.x, "parse")
-        try:
-            w1 = load_dense_csv(args.w1)
-            w2 = load_dense_csv(args.w2)
-        except (OSError, ValueError) as e:
-            raise CommandError("parse", str(e)) from e
+        a_trip = _load(load_matrix_market, args.a)
+        x_trip = _load(load_matrix_market, args.x)
+        w1 = _load(load_dense_csv, args.w1)
+        w2 = _load(load_dense_csv, args.w2)
     gcn = GcnWorkload(a_trip, x_trip, w1, w2)
     gcn.validate()
 
@@ -288,8 +286,8 @@ def cmd_gcn(args) -> int:
 def cmd_sweep(args) -> int:
     base = load_config(args.config)
     if args.a:
-        a_trip = _load_sparse(args.a, "parse")
-        b_trip = _load_sparse(args.b, "parse") if args.b else None
+        a_trip = _load(load_matrix_market, args.a)
+        b_trip = _load(load_matrix_market, args.b) if args.b else None
         if b_trip is None:
             raise CommandError("parse", "--a requires --b")
     else:

@@ -27,9 +27,8 @@ from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, encode_cp_csr,
                        encode_rp_csc, make_geometry)
 from .errors import DimensionError
 from .engine import (EngineConfig, MODE_SDMM, MODE_SSMM, OutputBlock, PsumGrid,
-                     address_map, assemble_output, compute_psums,
-                     gather_dense_rows, merge_join, merge_output_blocks,
-                     sdmm_compute)
+                     assemble_output, compute_psums, gather_dense_rows,
+                     merge_join, merge_output_blocks, sdmm_compute)
 from .matrices import CscMatrix, CsrMatrix, DenseMatrix, TripletMatrix, to_csr
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
                       STRATEGY_RAF, STRATEGY_RBF)
@@ -280,7 +279,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
     spills = 0
     a_blocks: dict[tuple[int, int], RpCscBlock] = {}
     b_blocks: dict[tuple[int, int], CpCsrBlock] = {}
-    parts: dict[tuple[int, int, int, int], list[OutputBlock]] = {}
+    outputs: list[OutputBlock] = []  # every pass's outputs, global coordinates
     dense_result = np.zeros((geom.m, geom.n)) if mode == MODE_SDMM else None
     psum_cap = cfg.c_psum if mode == MODE_SSMM else cfg.sdmm_variant().c_psum
 
@@ -308,13 +307,16 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
             macs += grid.appended_products
             peak = max((st.peak_id for st in grid), default=0)
             util_psum.append(min(1.0, peak / psum_cap))
-            for g, row in enumerate(grid.stores):
-                for h, st in enumerate(row):
-                    bits_spill += sum(blk.nnz for blk in st.spilled) * (
-                        cfg.bits_value + REDUCED_BITS_INDEX)
-                    blks = st.spilled + [address_map(st)]
-                    if any(blk.nnz for blk in blks):
-                        parts.setdefault((m, g, n, h), []).extend(blks)
+            r_lo, c_lo = geom.block_rows(m)[0], geom.block_cols(n)[0]
+            for i, st in enumerate(grid):
+                g, h = divmod(i, geom.g_nb)
+                for blk in st.spilled:
+                    bits_spill += blk.nnz * (cfg.bits_value + REDUCED_BITS_INDEX)
+                    outputs.append(OutputBlock(blk.row + r_lo + g * geom.m_t,
+                                               blk.col + c_lo + h * geom.n_t,
+                                               blk.value))
+            outputs.append(OutputBlock(grid.held.row + r_lo,
+                                       grid.held.col + c_lo, grid.held.value))
         else:
             k_lo, k_hi = geom.k_span(k)
             c_lo, c_hi = geom.block_cols(n)
@@ -341,9 +343,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
         bits_b += passes_b * geom.k * cfg.bits_len
 
     if mode == MODE_SSMM:
-        merged = {key: merge_output_blocks(blocks)
-                  for key, blocks in parts.items()}
-        result = assemble_output(merged, geom)
+        result = assemble_output(merge_output_blocks(outputs), geom)
         bits_c = result.nnz * entry_bits + geom.n * cfg.bits_len
     else:
         result = DenseMatrix(geom.m, geom.n, dense_result)

@@ -8,9 +8,10 @@ address directory makes the later sort/accumulate pass regular.
 
 Accumulation order is fixed by the traversal: a block pair's products are
 built at once and each store appends its own in (inner index, A entry,
-B entry) order; address mapping is one stable sort of the whole store by
-(row, column), and each run of equal coordinates is summed as its first
-value plus numpy's pairwise sum of the rest (``np.add.reduceat``).  The
+B entry) order; the end-of-pass map is one stable (row, column) sort of
+every store's held products, in address order, and each run of equal
+coordinates is summed as its first value plus numpy's pairwise sum of the
+rest (``np.add.reduceat``), wherever the run sits in the array.  The
 sparse-dense path adds each A row's products into one dense strip in
 ascending inner index.  Distinct PEs share no state, so results are
 identical under any PE scheduling.
@@ -18,7 +19,7 @@ identical under any PE scheduling.
 Store overflow (a product finding its row segment's ``s`` slots or the
 store's ``psum_capacity`` entries full) either aborts (policy ``fail``) or
 flushes the whole store through address mapping, emitting a partial output
-block that the cross-tile merge folds back in (policy ``spill``).  A store
+block that the run's one merge folds back in (policy ``spill``).  A store
 has one append path: it appends the longest prefix that fits, then
 overflows, so it loops once per overflow event, never once per product.
 """
@@ -26,7 +27,7 @@ overflows, so it loops once per overflow event, never once per product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,11 +165,13 @@ class PsumStore:
 
 @dataclass
 class PsumGrid:
-    """One PsumStore per PE of a block pair's grid."""
+    """One PsumStore per PE of a block pair's grid, and in ``held`` the psums
+    the stores hold, mapped at (``g * m_t`` + row, ``h * n_t`` + column)."""
 
     stores: list[list[PsumStore]]
     g_na: int
     g_nb: int
+    held: OutputBlock = field(default_factory=OutputBlock.empty)
 
     def __iter__(self):
         for row in self.stores:
@@ -213,7 +216,7 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     with both bitmap bits set appends the full outer product of its slices.
     All products are built at once; each store appends its own in (k, A
     entry, B entry) order.  Under ``fail`` the overflow raised is the first
-    in (k, g, h) order.
+    in (k, g, h) order; else the held products are mapped into ``grid.held``.
     """
     if a_blk.block_k != b_blk.block_k:
         raise DimensionError(
@@ -239,17 +242,24 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     eb = b_lo[pair] + within % nb[pair]
     pe = group_a[ea] * b_blk.g_nb + group_b[eb]
     order = np.argsort(pe, kind="stable")  # PE-major, (k, a, b) within a PE
-    pair, ea, eb = pair[order], ea[order], eb[order]
+    pair, ea, eb, pe = pair[order], ea[order], eb[order], pe[order]
     rows, cols, vals = rows_a[ea], cols_b[eb], vals_a[ea] * vals_b[eb]
-    bounds = np.searchsorted(pe[order], np.arange(a_blk.g_na * b_blk.g_nb + 1))
+    bounds = np.searchsorted(pe, np.arange(a_blk.g_na * b_blk.g_nb + 1))
+    n_held = np.empty(len(bounds) - 1, dtype=np.int64)  # each store's id_psum
     failed = []  # (matched position, store, error) of each overflow
     for i, (st, lo, hi) in enumerate(zip(grid, bounds[:-1], bounds[1:])):
         try:
             st.append(rows[lo:hi], cols[lo:hi], vals[lo:hi])
         except PsumOverflowError as err:  # before any flush, at product id_psum
             failed.append((int(pair[lo + st.id_psum]), i, err))
+        n_held[i] = st.id_psum
     if failed:
         raise min(failed)[2]
+    # a store holds the last id_psum products of its slice, in address order
+    kept = np.arange(len(pe)) >= (bounds[1:] - n_held)[pe]
+    pe = pe[kept]
+    grid.held = _accumulate(pe // b_blk.g_nb * a_blk.m_t + rows[kept],
+                            pe % b_blk.g_nb * b_blk.n_t + cols[kept], vals[kept])
     return grid
 
 
@@ -283,19 +293,17 @@ def validate_psum_store(ps: PsumStore) -> None:
 
 
 def address_map(ps: PsumStore) -> OutputBlock:
-    """Sort and accumulate one store's psums into output triplets.
-
-    The store's psums, fetched through the directory, are stable-sorted by
-    (row, column), so equal columns of a row keep insertion order, and each
-    run of equal coordinates is summed by ``np.add.reduceat``: the run's
-    first value plus numpy's pairwise sum of the rest (so a run 1.0, 1e16,
-    -1e16 sums to 1.0, not to the left-to-right 0.0).
-    """
+    """Accumulate one store's psums, fetched row by row in insertion order."""
     rows, addrs = _directory(ps)
+    return _accumulate(rows, ps.col_idx_psum[addrs], ps.value_psum[addrs])
+
+
+def _accumulate(rows, cols, vals) -> OutputBlock:
+    """Stable-sort psums by (row, column); ``np.add.reduceat`` each run (so
+    1.0, 1e16, -1e16 sums to 1.0, not to the left-to-right 0.0)."""
     if not len(rows):
         return OutputBlock.empty()
-    rows, cols, vals, starts = _coordinate_runs(
-        rows, ps.col_idx_psum[addrs], ps.value_psum[addrs])
+    rows, cols, vals, starts = _coordinate_runs(rows, cols, vals)
     return OutputBlock(rows[starts], cols[starts], np.add.reduceat(vals, starts))
 
 
@@ -329,37 +337,18 @@ def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
     return OutputBlock(rows[starts], cols[starts], out_vals)
 
 
-def assemble_output(parts: dict[tuple[int, int, int, int], OutputBlock],
-                    geom: TilingGeometry) -> CscMatrix:
-    """Offset per-(block,group) outputs to global coordinates and build CSC."""
-    rows_all, cols_all, vals_all = [], [], []
-    for (m, g, n, h) in sorted(parts):
-        blk = parts[(m, g, n, h)]
-        if not blk.nnz:
-            continue
-        row_lo, row_hi = geom.row_span(m, g)
-        col_lo, col_hi = geom.col_span(n, h)
-        if (blk.row.max() >= row_hi - row_lo) or (blk.col.max() >= col_hi - col_lo):
-            raise MalformedBlockError(
-                f"output block ({m},{g},{n},{h}) exceeds its tile span")
-        rows_all.append(blk.row + row_lo)
-        cols_all.append(blk.col + col_lo)
-        vals_all.append(blk.value)
-    if not rows_all:
-        return CscMatrix(geom.m, geom.n, np.empty(0), np.empty(0, dtype=np.int64),
-                         np.zeros(geom.n + 1, dtype=np.int64))
-    rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
-    vals = np.concatenate(vals_all)
-    order = np.lexsort((rows, cols))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-    if np.any(dup):
-        raise AssertionError("coordinate collision across disjoint blocks")
-    counts = np.bincount(cols, minlength=geom.n)
+def assemble_output(merged: OutputBlock, geom: TilingGeometry) -> CscMatrix:
+    """Build the m x n CSC result from the run's merged global outputs."""
+    if merged.nnz and (min(merged.row.min(), merged.col.min()) < 0
+                       or merged.row.max() >= geom.m
+                       or merged.col.max() >= geom.n):
+        raise MalformedBlockError(
+            f"merged output exceeds the {geom.m}x{geom.n} result")
+    order = np.argsort(merged.col, kind="stable")  # rows stay ascending
     col_ptr = np.zeros(geom.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=col_ptr[1:])
-    return CscMatrix(geom.m, geom.n, vals, rows, col_ptr)
+    np.cumsum(np.bincount(merged.col, minlength=geom.n), out=col_ptr[1:])
+    return CscMatrix(geom.m, geom.n, merged.value[order], merged.row[order],
+                     col_ptr)
 
 
 def gather_dense_rows(b: DenseMatrix, a_blk: RpCscBlock, geom: TilingGeometry,

@@ -245,7 +245,7 @@ def write_matrix_market(m: AnySparse, path) -> None:
         f.write("%%MatrixMarket matrix coordinate real general\n")
         f.write(f"{t.n_rows} {t.n_cols} {t.nnz}\n")
         for r, c, v in t.entries:
-            f.write(f"{r + 1} {c + 1} {v!r}\n")
+            f.write(f"{r + 1} {c + 1} {float(v)!r}\n")
 
 
 def to_csc(t: TripletMatrix) -> CscMatrix:

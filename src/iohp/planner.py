@@ -169,14 +169,26 @@ def storage_size(rows: int, cols: int, density: float, cfg: HardwareConfig,
     return _sparse_bits(rows * cols * density, ptr, cfg)
 
 
+_BUFFER_LABELS = ("buffer A constraint (1) m_t*k_t*d_a < c_a*r_x",
+                  "buffer B constraint (2) k_t*n_t*d_b < c_b*r_x",
+                  "psum constraint (3) m_t*d_a*n_t*d_b*k_t < c_psum*r_x")
+
+
+def _buffer_loads(plan: PartitionPlan, cfg: HardwareConfig,
+                  wl: WorkloadSpec) -> tuple[tuple[float, float], ...]:
+    """One tile's expected (load, bound) in each ``_BUFFER_LABELS`` buffer."""
+    return ((plan.m_t * plan.k_t * wl.d_a, cfg.c_a * cfg.r_x),
+            (plan.k_t * plan.n_t * wl.d_b, cfg.c_b * cfg.r_x),
+            (plan.m_t * wl.d_a * plan.n_t * wl.d_b * plan.k_t,
+             cfg.c_psum * cfg.r_x))
+
+
 def feasible(plan: PartitionPlan, cfg: HardwareConfig, wl: WorkloadSpec) -> bool:
     """Strict buffer-capacity constraints on one tile's expected contents."""
     if min(plan.m_t, plan.k_t, plan.n_t) <= 0:
         return False
-    return (plan.m_t * plan.k_t * wl.d_a < cfg.c_a * cfg.r_x
-            and plan.k_t * plan.n_t * wl.d_b < cfg.c_b * cfg.r_x
-            and plan.m_t * wl.d_a * plan.n_t * wl.d_b * plan.k_t
-            < cfg.c_psum * cfg.r_x)
+    (a, a_max), (b, b_max), (p, p_max) = _buffer_loads(plan, cfg, wl)
+    return a < a_max and b < b_max and p < p_max
 
 
 def dram_access(plan: PartitionPlan, cfg: HardwareConfig,
@@ -244,12 +256,8 @@ def _trial(m_tile, k_tile, n_tile) -> PartitionPlan:
 
 
 def _name_violation(cfg: HardwareConfig, wl: WorkloadSpec) -> str:
-    if not 1 * 1 * wl.d_a < cfg.c_a * cfg.r_x:
-        return ("infeasible even at unit tiles: buffer A constraint (1) "
-                f"m_t*k_t*d_a < c_a*r_x fails ({wl.d_a} >= {cfg.c_a * cfg.r_x})")
-    if not 1 * 1 * wl.d_b < cfg.c_b * cfg.r_x:
-        return ("infeasible even at unit tiles: buffer B constraint (2) "
-                f"k_t*n_t*d_b < c_b*r_x fails ({wl.d_b} >= {cfg.c_b * cfg.r_x})")
-    return ("infeasible even at unit tiles: psum constraint (3) "
-            f"m_t*d_a*n_t*d_b*k_t < c_psum*r_x fails "
-            f"({wl.d_a * wl.d_b} >= {cfg.c_psum * cfg.r_x})")
+    """Name the buffer constraint that unit tiles break: A, else B, else psum."""
+    loads = _buffer_loads(_trial((1, 1), (1, 1), (1, 1)), cfg, wl)
+    i = next((i for i, (load, bound) in enumerate(loads[:2]) if not load < bound), 2)
+    return (f"infeasible even at unit tiles: {_BUFFER_LABELS[i]} fails "
+            f"({loads[i][0]} >= {loads[i][1]})")

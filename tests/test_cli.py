@@ -233,6 +233,18 @@ class TestGcnCommand:
         assert err.startswith("error: parse: ")
         assert "No such file" in err and str(missing) in err
 
+    def test_malformed_weight_file_is_named(self, tmp_path, worked_files,
+                                            capsys):
+        a_path, _, _, _ = worked_files
+        good, bad = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        good.write_text("1.0,0.0\n0.0,1.0\n1.0,1.0\n0.0,0.0\n")
+        bad.write_text("1.0\nnot-a-number\n")
+        rc = main(["gcn", "--a", a_path, "--x", a_path, "--w1", str(good),
+                   "--w2", str(bad)])
+        assert rc != 0
+        assert capsys.readouterr().err == (
+            f"error: parse: {bad}: line 2: bad CSV number\n")
+
 
 class TestSweepCommand:
     def test_grid_axis_peaks(self, tmp_path):

@@ -6,7 +6,8 @@ from iohp.engine import (EngineConfig, OutputBlock, PsumStore, address_map,
                          assemble_output, compute_psums, dump_psum_store,
                          gather_dense_rows, merge_output_blocks, sdmm_compute,
                          spmm, validate_psum_store)
-from iohp.errors import DimensionError, GatherError, PsumOverflowError
+from iohp.errors import (DimensionError, GatherError, MalformedBlockError,
+                         PsumOverflowError)
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, to_csc, to_csr, to_dense)
 from iohp.planner import PartitionPlan
@@ -222,30 +223,37 @@ class TestMerge:
 
 class TestAssemble:
     def test_worked_instance_matches_oracle(self):
+        # the held block puts store (1, 1)'s psum at (1 * m_t, 1 * n_t)
         a_blk, b_blk, geom = worked_blocks()
-        grid = compute_psums(a_blk, b_blk)
-        parts = {}
-        for g in range(2):
-            for h in range(2):
-                out = address_map(grid.stores[g][h])
-                if out.nnz:
-                    parts[(0, g, 0, h)] = out
-        c = assemble_output(parts, geom)
+        c = assemble_output(compute_psums(a_blk, b_blk).held, geom)
         expect = [(0, 0, 5.0), (0, 1, 10.0), (1, 1, 42.0), (2, 2, 12.0)]
         from iohp.matrices import to_triplets
         assert to_triplets(c).entries == expect
 
     def test_empty_grid(self):
         _, _, geom = worked_blocks()
-        c = assemble_output({}, geom)
+        c = assemble_output(OutputBlock.empty(), geom)
         assert c.nnz == 0 and (c.n_rows, c.n_cols) == (4, 4)
+        assert c.value.dtype == np.float64 and c.row_idx.dtype == np.int64
 
     def test_single_pe_zero_offsets(self):
-        _, _, geom0 = worked_blocks()
         geom = make_geometry(plan_of(4, 4, 4), (4, 4, 4), (1, 1))
         blk = OutputBlock(np.array([1]), np.array([2]), np.array([7.0]))
-        c = assemble_output({(0, 0, 0, 0): blk}, geom)
+        c = assemble_output(blk, geom)
         assert to_dense(c).data[1, 2] == 7.0
+
+    def test_later_tile_offsets_and_bounds(self):
+        # a later tile's spilled and held psums land at its global offset
+        a = to_csc(TripletMatrix(4, 4, [(3, 0, 2.0), (3, 1, 5.0)]))
+        b = to_csr(TripletMatrix(4, 4, [(0, 3, 1.0), (1, 3, 3.0)]))
+        c = spmm(a, b, "ssmm", plan_of(1, 4, 1), EngineConfig(psum_capacity=1),
+                 groups=(2, 2))
+        assert to_dense(c).data[3, 3] == 17.0 and c.nnz == 1
+        _, _, geom = worked_blocks()
+        for row, col in ((4, 0), (0, 4), (-1, 0)):
+            blk = OutputBlock(np.array([row]), np.array([col]), np.array([7.0]))
+            with pytest.raises(MalformedBlockError, match="exceeds the 4x4"):
+                assemble_output(blk, geom)
 
 
 class TestSdmm:

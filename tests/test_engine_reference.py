@@ -1,5 +1,5 @@
-"""The engine's whole-array accumulations against the per-element loops they
-replaced, kept here as references.
+"""The engine's whole-array accumulations against the per-element and
+per-store loops they replaced, kept here as references.
 
 Each reference adds the same products in the same order, so results must be
 bit-identical (compared as bytes, which also tells -0.0 from 0.0) and carry
@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from iohp import engine
+from iohp.costmodel import Workload, _passes, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import (EngineConfig, OutputBlock, PsumStore, address_map,
                          compute_psums, dump_psum_store, gather_dense_rows,
                          merge_join, merge_output_blocks, sdmm_compute,
                          validate_psum_store)
 from iohp.errors import MalformedBlockError, PsumOverflowError
-from iohp.matrices import DenseMatrix, TripletMatrix, to_csc, to_csr
-from iohp.planner import PartitionPlan
+from iohp.matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc, to_csr
+from iohp.planner import HardwareConfig, PartitionPlan
 from iohp.synthetic import random_dense, random_triplets
 
 
@@ -106,6 +107,62 @@ def merge_reference(parts):
     for i, (s, e) in enumerate(zip(starts, ends)):
         out_vals[i] = vals[s] if e - s == 1 else math.fsum(vals[s:e])
     return OutputBlock(rows[starts], cols[starts], out_vals)
+
+
+def assemble_reference(parts, geom):
+    """Offset each (m, g, n, h) output by its tile span, checking that it
+    fits, and build the CSC result; coordinates must not collide."""
+    rows_all, cols_all, vals_all = [], [], []
+    for (m, g, n, h) in sorted(parts):
+        blk = parts[(m, g, n, h)]
+        if not blk.nnz:
+            continue
+        row_lo, row_hi = geom.row_span(m, g)
+        col_lo, col_hi = geom.col_span(n, h)
+        if (blk.row.max() >= row_hi - row_lo) or (blk.col.max() >= col_hi - col_lo):
+            raise MalformedBlockError(
+                f"output block ({m},{g},{n},{h}) exceeds its tile span")
+        rows_all.append(blk.row + row_lo)
+        cols_all.append(blk.col + col_lo)
+        vals_all.append(blk.value)
+    if not rows_all:
+        return CscMatrix(geom.m, geom.n, np.empty(0), np.empty(0, dtype=np.int64),
+                         np.zeros(geom.n + 1, dtype=np.int64))
+    rows = np.concatenate(rows_all)
+    cols = np.concatenate(cols_all)
+    vals = np.concatenate(vals_all)
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    assert not np.any(dup), "coordinate collision across disjoint blocks"
+    counts = np.bincount(cols, minlength=geom.n)
+    col_ptr = np.zeros(geom.n + 1, dtype=np.int64)
+    np.cumsum(counts, out=col_ptr[1:])
+    return CscMatrix(geom.m, geom.n, vals, rows, col_ptr)
+
+
+def run_output_reference(workload, plan, cfg, engine_cfg):
+    """Address-map every store on its own, merge each (m, g, n, h) apart,
+    then offset and assemble the keyed outputs."""
+    a, b = workload.a, workload.b
+    geom = make_geometry(plan, (a.n_rows, a.n_cols, b.n_cols),
+                         (cfg.g_na, cfg.g_nb))
+    parts = {}
+    for m, n, k, _, _ in _passes(plan.strategy, geom):
+        grid = compute_psums(encode_rp_csc(a, geom, m, k),
+                             encode_cp_csr(b, geom, k, n), engine_cfg,
+                             tile=(m, n, k))
+        for g, row in enumerate(grid.stores):
+            for h, st in enumerate(row):
+                blks = st.spilled + [address_map(st)]
+                if any(blk.nnz for blk in blks):
+                    parts.setdefault((m, g, n, h), []).extend(blks)
+    merged = {key: merge_output_blocks(blocks) for key, blocks in parts.items()}
+    return assemble_reference(merged, geom)
+
+
+def shifted(blk, row, col):
+    return OutputBlock(blk.row + row, blk.col + col, blk.value)
 
 
 def assert_same_array(got, ref):
@@ -202,8 +259,47 @@ def test_address_map_equals_row_loop(case, values, limits, monkeypatch):
                     validate_psum_store(st)
                     assert_same_block(address_map(st),
                                       address_map_reference(st))
+                # the grid-wide map equals the per-store maps, side by side
+                per_store = [shifted(address_map_reference(st),
+                                     i // geom.g_nb * geom.m_t,
+                                     i % geom.g_nb * geom.n_t)
+                             for i, st in enumerate(grid)]
+                assert_same_block(grid.held, merge_reference(per_store))
     if capacity == 4 and case[-1] != (1, 1):
         assert flushes  # the spill path was exercised
+
+
+@pytest.mark.parametrize("strategy", ["RAF", "RBF", "RABE"])
+@pytest.mark.parametrize("values", ["int", "float"])
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("limits", [(4, 2), (10 ** 9, None)])
+def test_run_output_equals_keyed_merge(case, values, limits, strategy):
+    geom, a, b = psum_operands(case, values)
+    m_t, k_t, n_t, (g_na, g_nb) = case[3:]
+    plan = PartitionPlan(1, 1, 1, m_t, k_t, n_t, strategy, 0)
+    capacity, s = limits
+    cfg = HardwareConfig(c_psum=capacity, g_na=g_na, g_nb=g_nb)
+    engine_cfg = EngineConfig(psum_capacity=capacity, s=s)
+    got, stats = run(Workload(a, b), plan, cfg, "ssmm", engine_cfg)
+    ref = run_output_reference(Workload(a, b), plan, cfg, engine_cfg)
+    assert (got.n_rows, got.n_cols) == (ref.n_rows, ref.n_cols)
+    for field in ("value", "row_idx", "col_ptr"):
+        assert_same_array(getattr(got, field), getattr(ref, field))
+    if capacity == 4 and case[-1] != (1, 1):
+        assert stats.spill_events  # spilled parts went through the merge
+
+
+def test_reduceat_is_the_same_at_any_offset():
+    # runs concatenated behind a pad of any length sum as they do alone
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        runs = [rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-8, 17, n)
+                for n in rng.integers(1, 300, int(rng.integers(1, 8)))]
+        pad = rng.uniform(-1, 1, int(rng.integers(0, 17)))
+        starts = len(pad) + np.cumsum([0] + [len(r) for r in runs[:-1]])
+        got = np.add.reduceat(np.concatenate([pad] + runs), starts)
+        alone = np.concatenate([np.add.reduceat(r, [0]) for r in runs])
+        assert_same_array(got, alone)
 
 
 def test_merge_equals_coordinate_loop():

@@ -76,6 +76,15 @@ class TestLoadMatrixMarket:
         back = load_matrix_market(str(path))
         assert back == t
 
+    def test_write_numpy_floats_round_trip(self, tmp_path):
+        t = canonicalize(2, 2, [(0, 0, np.float64(1.5)), (1, 0, np.float64(-0.0))])
+        path = tmp_path / "m.mtx"
+        write_matrix_market(t, path)
+        assert path.read_text().splitlines()[2:] == ["1 1 1.5", "2 1 -0.0"]
+        back = load_matrix_market(str(path))
+        assert back == t
+        assert np.signbit(back.entries[1][2])
+
 
 class TestConversions:
     def test_to_csc_worked_example(self):
