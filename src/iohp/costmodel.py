@@ -168,12 +168,10 @@ def sdmm_compute_cycles(a_blk: RpCscBlock, span: int, n_t: int) -> int:
 
 def addrmap_cycles(grid: PsumGrid) -> int:
     """Concurrent per-PE sort/accumulate: 2 cycles per psum + 1 per row."""
-    worst = 0
-    for st in grid:
-        cost = 2 * int(st.row_len.sum()) + int(np.count_nonzero(st.row_len))
-        if cost > worst:
-            worst = cost
-    return worst
+    row_len = np.array([st.row_len for st in grid], dtype=np.int64)
+    if not row_len.size:
+        return 0
+    return int((2 * row_len.sum(axis=1) + np.count_nonzero(row_len, axis=1)).max())
 
 
 @dataclass(frozen=True)

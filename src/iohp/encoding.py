@@ -337,11 +337,11 @@ def decode_block(blk: RpCscBlock | CpCsrBlock,
     k_lo, _ = geom.k_span(block_k)
     position, group, local, value = blk.entry_table
     group_lo = [outer_span(block_outer, g)[0] for g in range(len(blk.value))]
-    outer = (np.asarray(group_lo, dtype=np.int64)[group] + local).tolist()
-    kk = (k_lo + np.asarray(blk.streams.inner_idx)[position]).tolist()
+    outer = np.asarray(group_lo, dtype=np.int64)[group] + local
+    kk = k_lo + np.asarray(blk.streams.inner_idx, dtype=np.int64)[position]
     rows, cols = (outer, kk) if is_a else (kk, outer)
     return canonicalize(*((geom.m, geom.k) if is_a else (geom.k, geom.n)),
-                        zip(rows, cols, value.tolist()))
+                        arrays=(rows, cols, value))
 
 
 def dump_block(blk: RpCscBlock | CpCsrBlock) -> str:

@@ -34,7 +34,8 @@ import numpy as np
 from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry
 from .errors import (DimensionError, GatherError, MalformedBlockError,
                      PsumOverflowError)
-from .matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc
+from .matrices import (CscMatrix, DenseMatrix, TripletMatrix, coordinate_runs,
+                       to_csc)
 from .planner import HardwareConfig
 
 OVERFLOW_FAIL = "fail"
@@ -303,16 +304,8 @@ def _accumulate(rows, cols, vals) -> OutputBlock:
     1.0, 1e16, -1e16 sums to 1.0, not to the left-to-right 0.0)."""
     if not len(rows):
         return OutputBlock.empty()
-    rows, cols, vals, starts = _coordinate_runs(rows, cols, vals)
+    rows, cols, vals, starts = coordinate_runs(rows, cols, vals)
     return OutputBlock(rows[starts], cols[starts], np.add.reduceat(vals, starts))
-
-
-def _coordinate_runs(rows, cols, vals):
-    """Stable-sort triplets by (row, col); return them and each run's start."""
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    change = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
-    return rows, cols, vals, np.flatnonzero(change)
 
 
 def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
@@ -326,7 +319,7 @@ def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
         return OutputBlock.empty()
     if len(parts) == 1:
         return parts[0]
-    rows, cols, vals, starts = _coordinate_runs(
+    rows, cols, vals, starts = coordinate_runs(
         np.concatenate([p.row for p in parts]),
         np.concatenate([p.col for p in parts]),
         np.concatenate([p.value for p in parts]))

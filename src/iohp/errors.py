@@ -35,3 +35,7 @@ class GatherError(ValueError):
 
 class InfeasibleError(ValueError):
     """No tiling satisfies the buffer constraints; message names the violated one."""
+
+
+class CoordinateError(ValueError):
+    """A matrix coordinate is not an integer."""

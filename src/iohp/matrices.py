@@ -1,46 +1,85 @@
 """Canonical sparse/dense matrix types and file ingestion.
 
-CSC keeps (value, row_idx, col_ptr); CSR keeps (value, col_idx, row_ptr).
+Triplets keep int64 ``rows``/``cols`` and float64 ``vals`` arrays; CSC keeps
+(value, row_idx, col_ptr); CSR keeps (value, col_idx, row_ptr).  Only Matrix
+Market tokens are read one line at a time, so each error names its line.
 ``dense_matmul`` is the brute-force reference product every sparse path is
-verified against.  All values are float64; a stored entry counts as nonzero
-even when its value is exactly 0.0 (duplicates that cancel stay stored, which
-keeps nnz conservation checks exact).
+verified against.  A stored entry counts as nonzero even when its value is
+exactly 0.0 (duplicates that cancel stay stored, which keeps nnz conservation
+checks exact).
 """
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import BoundsError, DimensionError, MatrixFormatError
+from .errors import BoundsError, CoordinateError, DimensionError, MatrixFormatError
 
 Entry = tuple[int, int, float]
 
 
-@dataclass(frozen=True)
 class TripletMatrix:
-    """Interchange form: explicit (row, col, value) coordinates.
+    """Explicit coordinates, from (row, col, value) tuples or ``arrays=(rows,
+    cols, vals)``; ``entries`` reads the tuples back.  Canonical (see
+    :func:`canonicalize`) means unique coordinates sorted by (row, col)."""
 
-    Canonical means no two entries share a coordinate and entries are sorted
-    by (row, col).  Use :func:`canonicalize` to get there from raw entries.
-    """
+    __slots__ = ("n_rows", "n_cols", "rows", "cols", "vals")
 
-    n_rows: int
-    n_cols: int
-    entries: list[Entry] = field(default_factory=list)
-
-    def __post_init__(self):
-        for r, c, _ in self.entries:
-            if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
-                raise BoundsError(
-                    f"entry ({r},{c}) outside {self.n_rows}x{self.n_cols}")
+    def __init__(self, n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
+                 arrays: tuple | None = None):
+        if arrays is None:
+            entries = entries if isinstance(entries, (list, tuple)) else list(entries)
+            flat = np.fromiter(itertools.chain.from_iterable(entries), np.float64)
+            if len(flat) != 3 * len(entries):
+                raise MatrixFormatError("entries must be (row, col, value) triples")
+            arrays = flat[0::3], flat[1::3], flat[2::3]
+        rows, cols = np.asarray(arrays[0]), np.asarray(arrays[1])
+        vals = np.asarray(arrays[2], dtype=np.float64)
+        if not len(rows) == len(cols) == len(vals):
+            raise MatrixFormatError("rows, cols and vals lengths differ")
+        whole = (rows == np.trunc(rows)) & (cols == np.trunc(cols))  # not NaN
+        inside = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)
+        bad = np.flatnonzero(~(whole & inside))
+        if len(bad):  # name the first bad entry as it was given
+            i = bad[0]
+            r, c = entries[i][:2] if len(entries) else (rows[i], cols[i])
+            if not whole[i]:
+                raise CoordinateError(f"entry ({r},{c}) has a non-integer coordinate")
+            raise BoundsError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
+        self.n_rows, self.n_cols, self.vals = n_rows, n_cols, vals
+        self.rows, self.cols = rows.astype(np.int64), cols.astype(np.int64)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.vals)
+
+    @property
+    def entries(self) -> list[Entry]:
+        return list(zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, TripletMatrix):
+            return NotImplemented
+        return ((self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
+                and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols)
+                and np.array_equal(self.vals, other.vals))
+
+    def __repr__(self) -> str:
+        return f"TripletMatrix({self.n_rows}, {self.n_cols}, {self.entries!r})"
+
+
+def coordinate_runs(rows, cols, vals):
+    """Stable-sort triplets by (row, col); return them and each run's start."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    change = np.ones(len(rows), dtype=bool)
+    change[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    return rows, cols, vals, np.flatnonzero(change)
 
 
 @dataclass(frozen=True)
@@ -66,11 +105,6 @@ class CscMatrix:
     @property
     def nnz(self) -> int:
         return len(self.value)
-
-    def column(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """(row indices, values) of column c, rows strictly increasing."""
-        s, e = self.col_ptr[c], self.col_ptr[c + 1]
-        return self.row_idx[s:e], self.value[s:e]
 
     def nnz_per_column(self) -> np.ndarray:
         return np.diff(self.col_ptr)
@@ -99,11 +133,6 @@ class CsrMatrix:
     @property
     def nnz(self) -> int:
         return len(self.value)
-
-    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """(col indices, values) of row r, cols strictly increasing."""
-        s, e = self.row_ptr[r], self.row_ptr[r + 1]
-        return self.col_idx[s:e], self.value[s:e]
 
     def nnz_per_row(self) -> np.ndarray:
         return np.diff(self.row_ptr)
@@ -137,14 +166,31 @@ class DenseMatrix:
 AnySparse = Union[TripletMatrix, CscMatrix, CsrMatrix]
 
 
-def canonicalize(n_rows: int, n_cols: int, entries: Iterable[Entry]) -> TripletMatrix:
-    """Sum duplicate coordinates and sort by (row, col)."""
-    acc: dict[tuple[int, int], float] = {}
-    for r, c, v in entries:
-        key = (r, c)
-        acc[key] = acc.get(key, -0.0) + v  # -0.0 + v is v, bit for bit
-    out = [(r, c, v) for (r, c), v in sorted(acc.items())]
-    return TripletMatrix(n_rows, n_cols, out)
+def canonicalize(n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
+                 arrays: tuple | None = None) -> TripletMatrix:
+    """Sort by (row, col); sum each coordinate's values as a left fold in input
+    order (-0.0 + v is v, so a fold starts at its first value).  Takes entries
+    (checked as given) or ``arrays=(rows, cols, vals)`` (checked once sorted)."""
+    if arrays is None:
+        t = TripletMatrix(n_rows, n_cols, entries)
+        arrays = t.rows, t.cols, t.vals
+    rows, cols, vals, starts = coordinate_runs(*(np.asarray(a) for a in arrays))
+    out, run = vals[starts].astype(np.float64), np.arange(len(starts))
+    length = np.diff(starts, append=len(vals))
+    for j in range(1, int(length.max(initial=1))):  # the runs still open
+        run = run[length[run] > j]
+        out[run] += vals[starts[run] + j]
+    return TripletMatrix(n_rows, n_cols, arrays=(rows[starts], cols[starts], out))
+
+
+def _read_text(source) -> str:
+    """The whole text of a path, a text stream or ASCII bytes."""
+    if isinstance(source, bytes):
+        return source.decode("ascii")
+    if isinstance(source, str) or hasattr(source, "__fspath__"):
+        with open(source, "r", encoding="ascii") as f:
+            return f.read()
+    return source.read()
 
 
 def load_matrix_market(source) -> TripletMatrix:
@@ -153,46 +199,31 @@ def load_matrix_market(source) -> TripletMatrix:
     Accepts a path, text stream, or bytes.  Handles real/integer/pattern
     fields and general/symmetric symmetry; symmetric inputs are expanded to
     full general form.  Pattern entries get value 1.0.  Indices are 1-based
-    on disk and converted to 0-based; duplicate coordinates are summed.
+    on disk and converted to 0-based; duplicate coordinates are summed.  Past
+    the size header's entry count only blank and ``%`` lines may follow.
     """
-    if isinstance(source, bytes):
-        stream = io.StringIO(source.decode("ascii"))
-    elif isinstance(source, str) or hasattr(source, "__fspath__"):
-        stream = open(source, "r", encoding="ascii")
-    else:
-        stream = source
-    try:
-        return _parse_mm(stream)
-    finally:
-        if stream is not source:
-            stream.close()
+    return _parse_mm(_read_text(source))
 
 
-def _parse_mm(stream) -> TripletMatrix:
-    lineno = 0
-    banner = stream.readline()
-    lineno += 1
-    parts = banner.split()
+def _parse_mm(text: str) -> TripletMatrix:
+    lines = text.split("\n")  # lines[i] is line i + 1
+    eof = len(lines) + (lines[-1] != "")  # the line number at the end of text
+    parts = lines[0].split()
     if len(parts) < 5 or parts[0] != "%%MatrixMarket" or parts[1].lower() != "matrix":
-        raise MatrixFormatError(f"line {lineno}: bad MatrixMarket banner")
+        raise MatrixFormatError("line 1: bad MatrixMarket banner")
     layout, fieldkind, symmetry = (p.lower() for p in parts[2:5])
     if layout != "coordinate":
-        raise MatrixFormatError(f"line {lineno}: only coordinate layout supported")
+        raise MatrixFormatError("line 1: only coordinate layout supported")
     if fieldkind not in ("real", "integer", "pattern"):
-        raise MatrixFormatError(f"line {lineno}: unsupported field '{fieldkind}'")
+        raise MatrixFormatError(f"line 1: unsupported field '{fieldkind}'")
     if symmetry not in ("general", "symmetric"):
-        raise MatrixFormatError(f"line {lineno}: unsupported symmetry '{symmetry}'")
+        raise MatrixFormatError(f"line 1: unsupported symmetry '{symmetry}'")
 
-    # size header: first non-comment, non-blank line
-    while True:
-        line = stream.readline()
-        lineno += 1
-        if not line:
-            raise MatrixFormatError(f"line {lineno}: missing size header")
-        text = line.strip()
-        if text and not text.startswith("%"):
-            break
-    tokens = text.split()
+    data = ((i, tokens) for i, line in enumerate(lines[1:], 2)
+            if (tokens := line.split()) and tokens[0][0] != "%")
+    lineno, tokens = next(data, (eof, None))  # the size header
+    if tokens is None:
+        raise MatrixFormatError(f"line {lineno}: missing size header")
     if len(tokens) != 3:
         raise MatrixFormatError(f"line {lineno}: size header needs 'rows cols nnz'")
     try:
@@ -202,110 +233,92 @@ def _parse_mm(stream) -> TripletMatrix:
     if n_rows < 0 or n_cols < 0 or nnz < 0:
         raise MatrixFormatError(f"line {lineno}: negative size header")
 
-    entries: list[Entry] = []
+    flat: list[float] = []  # row, column, value of each entry in file order
     seen = 0
-    while seen < nnz:
-        line = stream.readline()
-        lineno += 1
-        if not line:
+    for lineno, tokens in data:
+        if seen == nnz:
             raise MatrixFormatError(
-                f"line {lineno}: expected {nnz} entries, got {seen}")
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
-        tokens = text.split()
+                f"line {lineno}: more entries than the {nnz} the size header declares")
         try:
-            r = int(tokens[0])
-            c = int(tokens[1])
+            r, c = int(tokens[0]), int(tokens[1])
         except (ValueError, IndexError):
             raise MatrixFormatError(f"line {lineno}: bad coordinate entry") from None
-        if fieldkind == "pattern":
-            v = 1.0
-        else:
-            if len(tokens) < 3:
-                raise MatrixFormatError(f"line {lineno}: missing value")
-            try:
-                v = float(tokens[2])
-            except ValueError:
-                raise MatrixFormatError(f"line {lineno}: bad value") from None
+        try:
+            v = 1.0 if fieldkind == "pattern" else float(tokens[2])
+        except IndexError:
+            raise MatrixFormatError(f"line {lineno}: missing value") from None
+        except ValueError:
+            raise MatrixFormatError(f"line {lineno}: bad value") from None
         if not (1 <= r <= n_rows and 1 <= c <= n_cols):
             raise BoundsError(
                 f"line {lineno}: index ({r},{c}) outside {n_rows}x{n_cols}")
-        entries.append((r - 1, c - 1, v))
-        if symmetry == "symmetric" and r != c:
-            entries.append((c - 1, r - 1, v))
+        flat += (r - 1, c - 1, v)
+        if r != c and symmetry == "symmetric":
+            flat += (c - 1, r - 1, v)
         seen += 1
-    return canonicalize(n_rows, n_cols, entries)
+    if seen < nnz:
+        raise MatrixFormatError(f"line {eof}: expected {nnz} entries, got {seen}")
+    rcv = np.array(flat, dtype=np.float64)
+    coords = rcv[0::3].astype(np.int64), rcv[1::3].astype(np.int64)
+    return canonicalize(n_rows, n_cols, arrays=(*coords, rcv[2::3]))
 
 
 def write_matrix_market(m: AnySparse, path) -> None:
-    """Write coordinate real general Matrix Market; values round-trip exactly."""
-    t = m if isinstance(m, TripletMatrix) else to_triplets(m)
+    """Write coordinate real general Matrix Market; values round-trip exactly.
+    A TripletMatrix is written as stored, CSC and CSR canonical."""
+    t = m if isinstance(m, TripletMatrix) else \
+        canonicalize(m.n_rows, m.n_cols, arrays=_coords(m))
     with open(path, "w", encoding="ascii") as f:
         f.write("%%MatrixMarket matrix coordinate real general\n")
         f.write(f"{t.n_rows} {t.n_cols} {t.nnz}\n")
-        for r, c, v in t.entries:
-            f.write(f"{r + 1} {c + 1} {float(v)!r}\n")
+        f.write("".join([f"{r} {c} {v!r}\n" for r, c, v in zip(
+            (t.rows + 1).tolist(), (t.cols + 1).tolist(), t.vals.tolist())]))
+
+
+def _coords(m: AnySparse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stored entry's row, column and value, in storage order."""
+    if isinstance(m, TripletMatrix):
+        return m.rows, m.cols, m.vals
+    if isinstance(m, CscMatrix):
+        return (m.row_idx, np.repeat(np.arange(m.n_cols), np.diff(m.col_ptr)),
+                m.value)
+    return np.repeat(np.arange(m.n_rows), np.diff(m.row_ptr)), m.col_idx, m.value
+
+
+def _compress(major, minor, vals, n_major: int):
+    """Stable sort by (major, minor): (values, minor indices, major offsets)."""
+    order = np.lexsort((minor, major))
+    ptr = np.zeros(n_major + 1, dtype=np.int64)
+    np.cumsum(np.bincount(major, minlength=n_major), out=ptr[1:])
+    return vals[order], minor[order], ptr
 
 
 def to_csc(t: TripletMatrix) -> CscMatrix:
     """Lossless conversion of a canonical triplet set to CSC."""
-    rows = np.fromiter((e[0] for e in t.entries), dtype=np.int64, count=t.nnz)
-    cols = np.fromiter((e[1] for e in t.entries), dtype=np.int64, count=t.nnz)
-    vals = np.fromiter((e[2] for e in t.entries), dtype=np.float64, count=t.nnz)
-    order = np.lexsort((rows, cols))
-    counts = np.bincount(cols, minlength=t.n_cols)
-    col_ptr = np.zeros(t.n_cols + 1, dtype=np.int64)
-    np.cumsum(counts, out=col_ptr[1:])
-    return CscMatrix(t.n_rows, t.n_cols, vals[order], rows[order], col_ptr)
+    return CscMatrix(t.n_rows, t.n_cols, *_compress(t.cols, t.rows, t.vals, t.n_cols))
 
 
 def to_csr(t: TripletMatrix) -> CsrMatrix:
     """Lossless conversion of a canonical triplet set to CSR."""
-    rows = np.fromiter((e[0] for e in t.entries), dtype=np.int64, count=t.nnz)
-    cols = np.fromiter((e[1] for e in t.entries), dtype=np.int64, count=t.nnz)
-    vals = np.fromiter((e[2] for e in t.entries), dtype=np.float64, count=t.nnz)
-    order = np.lexsort((cols, rows))
-    counts = np.bincount(rows, minlength=t.n_rows)
-    row_ptr = np.zeros(t.n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return CsrMatrix(t.n_rows, t.n_cols, vals[order], cols[order], row_ptr)
+    return CsrMatrix(t.n_rows, t.n_cols, *_compress(t.rows, t.cols, t.vals, t.n_rows))
 
 
 def to_triplets(m: Union[CscMatrix, CsrMatrix, DenseMatrix]) -> TripletMatrix:
-    if isinstance(m, CscMatrix):
-        entries = []
-        for c in range(m.n_cols):
-            rows, vals = m.column(c)
-            entries.extend((int(r), c, float(v)) for r, v in zip(rows, vals))
-        return canonicalize(m.n_rows, m.n_cols, entries)
-    if isinstance(m, CsrMatrix):
-        entries = []
-        for r in range(m.n_rows):
-            cols, vals = m.row(r)
-            entries.extend((r, int(c), float(v)) for c, v in zip(cols, vals))
-        return canonicalize(m.n_rows, m.n_cols, entries)
+    if not isinstance(m, DenseMatrix):
+        return canonicalize(m.n_rows, m.n_cols, arrays=_coords(m))
     rr, cc = np.nonzero(m.data)
-    entries = [(int(r), int(c), float(m.data[r, c])) for r, c in zip(rr, cc)]
-    return TripletMatrix(m.n_rows, m.n_cols, entries)
+    return TripletMatrix(m.n_rows, m.n_cols, arrays=(rr, cc, m.data[rr, cc]))
 
 
 def to_dense(m: Union[AnySparse, DenseMatrix]) -> DenseMatrix:
-    """Scatter stored entries onto a zero matrix."""
+    """Scatter stored entries onto a zero matrix; the last write wins."""
     if isinstance(m, DenseMatrix):
         return m
+    rows, cols, vals = _coords(m)
+    _, last = np.unique((rows * m.n_cols + cols)[::-1], return_index=True)
+    keep = len(rows) - 1 - last
     out = np.zeros((m.n_rows, m.n_cols))
-    if isinstance(m, TripletMatrix):
-        for r, c, v in m.entries:
-            out[r, c] = v
-    elif isinstance(m, CscMatrix):
-        for c in range(m.n_cols):
-            rows, vals = m.column(c)
-            out[rows, c] = vals
-    else:
-        for r in range(m.n_rows):
-            cols, vals = m.row(r)
-            out[r, cols] = vals
+    out[rows[keep], cols[keep]] = vals[keep]
     return DenseMatrix(m.n_rows, m.n_cols, out)
 
 
@@ -320,29 +333,20 @@ def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 def write_dense_csv(m: DenseMatrix, path) -> None:
     """One row per line, comma-separated, exact decimal text."""
     with open(path, "w", encoding="ascii") as f:
-        for i in range(m.n_rows):
-            f.write(",".join(repr(float(v)) for v in m.data[i]) + "\n")
+        for row in m.data.astype(np.float64, copy=False).tolist():
+            f.write(",".join(map(repr, row)) + "\n")
 
 
 def load_dense_csv(source) -> DenseMatrix:
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="ascii") as f:
-            lines = f.readlines()
-    else:
-        lines = source.readlines()
     rows = []
-    width = None
-    for i, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
+    for i, line in enumerate(_read_text(source).split("\n"), start=1):
+        if not line.strip():
             continue
         try:
-            row = [float(t) for t in text.split(",")]
+            row = [float(t) for t in line.split(",")]
         except ValueError:
             raise MatrixFormatError(f"line {i}: bad CSV number") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if rows and len(row) != len(rows[0]):
             raise MatrixFormatError(f"line {i}: ragged CSV row")
         rows.append(row)
     if not rows:

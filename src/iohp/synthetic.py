@@ -10,11 +10,8 @@ from .matrices import DenseMatrix, TripletMatrix
 def random_triplets(n_rows: int, n_cols: int, density: float,
                     rng: np.random.Generator,
                     values: str = "float") -> TripletMatrix:
-    """Uniform-random coordinates at the target density.
-
-    ``values`` is ``float`` (uniform in [-1, 1)) or ``int`` (small positive
-    integers, exact in float64 arithmetic).
-    """
+    """Uniform-random coordinates at the target density, sorted; ``values``
+    is ``float`` (uniform in [-1, 1)) or ``int`` (1..9, exact in float64)."""
     cells = n_rows * n_cols
     nnz = min(cells, max(0, round(density * cells)))
     flat = rng.choice(cells, size=nnz, replace=False)
@@ -22,10 +19,9 @@ def random_triplets(n_rows: int, n_cols: int, density: float,
         vals = rng.integers(1, 10, size=nnz).astype(np.float64)
     else:
         vals = rng.uniform(-1.0, 1.0, size=nnz)
-    entries = [(int(f) // n_cols, int(f) % n_cols, float(v))
-               for f, v in zip(flat, vals)]
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return TripletMatrix(n_rows, n_cols, entries)
+    order = np.argsort(flat)  # distinct cells, so (row, col) order
+    return TripletMatrix(n_rows, n_cols,
+                         arrays=(*np.divmod(flat[order], n_cols), vals[order]))
 
 
 def random_dense(n_rows: int, n_cols: int,
