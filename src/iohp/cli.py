@@ -9,20 +9,21 @@ buffers, 256-entry psum store, r_x 0.75).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costmodel import CSV_COLUMNS, SimStats, Workload, run
+from .costmodel import (CSV_COLUMNS, MODE_SDMM, MODE_SSMM, SimStats, Workload,
+                        run)
 from .encoding import make_geometry
-from .engine import MODE_SDMM, MODE_SSMM, EngineConfig
 from .matrices import (DenseMatrix, TripletMatrix, dense_matmul,
                        load_dense_csv, load_matrix_market, to_csc, to_csr,
                        to_dense, to_triplets, write_dense_csv,
                        write_matrix_market)
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
-                      dram_access, plan_partition)
+                      check_density, dram_access, plan_partition)
 from .synthetic import random_dense, random_triplets
 
 DEFAULT_SDMM_THRESHOLD = 0.25
@@ -126,8 +127,42 @@ def _write(path: str | None, content: str) -> None:
             f.write(content)
 
 
-def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, policy: str,
-             label: str, plan_file: str | None = None):
+def _operand_files(args):
+    """A and B read from ``--a``/``--b``; None if the dims flags stand in."""
+    if args.a:
+        a_trip = _load(load_matrix_market, args.a)
+        if not args.b:
+            raise CommandError("parse", "--a requires --b")
+        return a_trip, _load(load_matrix_market, args.b)
+    if None in (args.m, args.k, args.n, args.da, args.db):
+        raise CommandError("parse",
+                           "need --a/--b files or all of --m --k --n --da --db")
+    return None
+
+
+def _draw(n_rows: int, n_cols: int, density: float, flag: str, rng):
+    """``random_triplets`` for a synthetic operand; a bad density names its flag."""
+    try:
+        check_density(flag, density)
+    except ValueError as e:
+        raise CommandError("parse", str(e)) from e
+    return random_triplets(n_rows, n_cols, density, rng)
+
+
+def _positive_list(text: str, flag: str, kind) -> list:
+    """Parse a comma-separated list of positive, finite ``kind`` values."""
+    try:
+        values = [kind(item) for item in text.split(",") if item]
+        if all(0 < v < math.inf for v in values):
+            return values
+    except ValueError:
+        pass
+    raise CommandError("parse", f"{flag}: expected positive {kind.__name__}s "
+                       f"separated by commas, got {text!r}")
+
+
+def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, label: str,
+             plan_file: str | None = None):
     """Plan (or load a plan record) and execute one product."""
     a = to_csc(a_trip)
     if mode == MODE_SDMM:
@@ -145,9 +180,8 @@ def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, policy: str,
             plan = plan_partition(plan_cfg, workload.spec(plan_cfg))
     except (ValueError, OSError) as e:
         raise CommandError("plan", str(e)) from e
-    engine_cfg = EngineConfig(psum_capacity=cfg.c_psum, overflow_policy=policy)
     try:
-        result, stats = run(workload, plan, cfg, mode, engine_cfg)
+        result, stats = run(workload, plan, cfg, mode)
     except Exception as e:
         raise CommandError("compute", str(e)) from e
     return result, stats, plan
@@ -180,7 +214,7 @@ def _check_plan_record(plan: PartitionPlan, workload: Workload,
 
 def cmd_spmm(args) -> int:
     """``spmm`` and ``sim``: ``sim`` is ``spmm`` without ``--out``."""
-    cfg = load_config(args.config)
+    cfg = replace(load_config(args.config), overflow_policy=args.policy)
     a_trip = _load(load_matrix_market, args.a)
     b_trip = _load(load_matrix_market, args.b)
     if a_trip.n_cols != b_trip.n_rows:
@@ -188,8 +222,7 @@ def cmd_spmm(args) -> int:
                            f"A is {a_trip.n_rows}x{a_trip.n_cols}, "
                            f"B is {b_trip.n_rows}x{b_trip.n_cols}")
     mode = _resolve_mode(args.mode, b_trip, args.sdmm_threshold)
-    result, stats, plan = _run_one(a_trip, b_trip, mode, cfg, args.policy,
-                                   args.a, args.plan)
+    result, stats, plan = _run_one(a_trip, b_trip, mode, cfg, args.a, args.plan)
     if args.out:
         if mode == MODE_SSMM:
             write_matrix_market(result, args.out)
@@ -207,18 +240,13 @@ def cmd_plan(args) -> int:
     cfg = load_config(args.config)
     plan_cfg = cfg.sdmm_variant() if args.mode == MODE_SDMM else cfg
     try:  # parse failures raise CommandError, which passes through
-        if args.a:
-            a_trip = _load(load_matrix_market, args.a)
-            if not args.b:
-                raise CommandError("parse", "--a requires --b")
-            b_trip = _load(load_matrix_market, args.b)
+        files = _operand_files(args)
+        if files:
+            a_trip, b_trip = files
             spec = WorkloadSpec.from_counts(
                 a_trip.n_rows, a_trip.n_cols, b_trip.n_cols, a_trip.nnz,
                 b_trip.nnz, plan_cfg, b_dense=args.mode == MODE_SDMM)
         else:
-            if None in (args.m, args.k, args.n, args.da, args.db):
-                raise CommandError(
-                    "parse", "need --a/--b files or all of --m --k --n --da --db")
             spec = WorkloadSpec.from_dims(args.m, args.k, args.n, args.da,
                                           args.db, plan_cfg,
                                           b_dense=args.mode == MODE_SDMM)
@@ -233,8 +261,8 @@ def cmd_gcn(args) -> int:
     cfg = load_config(args.config)
     if args.synthetic:
         rng = np.random.default_rng(args.seed)
-        a_trip = random_triplets(args.nodes, args.nodes, args.da, rng)
-        x_trip = random_triplets(args.nodes, args.features, args.dx, rng)
+        a_trip = _draw(args.nodes, args.nodes, args.da, "--da", rng)
+        x_trip = _draw(args.nodes, args.features, args.dx, "--dx", rng)
         w1 = random_dense(args.features, args.hidden, rng)
         w2 = random_dense(args.hidden, args.classes, rng)
     else:
@@ -285,22 +313,14 @@ def cmd_gcn(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = load_config(args.config)
-    if args.a:
-        a_trip = _load(load_matrix_market, args.a)
-        b_trip = _load(load_matrix_market, args.b) if args.b else None
-        if b_trip is None:
-            raise CommandError("parse", "--a requires --b")
-    else:
-        if None in (args.m, args.k, args.n, args.da, args.db):
-            raise CommandError("parse",
-                               "need --a/--b files or all of --m --k --n --da --db")
-        rng = np.random.default_rng(args.seed)
-        a_trip = random_triplets(args.m, args.k, args.da, rng)
-        b_trip = random_triplets(args.k, args.n, args.db, rng)
+    grids = _positive_list(args.grids, "--grids", int)
+    scales = _positive_list(args.buffer_scales, "--buffer-scales", float)
+    rng = np.random.default_rng(args.seed)
+    a_trip, b_trip = _operand_files(args) or (
+        _draw(args.m, args.k, args.da, "--da", rng),
+        _draw(args.k, args.n, args.db, "--db", rng))
     mode = _resolve_mode(args.mode, b_trip, args.sdmm_threshold)
 
-    grids = [int(g) for g in args.grids.split(",") if g]
-    scales = [float(s) for s in args.buffer_scales.split(",") if s]
     lines = ["grid,buffer_scale,peak_macs_per_cycle,"
              + ",".join(CSV_COLUMNS) + ",status"]
     for g in grids:
@@ -308,8 +328,7 @@ def cmd_sweep(args) -> int:
             cfg = base.with_grid(g, g).scaled_buffers(s)
             label = f"{g}x{g}_scale{s:g}"
             try:
-                _, stats, _ = _run_one(a_trip, b_trip, mode, cfg, "spill",
-                                       label)
+                _, stats, _ = _run_one(a_trip, b_trip, mode, cfg, label)
                 lines.append(f"{g},{s:g},{stats.peak_macs_per_cycle},"
                              + stats.csv_row(label) + ",ok")
             except Exception as e:  # failed cells must not abort the sweep

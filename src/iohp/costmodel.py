@@ -1,4 +1,8 @@
-"""Deterministic cycle and DRAM accounting over the tiled pipeline.
+"""The tiled driver and its deterministic cycle and DRAM accounting.
+
+``run`` drives a product in either mode over one ``HardwareConfig``: it hands
+each tile pass's block pair to the engine, shifts the pass's held and spilled
+blocks from block-pair to global coordinates, and merges the run's once.
 
 The three stages (encode, psum compute, address map) run as a pipeline over
 tile passes: total cycles are the sum over passes of the slowest stage, plus
@@ -26,12 +30,15 @@ import numpy as np
 from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, encode_cp_csr,
                        encode_rp_csc, make_geometry)
 from .errors import DimensionError
-from .engine import (EngineConfig, MODE_SDMM, MODE_SSMM, OutputBlock, PsumGrid,
-                     assemble_output, compute_psums, gather_dense_rows,
-                     merge_join, merge_output_blocks, sdmm_compute)
-from .matrices import CscMatrix, CsrMatrix, DenseMatrix, TripletMatrix, to_csr
+from .engine import (OutputBlock, PsumGrid, assemble_output, compute_psums,
+                     gather_dense_rows, merge_join, merge_output_blocks,
+                     sdmm_compute)
+from .matrices import CscMatrix, CsrMatrix, DenseMatrix
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
                       STRATEGY_RAF, STRATEGY_RBF)
+
+MODE_SSMM = "ssmm"
+MODE_SDMM = "sdmm"
 
 # Widths of the group-partitioned on-chip streams (value keeps full width).
 REDUCED_BITS_INDEX = 16
@@ -54,32 +61,12 @@ class StageTrace:
 
 @dataclass
 class DramCounter:
-    """Byte counters, kept internally in bits for exact identities."""
+    """DRAM traffic in bits, for exact identities; reports show ``_bytes``."""
 
     bits_a_read: int = 0
     bits_b_read: int = 0
     bits_psum_spill: int = 0
     bits_c_write: int = 0
-
-    @staticmethod
-    def _bytes(bits: int):
-        return bits // 8 if bits % 8 == 0 else bits / 8
-
-    @property
-    def bytes_a_read(self):
-        return self._bytes(self.bits_a_read)
-
-    @property
-    def bytes_b_read(self):
-        return self._bytes(self.bits_b_read)
-
-    @property
-    def bytes_psum_spill(self):
-        return self._bytes(self.bits_psum_spill)
-
-    @property
-    def bytes_c_write(self):
-        return self._bytes(self.bits_c_write)
 
     @property
     def bits_input_read(self) -> int:
@@ -132,10 +119,10 @@ class SimStats:
             ("encode_cycles", self.encode_cycles),
             ("compute_cycles", self.compute_cycles),
             ("addrmap_cycles", self.addrmap_cycles),
-            ("bytes_A", self.dram.bytes_a_read),
-            ("bytes_B", self.dram.bytes_b_read),
-            ("bytes_spill", self.dram.bytes_psum_spill),
-            ("bytes_C", self.dram.bytes_c_write),
+            ("bytes_A", _bytes(self.dram.bits_a_read)),
+            ("bytes_B", _bytes(self.dram.bits_b_read)),
+            ("bytes_spill", _bytes(self.dram.bits_psum_spill)),
+            ("bytes_C", _bytes(self.dram.bits_c_write)),
             ("util_A", f"{self.buffer_utilization_a:.6g}"),
             ("util_B", f"{self.buffer_utilization_b:.6g}"),
             ("util_psum", f"{self.buffer_utilization_psum:.6g}"),
@@ -146,6 +133,11 @@ class SimStats:
             ("predicted_dram_bits", self.predicted_dram_bits),
             ("actual_input_bits", self.dram.bits_input_read),
         ]
+
+
+def _bytes(bits: int):
+    """Whole bytes as an int, else the exact fraction."""
+    return bits // 8 if bits % 8 == 0 else bits / 8
 
 
 def compute_cycles(a_blk: RpCscBlock, b_blk: CpCsrBlock) -> int:
@@ -194,18 +186,15 @@ def baseline_counters(a: CscMatrix, b, g_na: int = 8,
     outer product loads each operand per PE.
     """
     if isinstance(b, DenseMatrix):
-        n = b.n_cols
         row_nnz = np.count_nonzero(b.data, axis=1).astype(np.int64)
-        nnz_b = int(row_nnz.sum())
     else:
-        n = b.n_cols
         row_nnz = b.nnz_per_row()
-        nnz_b = b.nnz
+    nnz_b = int(row_nnz.sum())
     if a.n_cols != len(row_nnz):
         raise DimensionError("inner dimensions disagree")
     col_nnz = a.nnz_per_column()
     iohp = int(col_nnz @ row_nnz)
-    inner = a.n_rows * a.n_cols * n
+    inner = a.n_rows * a.n_cols * b.n_cols
     return BaselineCounters(
         inner_macs=inner,
         inner_zero_macs=inner - iohp,
@@ -246,14 +235,13 @@ def _passes(strategy: str, geom: TilingGeometry):
                     yield m, n, k, n == 0 or not reuse_a, True
 
 
-def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
-        mode: str, engine_cfg: EngineConfig | None = None):
-    """Execute the tiled pipeline, returning (result matrix, SimStats)."""
-    a = workload.a
-    b = workload.b
+def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str):
+    """Execute the tiled pipeline, returning (result matrix, SimStats).
+
+    A is CSC; B is CSR under SSMM (CSC result) or dense under SDMM.
+    """
+    a, b = workload.a, workload.b
     if mode == MODE_SSMM:
-        if isinstance(b, TripletMatrix):
-            b = to_csr(b)
         if not isinstance(b, CsrMatrix):
             raise DimensionError("ssmm needs a sparse right operand")
     elif mode == MODE_SDMM:
@@ -266,15 +254,12 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
             f"dimension mismatch: {a.n_rows}x{a.n_cols} @ {b.n_rows}x{b.n_cols}")
     geom = make_geometry(plan, (a.n_rows, a.n_cols, b.n_cols),
                          (cfg.g_na, cfg.g_nb))
-    if engine_cfg is None:
-        engine_cfg = EngineConfig(psum_capacity=cfg.c_psum)
 
     entry_bits = cfg.bits_value + cfg.bits_index
     bits_a = bits_b = bits_spill = 0
     util_a, util_b, util_psum = [], [], []
     traces: list[StageTrace] = []
-    macs = 0
-    spills = 0
+    macs = spills = 0
     a_blocks: dict[tuple[int, int], RpCscBlock] = {}
     b_blocks: dict[tuple[int, int], CpCsrBlock] = {}
     outputs: list[OutputBlock] = []  # every pass's outputs, global coordinates
@@ -298,23 +283,17 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
                 bits_b += b_blk.nnz * entry_bits
                 encode += b_blk.nnz
             util_b.append(min(1.0, b_blk.nnz / cfg.c_b))
-            grid = compute_psums(a_blk, b_blk, engine_cfg, tile=(m, n, k))
+            grid = compute_psums(a_blk, b_blk, cfg, tile=(m, n, k))
             comp = compute_cycles(a_blk, b_blk)
             addr = addrmap_cycles(grid)
             pass_spills = grid.spill_events
             macs += grid.appended_products
             peak = max((st.peak_id for st in grid), default=0)
             util_psum.append(min(1.0, peak / psum_cap))
+            bits_spill += grid.spilled.nnz * (cfg.bits_value + REDUCED_BITS_INDEX)
             r_lo, c_lo = geom.block_rows(m)[0], geom.block_cols(n)[0]
-            for i, st in enumerate(grid):
-                g, h = divmod(i, geom.g_nb)
-                for blk in st.spilled:
-                    bits_spill += blk.nnz * (cfg.bits_value + REDUCED_BITS_INDEX)
-                    outputs.append(OutputBlock(blk.row + r_lo + g * geom.m_t,
-                                               blk.col + c_lo + h * geom.n_t,
-                                               blk.value))
-            outputs.append(OutputBlock(grid.held.row + r_lo,
-                                       grid.held.col + c_lo, grid.held.value))
+            outputs += [grid.spilled.shifted(r_lo, c_lo),
+                        grid.held.shifted(r_lo, c_lo)]
         else:
             k_lo, k_hi = geom.k_span(k)
             c_lo, c_hi = geom.block_cols(n)
@@ -339,8 +318,6 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
     bits_a += passes_a * geom.k * cfg.bits_len
     if mode == MODE_SSMM:
         bits_b += passes_b * geom.k * cfg.bits_len
-
-    if mode == MODE_SSMM:
         result = assemble_output(merge_output_blocks(outputs), geom)
         bits_c = result.nnz * entry_bits + geom.n * cfg.bits_len
     else:
@@ -374,6 +351,6 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
 
 
 def simulate(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
-             mode: str, engine_cfg: EngineConfig | None = None) -> SimStats:
+             mode: str) -> SimStats:
     """Run the pipeline for its statistics only."""
-    return run(workload, plan, cfg, mode, engine_cfg)[1]
+    return run(workload, plan, cfg, mode)[1]

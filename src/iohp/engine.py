@@ -17,11 +17,12 @@ ascending inner index.  Distinct PEs share no state, so results are
 identical under any PE scheduling.
 
 Store overflow (a product finding its row segment's ``s`` slots or the
-store's ``psum_capacity`` entries full) either aborts (policy ``fail``) or
-flushes the whole store through address mapping, emitting a partial output
-block that the run's one merge folds back in (policy ``spill``).  A store
-has one append path: it appends the longest prefix that fits, then
-overflows, so it loops once per overflow event, never once per product.
+store's ``c_psum`` entries full; both are ``HardwareConfig`` fields) either
+aborts (policy ``fail``) or flushes the whole store through address mapping,
+emitting a partial output block (policy ``spill``).  A store has one append
+path: it appends the longest prefix that fits, then overflows, so it loops
+once per overflow event, never once per product.  A pass emits its held
+psums and its flushes as one block each, in block-pair coordinates.
 """
 
 from __future__ import annotations
@@ -34,40 +35,16 @@ import numpy as np
 from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry
 from .errors import (DimensionError, GatherError, MalformedBlockError,
                      PsumOverflowError)
-from .matrices import (CscMatrix, DenseMatrix, TripletMatrix, coordinate_runs,
-                       to_csc)
-from .planner import HardwareConfig
-
-OVERFLOW_FAIL = "fail"
-OVERFLOW_SPILL = "spill"
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Per-PE store limits.
-
-    ``s`` is the slot count of each row's address segment (``None`` resolves
-    to the tile width n_t); ``psum_capacity`` caps entries per store.
-    """
-
-    s: int | None = None
-    psum_capacity: int = 256
-    overflow_policy: str = OVERFLOW_SPILL
-
-    def __post_init__(self):
-        if self.s is not None and self.s < 1:
-            raise ValueError("segment size s must be >= 1")
-        if self.psum_capacity < 1:
-            raise ValueError("psum_capacity must be >= 1")
-        if self.overflow_policy not in (OVERFLOW_FAIL, OVERFLOW_SPILL):
-            raise ValueError(f"unknown overflow policy {self.overflow_policy!r}")
+from .matrices import CscMatrix, DenseMatrix, coordinate_runs
+from .planner import OVERFLOW_FAIL, HardwareConfig
 
 
 @dataclass(frozen=True)
 class OutputBlock:
     """Accumulated output triplets in block-local coordinates.
 
-    Strictly increasing (row, col) pairs; one entry per coordinate.
+    Strictly increasing (row, col) pairs; one entry per coordinate, except in
+    a grid's ``spilled`` block, which lists flushes side by side.
     """
 
     row: np.ndarray
@@ -82,6 +59,9 @@ class OutputBlock:
     @property
     def nnz(self) -> int:
         return len(self.row)
+
+    def shifted(self, row: int, col: int) -> "OutputBlock":
+        return OutputBlock(self.row + row, self.col + col, self.value)
 
 
 class PsumStore:
@@ -166,13 +146,15 @@ class PsumStore:
 
 @dataclass
 class PsumGrid:
-    """One PsumStore per PE of a block pair's grid, and in ``held`` the psums
-    the stores hold, mapped at (``g * m_t`` + row, ``h * n_t`` + column)."""
+    """One PsumStore per PE of a block pair's grid.  In block-pair coordinates
+    (``g * m_t`` + row, ``h * n_t`` + column), ``held`` maps the psums the
+    stores hold and ``spilled`` lists every store's flushes, PE-major."""
 
     stores: list[list[PsumStore]]
     g_na: int
     g_nb: int
     held: OutputBlock = field(default_factory=OutputBlock.empty)
+    spilled: OutputBlock = field(default_factory=OutputBlock.empty)
 
     def __iter__(self):
         for row in self.stores:
@@ -209,23 +191,23 @@ def merge_join(a_blk: RpCscBlock,
 
 
 def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
-                  cfg: EngineConfig | None = None,
-                  tile: tuple = ()) -> PsumGrid:
+                  cfg: HardwareConfig | None = None, tile: tuple = ()) -> PsumGrid:
     """Merge-join the block pair's shared index streams and fill the grid.
 
     At every inner index both blocks hold, in ascending order, each (g,h)
     with both bitmap bits set appends the full outer product of its slices.
     All products are built at once; each store appends its own in (k, A
     entry, B entry) order.  Under ``fail`` the overflow raised is the first
-    in (k, g, h) order; else the held products are mapped into ``grid.held``.
+    in (k, g, h) order; else ``grid.held`` and ``grid.spilled`` are filled.
+    Store limits come from ``cfg``, the grid's shape from the blocks.
     """
     if a_blk.block_k != b_blk.block_k:
         raise DimensionError(
             f"inner block mismatch: A k-block {a_blk.block_k}, "
             f"B k-block {b_blk.block_k}")
-    cfg = cfg or EngineConfig()
+    cfg = cfg or HardwareConfig()
     s = cfg.s if cfg.s is not None else max(1, b_blk.n_t)
-    grid = PsumGrid([[PsumStore(a_blk.m_t, s, cfg.psum_capacity,
+    grid = PsumGrid([[PsumStore(a_blk.m_t, s, cfg.c_psum,
                                 cfg.overflow_policy, tile=tile)
                       for _ in range(b_blk.g_nb)] for _ in range(a_blk.g_na)],
                     a_blk.g_na, b_blk.g_nb)
@@ -259,9 +241,21 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     # a store holds the last id_psum products of its slice, in address order
     kept = np.arange(len(pe)) >= (bounds[1:] - n_held)[pe]
     pe = pe[kept]
-    grid.held = _accumulate(pe // b_blk.g_nb * a_blk.m_t + rows[kept],
-                            pe % b_blk.g_nb * b_blk.n_t + cols[kept], vals[kept])
+    grid.held = _accumulate(*_at_pe(pe, rows[kept], cols[kept], a_blk, b_blk),
+                            vals[kept])
+    flushes = [(i, blk) for i, st in enumerate(grid) for blk in st.spilled]
+    if flushes:
+        pe = np.repeat([i for i, _ in flushes], [blk.nnz for _, blk in flushes])
+        grid.spilled = OutputBlock(
+            *_at_pe(pe, np.concatenate([blk.row for _, blk in flushes]),
+                    np.concatenate([blk.col for _, blk in flushes]), a_blk, b_blk),
+            np.concatenate([blk.value for _, blk in flushes]))
     return grid
+
+
+def _at_pe(pe, rows, cols, a_blk: RpCscBlock, b_blk: CpCsrBlock):
+    """Block-pair coordinates of PE ``pe = g * g_nb + h``'s local (row, col)."""
+    return pe // b_blk.g_nb * a_blk.m_t + rows, pe % b_blk.g_nb * b_blk.n_t + cols
 
 
 def _directory(ps: PsumStore) -> tuple[np.ndarray, np.ndarray]:
@@ -394,24 +388,3 @@ def dump_psum_store(ps: PsumStore) -> str:
         seg = ps.vc_addr[r, :ps.row_len[r]]
         lines.append(f"vc_addr[{r}]=" + ",".join(str(int(x)) for x in seg))
     return "\n".join(lines) + "\n"
-
-
-MODE_SSMM = "ssmm"
-MODE_SDMM = "sdmm"
-
-
-def spmm(a, b, mode: str, plan, cfg: EngineConfig | None = None,
-         groups: tuple[int, int] = (8, 8)):
-    """Run the full tiled dataflow (``costmodel.run``) and return its result.
-
-    ``a`` is the sparse (CSC) operand.  SSMM takes sparse ``b`` and returns a
-    CscMatrix; SDMM takes dense ``b`` and returns a DenseMatrix.  The grid is
-    ``groups`` and each store holds ``cfg.psum_capacity`` psums.
-    """
-    from .costmodel import Workload, run  # costmodel imports this module
-    if isinstance(a, TripletMatrix):
-        a = to_csc(a)
-    cfg = cfg or EngineConfig()
-    hw = HardwareConfig(c_psum=cfg.psum_capacity, g_na=groups[0],
-                        g_nb=groups[1])
-    return run(Workload(a, b), plan, hw, mode, cfg)[0]

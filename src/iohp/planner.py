@@ -22,6 +22,8 @@ from dataclasses import dataclass, replace
 
 from .errors import DegenerateInputError, InfeasibleError
 
+OVERFLOW_FAIL = "fail"
+OVERFLOW_SPILL = "spill"
 STRATEGY_RAF = "RAF"
 STRATEGY_RBF = "RBF"
 STRATEGY_RABE = "RABE"
@@ -37,7 +39,8 @@ class HardwareConfig:
     Defaults follow the 8x8 grid at 800 MHz with 2K-entry input buffers and a
     256-entry psum store per PE; original-format streams are 64/32/16-bit
     (value/index/length).  ``r_x`` reserves headroom against the uniform
-    density assumption.
+    density assumption.  A psum store's rows get ``s`` address slots each
+    (``None``: the tile width n_t); overflow spills or fails per policy.
     """
 
     c_a: int = 2048
@@ -50,6 +53,8 @@ class HardwareConfig:
     bits_index: int = 32
     bits_len: int = 16
     freq_hz: float = 800e6
+    s: int | None = None
+    overflow_policy: str = OVERFLOW_SPILL
 
     def __post_init__(self):
         if min(self.c_a, self.c_b, self.c_psum) < 1:
@@ -58,6 +63,10 @@ class HardwareConfig:
             raise ValueError("r_x must be in (0, 1]")
         if min(self.g_na, self.g_nb) < 1:
             raise ValueError("grid dims must be >= 1")
+        if self.s is not None and self.s < 1:
+            raise ValueError("segment size s must be >= 1")
+        if self.overflow_policy not in (OVERFLOW_FAIL, OVERFLOW_SPILL):
+            raise ValueError(f"unknown overflow policy {self.overflow_policy!r}")
 
     def sdmm_variant(self) -> "HardwareConfig":
         """Psum capacity doubles in SDMM mode (address-map buffers merged in)."""
@@ -97,9 +106,8 @@ class WorkloadSpec:
     @classmethod
     def from_dims(cls, m: int, k: int, n: int, d_a: float, d_b: float,
                   cfg: HardwareConfig, b_dense: bool = False) -> "WorkloadSpec":
-        for name, density in (("d_a", d_a), ("d_b", d_b)):
-            if not 0 <= density <= 1:  # NaN fails too
-                raise DegenerateInputError(f"density {name}={density} outside [0, 1]")
+        check_density("d_a", d_a)
+        check_density("d_b", d_b)
         nnz_b = 0 if b_dense else round(k * n * d_b)
         spec = cls.from_counts(m, k, n, round(m * k * d_a), nnz_b, cfg, b_dense)
         return replace(spec, d_a=d_a, d_b=1.0 if b_dense else d_b)
@@ -117,6 +125,12 @@ class WorkloadSpec:
                    m_b=nnz_b * cfg.bits_value if b_dense
                    else _sparse_bits(nnz_b, k, cfg),
                    nnz_a=nnz_a, nnz_b=nnz_b, b_dense=b_dense)
+
+
+def check_density(name: str, density: float) -> None:
+    """Reject a density outside [0, 1]; NaN fails too."""
+    if not 0 <= density <= 1:
+        raise DegenerateInputError(f"density {name}={density} outside [0, 1]")
 
 
 def _sparse_bits(nnz: int, ptr_len: int, cfg: HardwareConfig) -> int:

@@ -7,6 +7,7 @@ Each test covers one numbered criterion and prints one PASS/FAIL line
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from iohp.cli import main
 from iohp.costmodel import Workload, run, simulate
 from iohp.encoding import (decode_cp_csr, decode_rp_csc, encode_cp_csr,
                            encode_rp_csc, make_geometry)
-from iohp.engine import EngineConfig, compute_psums, spmm
+from iohp.engine import compute_psums
 from iohp.errors import PsumOverflowError
 from iohp.matrices import (canonicalize, dense_matmul, to_csc, to_csr,
                            to_dense, to_triplets)
@@ -223,8 +224,8 @@ def test_criterion_6_dram_identity():
                 plan = plan_for(wl, cfg)
             except Exception:
                 continue
-            stats = simulate(wl, plan, cfg, "ssmm",
-                             EngineConfig(psum_capacity=10 ** 9, s=10 ** 6))
+            stats = simulate(wl, plan, replace(cfg, c_psum=10 ** 9, s=10 ** 6),
+                             "ssmm")
             assert stats.spill_events == 0
             # independent re-derivation of the strategy formulas
             m_a = wl.a.nnz * (64 + 32) + k * 16
@@ -289,9 +290,9 @@ def test_criterion_9_spill_path():
         tb = canonicalize(k, 4, [(j, c, 1.0 + 0.5 * c) for j in range(k)
                                  for c in range(4)])
         plan = PartitionPlan(1, 1, 1, 3, k, 4, "RABE", 0)
-        spill_cfg = EngineConfig(psum_capacity=5, overflow_policy="spill")
-        c = spmm(to_csc(ta), to_csr(tb), "ssmm", plan, spill_cfg,
-                 groups=(1, 1))
+        spill_cfg = HardwareConfig(c_psum=5, overflow_policy="spill", g_na=1,
+                                   g_nb=1)
+        c = run(Workload(to_csc(ta), to_csr(tb)), plan, spill_cfg, "ssmm")[0]
         oracle = dense_matmul(to_dense(ta), to_dense(tb)).data
         assert np.allclose(to_dense(c).data, oracle, rtol=1e-9, atol=1e-12)
 
@@ -301,9 +302,9 @@ def test_criterion_9_spill_path():
         assert grid.spill_events >= 1
 
         with pytest.raises(PsumOverflowError):
-            spmm(to_csc(ta), to_csr(tb), "ssmm", plan,
-                 EngineConfig(psum_capacity=5, overflow_policy="fail"),
-                 groups=(1, 1))
+            run(Workload(to_csc(ta), to_csr(tb)), plan,
+                HardwareConfig(c_psum=5, overflow_policy="fail", g_na=1,
+                               g_nb=1), "ssmm")
 
 
 def test_criterion_10_sweep_sanity(tmp_path):

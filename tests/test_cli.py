@@ -296,6 +296,48 @@ class TestSweepCommand:
         assert all("error:" in r for r in rows)
 
 
+class TestBadSweepAndSyntheticInputs:
+    """Bad axis lists and synthetic densities fail at ``parse``, naming the
+    flag, before any product is planned or run."""
+
+    SWEEP = ["sweep", "--m", "6", "--k", "6", "--n", "6", "--seed", "1"]
+    GCN = ["gcn", "--synthetic", "--nodes", "6", "--features", "5",
+           "--hidden", "3", "--classes", "2", "--seed", "1"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--grids", "4,x"), ("--grids", "0"), ("--grids", "2.5"),
+        ("--buffer-scales", "nan"), ("--buffer-scales", "-1"),
+        ("--buffer-scales", "0"), ("--buffer-scales", "inf")])
+    def test_sweep_axis_names_flag(self, capsys, flag, value):
+        rc = main(self.SWEEP + ["--da", "0.3", "--db", "0.3", flag, value])
+        assert rc == 1
+        kind = "ints" if flag == "--grids" else "floats"
+        assert capsys.readouterr().err == (
+            f"error: parse: {flag}: expected positive {kind} separated by "
+            f"commas, got {value!r}\n")
+
+    @pytest.mark.parametrize("argv, bad", [
+        (SWEEP + ["--da", "-1", "--db", "0.3"], "--da=-1.0"),
+        (SWEEP + ["--da", "0.3", "--db", "1.5"], "--db=1.5"),
+        (SWEEP + ["--da", "nan", "--db", "0.3"], "--da=nan"),
+        (GCN + ["--da", "-1"], "--da=-1.0"),
+        (GCN + ["--dx", "2"], "--dx=2.0"),
+        (GCN + ["--dx", "nan"], "--dx=nan")])
+    def test_synthetic_density_names_flag(self, tmp_path, capsys, argv, bad):
+        rc = main(argv + ["--report", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: parse: density {bad} outside [0, 1]\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_unit_interval_ends_still_run(self, tmp_path):
+        report = tmp_path / "r.csv"
+        rc = main(self.SWEEP + ["--da", "0", "--db", "1", "--grids", "2",
+                                "--buffer-scales", "1", "--report", str(report)])
+        assert rc == 0
+        assert report.read_text().splitlines()[1].endswith(",ok")
+
+
 class TestConfigFile:
     def test_parse_and_defaults(self, tmp_path):
         cfgfile = tmp_path / "hw.cfg"

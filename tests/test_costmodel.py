@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from iohp.costmodel import (CSV_COLUMNS, Workload, addrmap_cycles,
                             baseline_counters, compute_cycles, run,
                             sdmm_compute_cycles, simulate)
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import EngineConfig, PsumGrid, PsumStore
+from iohp.engine import PsumGrid, PsumStore
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, to_csc, to_csr, to_dense, to_triplets)
 from iohp.planner import HardwareConfig, PartitionPlan, plan_partition
@@ -128,8 +129,8 @@ class TestSimulate:
                 plan = plan_partition(cfg, spec)
             except Exception:
                 continue
-            stats = simulate(wl, plan, cfg, "ssmm",
-                             EngineConfig(psum_capacity=10 ** 9, s=10 ** 6))
+            stats = simulate(wl, plan, replace(cfg, c_psum=10 ** 9, s=10 ** 6),
+                             "ssmm")
             assert stats.spill_events == 0
             formula = {
                 "RAF": spec.m_b * plan.t_m + spec.m_a,
@@ -177,9 +178,9 @@ class TestSimulate:
             plan = plan_of(5, 8, 3)
             sdmm_stats = simulate(Workload(to_csc(ta), b), plan, cfg, "sdmm")
             sparse_b = to_csr(to_triplets(b))
-            ssmm_stats = simulate(Workload(to_csc(ta), sparse_b), plan, cfg,
-                                  "ssmm",
-                                  EngineConfig(psum_capacity=10 ** 9, s=10 ** 6))
+            ssmm_stats = simulate(Workload(to_csc(ta), sparse_b), plan,
+                                  replace(cfg, c_psum=10 ** 9, s=10 ** 6),
+                                  "ssmm")
             assert sdmm_stats.addrmap_cycles == 0
             assert sdmm_stats.total_cycles <= ssmm_stats.total_cycles
 

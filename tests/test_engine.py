@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from iohp.costmodel import Workload, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import (EngineConfig, OutputBlock, PsumStore, address_map,
-                         assemble_output, compute_psums, dump_psum_store,
-                         gather_dense_rows, merge_output_blocks, sdmm_compute,
-                         spmm, validate_psum_store)
+from iohp.engine import (OutputBlock, PsumStore, address_map, assemble_output,
+                         compute_psums, dump_psum_store, gather_dense_rows,
+                         merge_output_blocks, sdmm_compute,
+                         validate_psum_store)
 from iohp.errors import (DimensionError, GatherError, MalformedBlockError,
                          PsumOverflowError)
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, to_csc, to_csr, to_dense)
-from iohp.planner import PartitionPlan
+from iohp.planner import HardwareConfig, PartitionPlan
 from iohp.synthetic import random_dense, random_triplets
 
 
@@ -89,8 +90,8 @@ class TestComputePsums:
                 a_blk = encode_rp_csc(to_csc(ta), geom, 0, bk)
                 b_blk = encode_cp_csr(to_csr(tb), geom, bk, 0)
                 grid = compute_psums(a_blk, b_blk,
-                                     EngineConfig(psum_capacity=10 ** 9,
-                                                  s=10 ** 6))
+                                     HardwareConfig(c_psum=10 ** 9,
+                                                    s=10 ** 6))
                 for st in grid:
                     validate_psum_store(st)
 
@@ -133,7 +134,7 @@ class TestAddressMap:
                                  (ta.n_rows, ta.n_cols, tb.n_cols), (1, 1))
             grid = compute_psums(encode_rp_csc(to_csc(ta), geom, 0, 0),
                                  encode_cp_csr(to_csr(tb), geom, 0, 0),
-                                 EngineConfig(psum_capacity=10 ** 9, s=10 ** 6))
+                                 HardwareConfig(c_psum=10 ** 9, s=10 ** 6))
             st = grid.stores[0][0]
             out = address_map(st)
             for r in np.unique(out.row):
@@ -187,7 +188,7 @@ class TestMerge:
                 grid = compute_psums(
                     encode_rp_csc(to_csc(ta), geom, 0, bk),
                     encode_cp_csr(to_csr(tb), geom, bk, 0),
-                    EngineConfig(psum_capacity=10 ** 9, s=10 ** 6))
+                    HardwareConfig(c_psum=10 ** 9, s=10 ** 6))
                 st = grid.stores[0][0]
                 out = address_map(st)
                 if out.nnz:
@@ -246,8 +247,8 @@ class TestAssemble:
         # a later tile's spilled and held psums land at its global offset
         a = to_csc(TripletMatrix(4, 4, [(3, 0, 2.0), (3, 1, 5.0)]))
         b = to_csr(TripletMatrix(4, 4, [(0, 3, 1.0), (1, 3, 3.0)]))
-        c = spmm(a, b, "ssmm", plan_of(1, 4, 1), EngineConfig(psum_capacity=1),
-                 groups=(2, 2))
+        c = run(Workload(a, b), plan_of(1, 4, 1),
+                HardwareConfig(c_psum=1, g_na=2, g_nb=2), "ssmm")[0]
         assert to_dense(c).data[3, 3] == 17.0 and c.nnz == 1
         _, _, geom = worked_blocks()
         for row, col in ((4, 0), (0, 4), (-1, 0)):
@@ -306,8 +307,8 @@ class TestSpmm:
         ta = TripletMatrix(4, 4, [(0, 0, 5.0), (1, 2, 7.0), (2, 1, 3.0)])
         tb = TripletMatrix(4, 4, [(0, 0, 1.0), (0, 1, 2.0), (1, 2, 4.0),
                                   (2, 1, 6.0)])
-        c = spmm(to_csc(ta), to_csr(tb), "ssmm", plan_of(2, 4, 2),
-                 groups=(2, 2))
+        c = run(Workload(to_csc(ta), to_csr(tb)), plan_of(2, 4, 2),
+                HardwareConfig(g_na=2, g_nb=2), "ssmm")[0]
         oracle = dense_matmul(to_dense(ta), to_dense(tb)).data
         assert np.array_equal(to_dense(c).data, oracle)
 
@@ -315,8 +316,8 @@ class TestSpmm:
         rng = np.random.default_rng(4)
         eye = canonicalize(5, 5, [(i, i, 1.0) for i in range(5)])
         tb = random_triplets(5, 7, 0.4, rng)
-        c = spmm(to_csc(eye), to_csr(tb), "ssmm", plan_of(2, 3, 2),
-                 groups=(2, 2))
+        c = run(Workload(to_csc(eye), to_csr(tb)), plan_of(2, 3, 2),
+                HardwareConfig(g_na=2, g_nb=2), "ssmm")[0]
         assert np.array_equal(to_dense(c).data, to_dense(tb).data)
 
     def test_mode_equivalence(self):
@@ -326,11 +327,12 @@ class TestSpmm:
             b_dense = random_dense(ta.n_cols, int(rng.integers(1, 20)), rng)
             plan = plan_of(int(rng.integers(1, 8)), int(rng.integers(1, 8)),
                            int(rng.integers(1, 8)))
-            dense_out = spmm(to_csc(ta), b_dense, "sdmm", plan, groups=(2, 2))
+            dense_out = run(Workload(to_csc(ta), b_dense), plan,
+                            HardwareConfig(g_na=2, g_nb=2), "sdmm")[0]
             from iohp.matrices import to_triplets
             sparse_b = to_csr(to_triplets(b_dense))
-            sparse_out = spmm(to_csc(ta), sparse_b, "ssmm", plan,
-                              groups=(2, 2))
+            sparse_out = run(Workload(to_csc(ta), sparse_b), plan,
+                             HardwareConfig(g_na=2, g_nb=2), "ssmm")[0]
             assert np.allclose(to_dense(sparse_out).data, dense_out.data,
                                rtol=1e-9, atol=1e-12)
 
@@ -356,7 +358,8 @@ class TestSpmm:
         ta = TripletMatrix(2, 3, [(0, 0, 1.0)])
         tb = TripletMatrix(4, 2, [(0, 0, 1.0)])
         with pytest.raises(DimensionError):
-            spmm(to_csc(ta), to_csr(tb), "ssmm", plan_of(1, 1, 1))
+            run(Workload(to_csc(ta), to_csr(tb)), plan_of(1, 1, 1),
+                HardwareConfig(), "ssmm")
 
 
 class TestSpillPath:
@@ -371,8 +374,8 @@ class TestSpillPath:
     def test_spill_triggers_and_result_correct(self):
         ta, tb = self.adversarial()
         plan = plan_of(2, 12, 3)
-        cfg = EngineConfig(psum_capacity=4, overflow_policy="spill")
-        c = spmm(to_csc(ta), to_csr(tb), "ssmm", plan, cfg, groups=(1, 1))
+        cfg = HardwareConfig(c_psum=4, overflow_policy="spill", g_na=1, g_nb=1)
+        c = run(Workload(to_csc(ta), to_csr(tb)), plan, cfg, "ssmm")[0]
         oracle = dense_matmul(to_dense(ta), to_dense(tb)).data
         assert np.array_equal(to_dense(c).data, oracle)
         # count spills via direct grid run
@@ -383,17 +386,18 @@ class TestSpillPath:
 
     def test_fail_policy_raises(self):
         ta, tb = self.adversarial()
-        cfg = EngineConfig(psum_capacity=4, overflow_policy="fail")
+        cfg = HardwareConfig(c_psum=4, overflow_policy="fail", g_na=1, g_nb=1)
         with pytest.raises(PsumOverflowError):
-            spmm(to_csc(ta), to_csr(tb), "ssmm", plan_of(2, 12, 3), cfg,
-                 groups=(1, 1))
+            run(Workload(to_csc(ta), to_csr(tb)), plan_of(2, 12, 3), cfg,
+                "ssmm")
 
     def test_segment_overflow_spills(self):
         # row segment tighter than total capacity
         ta, tb = self.adversarial()
-        cfg = EngineConfig(s=2, psum_capacity=1000, overflow_policy="spill")
-        c = spmm(to_csc(ta), to_csr(tb), "ssmm", plan_of(2, 12, 3), cfg,
-                 groups=(1, 1))
+        cfg = HardwareConfig(c_psum=1000, s=2, overflow_policy="spill", g_na=1,
+                             g_nb=1)
+        c = run(Workload(to_csc(ta), to_csr(tb)), plan_of(2, 12, 3), cfg,
+                "ssmm")[0]
         oracle = dense_matmul(to_dense(ta), to_dense(tb)).data
         assert np.array_equal(to_dense(c).data, oracle)
 
@@ -405,7 +409,8 @@ class TestOracleEquivalenceSmall:
             ta, tb = random_instance(rng, values="int")
             plan = plan_of(int(rng.integers(1, 10)), int(rng.integers(1, 10)),
                            int(rng.integers(1, 10)))
-            c = spmm(to_csc(ta), to_csr(tb), "ssmm", plan, groups=(2, 2))
+            c = run(Workload(to_csc(ta), to_csr(tb)), plan,
+                    HardwareConfig(g_na=2, g_nb=2), "ssmm")[0]
             oracle = dense_matmul(to_dense(ta), to_dense(tb)).data
             assert np.array_equal(to_dense(c).data, oracle)
 
@@ -415,7 +420,8 @@ class TestOracleEquivalenceSmall:
             ta, tb = random_instance(rng)
             plan = plan_of(int(rng.integers(1, 10)), int(rng.integers(1, 10)),
                            int(rng.integers(1, 10)))
-            c = spmm(to_csc(ta), to_csr(tb), "ssmm", plan, groups=(3, 3))
+            c = run(Workload(to_csc(ta), to_csr(tb)), plan,
+                    HardwareConfig(g_na=3, g_nb=3), "ssmm")[0]
             oracle = dense_matmul(to_dense(ta), to_dense(tb)).data
             assert np.allclose(to_dense(c).data, oracle, rtol=1e-9, atol=1e-12)
 

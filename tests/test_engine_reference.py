@@ -14,10 +14,9 @@ import pytest
 from iohp import engine
 from iohp.costmodel import Workload, _passes, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import (EngineConfig, OutputBlock, PsumStore, address_map,
-                         compute_psums, dump_psum_store, gather_dense_rows,
-                         merge_join, merge_output_blocks, sdmm_compute,
-                         validate_psum_store)
+from iohp.engine import (OutputBlock, PsumStore, address_map, compute_psums,
+                         dump_psum_store, gather_dense_rows, merge_join,
+                         merge_output_blocks, sdmm_compute, validate_psum_store)
 from iohp.errors import MalformedBlockError, PsumOverflowError
 from iohp.matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc, to_csr
 from iohp.planner import HardwareConfig, PartitionPlan
@@ -141,7 +140,7 @@ def assemble_reference(parts, geom):
     return CscMatrix(geom.m, geom.n, vals, rows, col_ptr)
 
 
-def run_output_reference(workload, plan, cfg, engine_cfg):
+def run_output_reference(workload, plan, cfg):
     """Address-map every store on its own, merge each (m, g, n, h) apart,
     then offset and assemble the keyed outputs."""
     a, b = workload.a, workload.b
@@ -150,7 +149,7 @@ def run_output_reference(workload, plan, cfg, engine_cfg):
     parts = {}
     for m, n, k, _, _ in _passes(plan.strategy, geom):
         grid = compute_psums(encode_rp_csc(a, geom, m, k),
-                             encode_cp_csr(b, geom, k, n), engine_cfg,
+                             encode_cp_csr(b, geom, k, n), cfg,
                              tile=(m, n, k))
         for g, row in enumerate(grid.stores):
             for h, st in enumerate(row):
@@ -249,7 +248,7 @@ def test_address_map_equals_row_loop(case, values, limits, monkeypatch):
     new_map = engine.address_map
     monkeypatch.setattr(engine, "address_map", checked)
     capacity, s = limits
-    cfg = EngineConfig(psum_capacity=capacity, s=s)
+    cfg = HardwareConfig(c_psum=capacity, s=s)
     for bm in range(geom.t_m):
         for bk in range(geom.t_k):
             for bn in range(geom.t_n):
@@ -278,15 +277,39 @@ def test_run_output_equals_keyed_merge(case, values, limits, strategy):
     m_t, k_t, n_t, (g_na, g_nb) = case[3:]
     plan = PartitionPlan(1, 1, 1, m_t, k_t, n_t, strategy, 0)
     capacity, s = limits
-    cfg = HardwareConfig(c_psum=capacity, g_na=g_na, g_nb=g_nb)
-    engine_cfg = EngineConfig(psum_capacity=capacity, s=s)
-    got, stats = run(Workload(a, b), plan, cfg, "ssmm", engine_cfg)
-    ref = run_output_reference(Workload(a, b), plan, cfg, engine_cfg)
+    cfg = HardwareConfig(c_psum=capacity, s=s, g_na=g_na, g_nb=g_nb)
+    got, stats = run(Workload(a, b), plan, cfg, "ssmm")
+    ref = run_output_reference(Workload(a, b), plan, cfg)
     assert (got.n_rows, got.n_cols) == (ref.n_rows, ref.n_cols)
     for field in ("value", "row_idx", "col_ptr"):
         assert_same_array(getattr(got, field), getattr(ref, field))
     if capacity == 4 and case[-1] != (1, 1):
         assert stats.spill_events  # spilled parts went through the merge
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_spilled_block_is_every_flush_at_its_pe(case):
+    # one block, PE-major, each store's flushes in order at (g*m_t, h*n_t)
+    geom, a, b = psum_operands(case, "float")
+    cfg = HardwareConfig(c_psum=4, s=2)
+    spilled = 0
+    for bm in range(geom.t_m):
+        for bk in range(geom.t_k):
+            for bn in range(geom.t_n):
+                grid = compute_psums(encode_rp_csc(a, geom, bm, bk),
+                                     encode_cp_csr(b, geom, bk, bn), cfg)
+                parts = [OutputBlock.empty()] + [
+                    shifted(blk, i // geom.g_nb * geom.m_t,
+                            i % geom.g_nb * geom.n_t)
+                    for i, st in enumerate(grid) for blk in st.spilled]
+                want = OutputBlock(*(np.concatenate([getattr(p, f) for p in parts])
+                                     for f in ("row", "col", "value")))
+                assert_same_block(grid.spilled, want)
+                # a store that flushed holds the product that overflowed it
+                assert grid.held.nnz or not grid.spilled.nnz
+                spilled += grid.spilled.nnz
+    if case[-1] != (1, 1):
+        assert spilled
 
 
 def test_reduceat_is_the_same_at_any_offset():
@@ -386,7 +409,7 @@ class ReferenceStore:
 def compute_psums_reference(a_blk, b_blk, cfg, tile):
     """Per-(k, g, h) walk over the group slices, product by product."""
     s = cfg.s if cfg.s is not None else max(1, b_blk.n_t)
-    stores = [[ReferenceStore(a_blk.m_t, s, cfg.psum_capacity,
+    stores = [[ReferenceStore(a_blk.m_t, s, cfg.c_psum,
                               cfg.overflow_policy, tile)
                for _ in range(b_blk.g_nb)] for _ in range(a_blk.g_na)]
     a_slices, b_slices = group_slices(a_blk), group_slices(b_blk)
@@ -427,7 +450,7 @@ def psum_operands(case, values):
 def test_compute_psums_equals_product_loop(case, values, limits, policy):
     geom, a, b = psum_operands(case, values)
     capacity, s = limits
-    cfg = EngineConfig(psum_capacity=capacity, s=s, overflow_policy=policy)
+    cfg = HardwareConfig(c_psum=capacity, s=s, overflow_policy=policy)
     for bm in range(geom.t_m):
         for bk in range(geom.t_k):
             for bn in range(geom.t_n):
@@ -450,7 +473,7 @@ def test_fail_names_the_first_overflow_in_k_g_h_order():
     # Message recorded with the serial (k, g, h) walk.  A PE-major walk would
     # raise store (0, 0)'s overflow (id_psum=4), which comes later in k.
     geom, a, b = psum_operands(CASES[0], "int")
-    cfg = EngineConfig(psum_capacity=4, s=2, overflow_policy="fail")
+    cfg = HardwareConfig(c_psum=4, s=2, overflow_policy="fail")
     with pytest.raises(PsumOverflowError) as err:
         compute_psums(encode_rp_csc(a, geom, 0, 0), encode_cp_csr(b, geom, 0, 0),
                       cfg, (0, 0, 0))

@@ -14,7 +14,6 @@ import numpy as np
 
 from iohp.costmodel import Workload, run
 from iohp.encoding import make_geometry
-from iohp.engine import EngineConfig, spmm
 from iohp.matrices import CscMatrix, to_csc, to_csr, to_dense
 from iohp.planner import HardwareConfig, PartitionPlan, dram_access
 from iohp.synthetic import random_dense, random_triplets
@@ -94,10 +93,11 @@ def _spmm_cases() -> list[str]:
     wl = Workload(to_csc(random_triplets(33, 27, 0.15, rng)), to_csr(tb))
     plan = _tiled_plan(wl, SPILL_CFG, (6, 8, 5), "RABE")
     for capacity in (256, 4):
-        c = spmm(wl.a, wl.b, "ssmm", plan, EngineConfig(psum_capacity=capacity),
-                 groups=(2, 3))
+        c = run(wl, plan, HardwareConfig(c_psum=capacity, g_na=2, g_nb=3),
+                "ssmm")[0]
         out.append(f"[spmm_ssmm_cap{capacity}]\nresult {_digest(c)}\n")
-    dense = spmm(wl.a, to_dense(tb), "sdmm", plan, groups=(2, 3))
+    dense = run(Workload(wl.a, to_dense(tb)), plan,
+                HardwareConfig(g_na=2, g_nb=3), "sdmm")[0]
     out.append(f"[spmm_sdmm]\nresult {_digest(dense)}\n")
     return out
 

@@ -88,6 +88,24 @@ def small_cfg(**overrides):
     return HardwareConfig(**base)
 
 
+class TestHardwareConfig:
+    @pytest.mark.parametrize("s", [0, -3])
+    def test_rejects_segment_below_one(self, s):
+        with pytest.raises(ValueError, match=r"^segment size s must be >= 1$"):
+            HardwareConfig(s=s)
+
+    def test_rejects_unknown_overflow_policy(self):
+        with pytest.raises(ValueError,
+                           match=r"^unknown overflow policy 'drop'$"):
+            HardwareConfig(overflow_policy="drop")
+
+    def test_store_defaults(self):
+        cfg = HardwareConfig(s=1, overflow_policy="fail")
+        assert (cfg.s, cfg.overflow_policy) == (1, "fail")
+        assert (HardwareConfig().s, HardwareConfig().overflow_policy) == (
+            None, "spill")
+
+
 class TestStorageSize:
     def test_zero_density_pointer_only(self):
         cfg = HardwareConfig()
