@@ -98,6 +98,7 @@ def _load(parse, path: str):
 
 
 def _resolve_mode(requested: str, b_triplets, threshold: float) -> str:
+    _check_unit_interval("--sdmm-threshold", threshold)
     if requested != "auto":
         return requested
     if b_triplets.n_rows * b_triplets.n_cols == 0:
@@ -140,12 +141,26 @@ def _operand_files(args):
     return None
 
 
-def _draw(n_rows: int, n_cols: int, density: float, flag: str, rng):
-    """``random_triplets`` for a synthetic operand; a bad density names its flag."""
+def _check_unit_interval(flag: str, value: float) -> None:
+    """A density-like flag outside [0, 1], or NaN, is a parse error."""
     try:
-        check_density(flag, density)
+        check_density(flag, value)
     except ValueError as e:
         raise CommandError("parse", str(e)) from e
+
+
+def _check_dims(args, *flags: str) -> None:
+    """Synthetic dimensions must be positive; checked before any draw."""
+    for flag in flags:
+        value = getattr(args, flag[2:])
+        if value <= 0:
+            raise CommandError("parse",
+                               f"{flag}: expected a positive integer, got {value}")
+
+
+def _draw(n_rows: int, n_cols: int, density: float, flag: str, rng):
+    """``random_triplets`` for a synthetic operand; a bad density names its flag."""
+    _check_unit_interval(flag, density)
     return random_triplets(n_rows, n_cols, density, rng)
 
 
@@ -260,6 +275,7 @@ def cmd_plan(args) -> int:
 def cmd_gcn(args) -> int:
     cfg = load_config(args.config)
     if args.synthetic:
+        _check_dims(args, "--nodes", "--features", "--hidden", "--classes")
         rng = np.random.default_rng(args.seed)
         a_trip = _draw(args.nodes, args.nodes, args.da, "--da", rng)
         x_trip = _draw(args.nodes, args.features, args.dx, "--dx", rng)
@@ -294,9 +310,9 @@ def cmd_gcn(args) -> int:
     p3 = sdmm_step("step3_h1w2", to_csc(to_triplets(p2)), w2)
     p4 = sdmm_step("step4_a_h1w2", a_csc, p3)
 
-    a_dense = to_dense(a_trip)
+    a_dense = to_dense(a_trip)  # associated as the chain is: X·W1 first
     oracle = dense_matmul(a_dense, dense_matmul(dense_matmul(
-        dense_matmul(a_dense, to_dense(x_trip)), w1), w2))
+        a_dense, dense_matmul(to_dense(x_trip), w1)), w2))
     ok = np.allclose(p4.data, oracle.data, rtol=1e-9, atol=1e-9)
     max_err = float(np.max(np.abs(p4.data - oracle.data))) if p4.data.size else 0.0
 
@@ -315,10 +331,13 @@ def cmd_sweep(args) -> int:
     base = load_config(args.config)
     grids = _positive_list(args.grids, "--grids", int)
     scales = _positive_list(args.buffer_scales, "--buffer-scales", float)
-    rng = np.random.default_rng(args.seed)
-    a_trip, b_trip = _operand_files(args) or (
-        _draw(args.m, args.k, args.da, "--da", rng),
-        _draw(args.k, args.n, args.db, "--db", rng))
+    files = _operand_files(args)
+    if files is None:
+        _check_dims(args, "--m", "--k", "--n")
+        rng = np.random.default_rng(args.seed)
+        files = (_draw(args.m, args.k, args.da, "--da", rng),
+                 _draw(args.k, args.n, args.db, "--db", rng))
+    a_trip, b_trip = files
     mode = _resolve_mode(args.mode, b_trip, args.sdmm_threshold)
 
     lines = ["grid,buffer_scale,peak_macs_per_cycle,"

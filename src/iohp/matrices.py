@@ -1,17 +1,20 @@
 """Canonical sparse/dense matrix types and file ingestion.
 
 Triplets keep int64 ``rows``/``cols`` and float64 ``vals`` arrays; CSC keeps
-(value, row_idx, col_ptr); CSR keeps (value, col_idx, row_ptr).  Only Matrix
-Market tokens are read one line at a time, so each error names its line.
-``dense_matmul`` is the brute-force reference product every sparse path is
-verified against.  A stored entry counts as nonzero even when its value is
+(value, row_idx, col_ptr); CSR keeps (value, col_idx, row_ptr).  A Matrix
+Market body is parsed in one numpy pass; a line loop reads it again wherever
+that pass cannot vouch for the result, and only the loop raises, naming the
+faulty line.  ``dense_matmul`` is the brute-force reference product every
+sparse path is verified against.  A stored entry counts as nonzero even when its value is
 exactly 0.0 (duplicates that cancel stay stored, which keeps nnz conservation
 checks exact).
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -233,10 +236,56 @@ def _parse_mm(text: str) -> TripletMatrix:
     if n_rows < 0 or n_cols < 0 or nnz < 0:
         raise MatrixFormatError(f"line {lineno}: negative size header")
 
-    flat: list[float] = []  # row, column, value of each entry in file order
-    seen = 0
+    body = text[sum(map(len, lines[:lineno])) + lineno:]  # past the size header
+    pattern = fieldkind == "pattern"
+    entries = _bulk_entries(body, pattern, nnz, n_rows, n_cols)
+    if entries is None:
+        entries = _line_entries(data, pattern, nnz, n_rows, n_cols, eof)
+    if symmetry == "symmetric":
+        entries = _mirror(*entries)
+    return canonicalize(n_rows, n_cols, arrays=entries)
+
+
+_ENTRY_ROW = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
+_PATTERN_ROW = np.dtype([("r", np.int64), ("c", np.int64)])
+
+
+def _bulk_entries(body: str, pattern: bool, nnz: int, n_rows: int, n_cols: int):
+    """0-based (rows, cols, vals) of every entry line in one numpy pass, or
+    None unless that pass provably reads what :func:`_line_entries` would.
+
+    numpy splits a line on the same whitespace as ``str.split`` and reads
+    ``int``/``float`` tokens as Python does, but rejects a few that Python
+    takes (``1_0``, extra tokens), so any conversion error, a ``%`` line, a
+    row count other than ``nnz`` or an index out of range is left to the line
+    loop, which accepts or names the faulty line.
+    """
+    if "%" in body:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body warns
+            table = np.loadtxt(io.StringIO(body), comments=None, ndmin=1,
+                               dtype=_PATTERN_ROW if pattern else _ENTRY_ROW)
+    except (ValueError, Warning):
+        return None
+    rows, cols = table["r"], table["c"]
+    if len(table) != nnz or not np.all((rows >= 1) & (rows <= n_rows)
+                                       & (cols >= 1) & (cols <= n_cols)):
+        return None
+    vals = np.ones(nnz) if pattern else table["v"]
+    return rows - 1, cols - 1, vals
+
+
+def _line_entries(data, pattern: bool, nnz: int, n_rows: int, n_cols: int,
+                  eof: int):
+    """0-based (rows, cols, vals) read one entry line at a time from ``data``,
+    the (line number, tokens) of each non-blank, non-``%`` line past the size
+    header; every error names its line."""
+    coords: list[int] = []  # row, column of each entry in file order
+    vals: list[float] = []
     for lineno, tokens in data:
-        if seen == nnz:
+        if len(vals) == nnz:
             raise MatrixFormatError(
                 f"line {lineno}: more entries than the {nnz} the size header declares")
         try:
@@ -244,7 +293,7 @@ def _parse_mm(text: str) -> TripletMatrix:
         except (ValueError, IndexError):
             raise MatrixFormatError(f"line {lineno}: bad coordinate entry") from None
         try:
-            v = 1.0 if fieldkind == "pattern" else float(tokens[2])
+            v = 1.0 if pattern else float(tokens[2])
         except IndexError:
             raise MatrixFormatError(f"line {lineno}: missing value") from None
         except ValueError:
@@ -252,15 +301,23 @@ def _parse_mm(text: str) -> TripletMatrix:
         if not (1 <= r <= n_rows and 1 <= c <= n_cols):
             raise BoundsError(
                 f"line {lineno}: index ({r},{c}) outside {n_rows}x{n_cols}")
-        flat += (r - 1, c - 1, v)
-        if r != c and symmetry == "symmetric":
-            flat += (c - 1, r - 1, v)
-        seen += 1
-    if seen < nnz:
-        raise MatrixFormatError(f"line {eof}: expected {nnz} entries, got {seen}")
-    rcv = np.array(flat, dtype=np.float64)
-    coords = rcv[0::3].astype(np.int64), rcv[1::3].astype(np.int64)
-    return canonicalize(n_rows, n_cols, arrays=(*coords, rcv[2::3]))
+        coords += (r - 1, c - 1)
+        vals.append(v)
+    if len(vals) < nnz:
+        raise MatrixFormatError(
+            f"line {eof}: expected {nnz} entries, got {len(vals)}")
+    rc = np.array(coords, dtype=np.int64).reshape(-1, 2)
+    return rc[:, 0], rc[:, 1], np.array(vals, dtype=np.float64)
+
+
+def _mirror(rows, cols, vals):
+    """Symmetric entries in full: each off-diagonal entry followed by its
+    transpose, so duplicates still fold in file order."""
+    keep = np.ones((len(rows), 2), dtype=bool)
+    keep[:, 1] = rows != cols
+    keep = keep.ravel()
+    return (np.column_stack((rows, cols)).ravel()[keep],
+            np.column_stack((cols, rows)).ravel()[keep], np.repeat(vals, 2)[keep])
 
 
 def write_matrix_market(m: AnySparse, path) -> None:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from iohp import cli
 from iohp.cli import load_config, main
-from iohp.matrices import (TripletMatrix, canonicalize,
+from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, load_dense_csv, load_matrix_market,
                            to_dense, write_dense_csv, write_matrix_market)
 from iohp.synthetic import random_dense, random_triplets
@@ -233,6 +234,30 @@ class TestGcnCommand:
         assert err.startswith("error: parse: ")
         assert "No such file" in err and str(missing) in err
 
+    def test_oracle_catches_a_wrong_result(self, tmp_path, capsys,
+                                           monkeypatch):
+        """The X·W1-first oracle still fails a step-4 product that is off by
+        one part in 10⁶."""
+        real_run = cli.run
+
+        def skewed_run(workload, plan, cfg, mode):
+            result, stats = real_run(workload, plan, cfg, mode)
+            if workload.label == "step4_a_h1w2":
+                result = DenseMatrix(result.n_rows, result.n_cols,
+                                     result.data * (1 + 1e-6))
+            return result, stats
+
+        monkeypatch.setattr(cli, "run", skewed_run)
+        report = tmp_path / "r.txt"
+        rc = main(["gcn", "--synthetic", "--nodes", "30", "--features", "20",
+                   "--hidden", "5", "--classes", "3", "--da", "0.1",
+                   "--dx", "0.2", "--seed", "1", "--report", str(report),
+                   "--report-format", "text"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: verify: result disagrees with dense oracle\n")
+        assert "oracle_check=FAIL\n" in report.read_text()
+
     def test_malformed_weight_file_is_named(self, tmp_path, worked_files,
                                             capsys):
         a_path, _, _, _ = worked_files
@@ -329,6 +354,47 @@ class TestBadSweepAndSyntheticInputs:
         assert capsys.readouterr().err == (
             f"error: parse: density {bad} outside [0, 1]\n")
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("argv, bad", [
+        (SWEEP + ["--m", "-3", "--da", "0.3", "--db", "0.3"], "--m=-3"),
+        (SWEEP + ["--k", "0", "--da", "0.3", "--db", "0.3"], "--k=0"),
+        (SWEEP + ["--n", "-1", "--da", "0.3", "--db", "0.3"], "--n=-1"),
+        (GCN + ["--nodes", "-1"], "--nodes=-1"),
+        (GCN + ["--nodes", "0"], "--nodes=0"),
+        (GCN + ["--features", "0"], "--features=0"),
+        (GCN + ["--hidden", "-2"], "--hidden=-2"),
+        (GCN + ["--classes", "0"], "--classes=0")])
+    def test_synthetic_dims_name_flag(self, tmp_path, capsys, argv, bad):
+        rc = main(argv + ["--report", str(tmp_path / "r.csv")])
+        assert rc == 1
+        flag, value = bad.split("=")
+        assert capsys.readouterr().err == (
+            f"error: parse: {flag}: expected a positive integer, got {value}\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("value, shown", [
+        ("nan", "nan"), ("-1", "-1.0"), ("inf", "inf"), ("1.5", "1.5")])
+    @pytest.mark.parametrize("command", ["spmm", "sim", "sweep"])
+    def test_sdmm_threshold_outside_unit_interval(self, tmp_path, capsys,
+                                                  worked_files, command,
+                                                  value, shown):
+        a_path, b_path, _, _ = worked_files
+        rc = main([command, "--a", a_path, "--b", b_path, "--sdmm-threshold",
+                   value, "--report", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: parse: density --sdmm-threshold={shown} outside [0, 1]\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_sdmm_threshold_ends_still_run(self, tmp_path, worked_files,
+                                           value):
+        a_path, b_path, _, _ = worked_files
+        report = tmp_path / "r.csv"
+        rc = main(["sim", "--a", a_path, "--b", b_path, "--sdmm-threshold",
+                   value, "--report", str(report)])
+        assert rc == 0
+        assert f"# auto_threshold={float(value)}" in report.read_text()
 
     def test_unit_interval_ends_still_run(self, tmp_path):
         report = tmp_path / "r.csv"

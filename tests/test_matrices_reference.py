@@ -5,18 +5,21 @@ Market parser, ``to_triplets``, ``to_dense``, ``write_matrix_market``,
 ``to_csc``/``to_csr`` and ``random_triplets``, kept verbatim in logic.  Every
 comparison is bit for bit: coordinates and their Python types, value bits
 (so ``-0.0`` differs from ``0.0``), array dtypes, file bytes and error
-messages.
+messages.  The Matrix Market body's bulk numpy pass is also checked against
+the line loop it stands in for.
 """
 
 import io
 import struct
 from dataclasses import dataclass, field
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iohp import matrices
 from iohp.costmodel import Workload
 from iohp.errors import BoundsError, CoordinateError, MatrixFormatError
 from iohp.matrices import (CscMatrix, CsrMatrix, TripletMatrix,
@@ -433,6 +436,169 @@ class TestMatrixMarket:
         want = ref_parse_mm(io.StringIO(text))
         for source in (text.encode("ascii"), str(path), path):
             assert_same(load_matrix_market(source), want)
+
+
+# --- bulk body parse against the line loop ----------------------------------
+
+def parse_paths(text):
+    """The parse as shipped and with the line loop alone, as outcomes, and
+    whether the bulk pass answered."""
+    answered = []
+
+    def bulk(*args):
+        entries = real_bulk(*args)
+        answered.append(entries is not None)
+        return entries
+
+    real_bulk = matrices._bulk_entries
+    with mock.patch.object(matrices, "_bulk_entries", bulk):
+        shipped = outcome(lambda: load_matrix_market(io.StringIO(text)))
+    with mock.patch.object(matrices, "_bulk_entries", lambda *args: None):
+        loop = outcome(lambda: load_matrix_market(io.StringIO(text)))
+    return shipped, loop, any(answered)
+
+
+def raw_bits(t: TripletMatrix):
+    """Shape and every array's int64 bits: NaN payloads and -0.0 count."""
+    return ((t.n_rows, t.n_cols), t.rows.dtype, t.cols.dtype, t.vals.dtype,
+            t.rows.tolist(), t.cols.tolist(), t.vals.view(np.int64).tolist())
+
+
+def assert_same_outcome(shipped, loop):
+    (got, got_err), (want, want_err) = shipped, loop
+    assert got_err == want_err
+    if want_err is None:
+        assert raw_bits(got) == raw_bits(want)
+
+
+SPECIAL_VALUES = ["-0.0", "nan", "-nan", "inf", "-inf", "1e400", "-1e400",
+                  "1e-400", "+3", "-7", "5.", ".5", "1E5", "Infinity"]
+
+
+@st.composite
+def valid_mm_texts(draw):
+    """Files the line loop accepts, written as real tools may write them."""
+    fieldkind = draw(st.sampled_from(["real", "integer", "pattern"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    n_rows = draw(st.integers(1, 4))
+    n_cols = n_rows if symmetry == "symmetric" else draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    sep = st.sampled_from([" ", "  ", "\t", " \t "])
+    body = []
+    for _ in range(draw(st.integers(0, 14))):
+        body += draw(st.lists(st.sampled_from(["", "  ", "\t", "% c"]),
+                              max_size=1))
+        r, c = draw(st.integers(1, n_rows)), draw(st.integers(1, n_cols))
+        line = f"{r}{draw(sep)}{c}"
+        if fieldkind == "integer":
+            line += f"{draw(sep)}{draw(st.integers(-99, 99))}"
+        elif fieldkind == "real":
+            line += draw(sep) + draw(st.one_of(
+                st.sampled_from(SPECIAL_VALUES),
+                st.floats().map(repr), st.integers(-99, 99).map(str)))
+        body.append(draw(st.sampled_from(["", " ", "\t"])) + line
+                    + draw(st.sampled_from(["", " ", "\t"])))
+    n_entries = sum(1 for line in body if line.split() and line[0] != "%")
+    tail = draw(st.lists(st.sampled_from(["", "% tail", "   "]), max_size=2))
+    lines = ([f"%%MatrixMarket matrix coordinate {fieldkind} {symmetry}",
+              f"{n_rows} {n_cols} {n_entries}"] + body + tail)
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+TRICKY_TOKENS = ["1", "2", "3", "+1", "-1", "0", "1_0", "1.0", "1e0", "0x1",
+                 "99999999999999999999", "nan", "-nan", "inf", "1e400",
+                 "-0.0", "2.5", "x", "%", "3.0%x", "1e", "١"]
+
+
+@st.composite
+def tricky_mm_texts(draw):
+    """Bodies built from tokens that numpy and Python may read differently."""
+    fieldkind = draw(st.sampled_from(["real", "integer", "pattern"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    seps = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\r", "\xa0"])
+    ends = st.sampled_from(["\n", "\r\n", "\r\r\n", "\r", " \n"])
+    body = ""
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = draw(st.lists(st.sampled_from(TRICKY_TOKENS), max_size=4))
+        body += "".join(t + draw(seps) for t in tokens) + draw(ends)
+    nnz = draw(st.integers(0, 6))
+    return (f"%%MatrixMarket matrix coordinate {fieldkind} {symmetry}\n"
+            f"{draw(st.integers(0, 3))} {draw(st.integers(0, 3))} {nnz}\n"
+            + body)
+
+
+# duplicate sums may overflow to inf or meet inf - inf; Python folds silently
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestBulkBodyParse:
+    """The bulk pass over the entry lines must answer exactly as the line
+    loop would, or leave the file to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_mm_texts())
+    def test_valid_files_bit_identical(self, text):
+        shipped, loop, answered = parse_paths(text)
+        assert loop[1] is None, loop[1]
+        assert_same_outcome(shipped, loop)
+        if "nan" not in text:  # NaN sums may carry another payload in Python
+            assert_same(shipped[0], ref_parse_mm(io.StringIO(text)))
+        body = text.split("\n", 2)[2] if text.count("\n") > 1 else ""
+        if "%" not in body and shipped[0].nnz:
+            assert answered  # CRLF, blanks and odd tokens stay on the fast path
+
+    @settings(max_examples=500, deadline=None)
+    @given(tricky_mm_texts())
+    def test_tricky_files_same_outcome(self, text):
+        assert_same_outcome(*parse_paths(text)[:2])
+
+    GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+
+    @pytest.mark.parametrize("body, error", [
+        ("2 2 2\n1 1\n1 1 2.0 3\n", "line 3: missing value"),
+        ("2 2 1\n1 1 2.0 9\n", None),  # the loop ignores extra tokens
+        ("2 2 1\n1 1 3.0%x\n", "line 3: bad value"),
+        ("20 20 1\n1_0 1 2.0\n", None),  # Python's int reads 1_0
+        ("2 2 1\n1 1 1_0\n", None),
+        ("2 2 1\n1.0 1 2.0\n", "line 3: bad coordinate entry"),
+        ("2 2 1\n99999999999999999999 1 1.0\n",
+         "line 3: index (99999999999999999999,1) outside 2x2"),
+        ("2 2 2\n1 1 1.0\n3 1 1.0\n", "line 4: index (3,1) outside 2x2"),
+        ("2 2 2\n1 1 1.0\n0 1 1.0\n", "line 4: index (0,1) outside 2x2"),
+        ("2 2 3\n1 1 1.0\n2 2 2.0\n", "line 5: expected 3 entries, got 2"),
+        ("2 2 1\n1 1 1.0\n2 2 2.0\n",
+         "line 4: more entries than the 1 the size header declares"),
+        ("2 2 2\n1 1 1.0\r2 2 2.0\n", "line 4: expected 2 entries, got 1"),
+    ])
+    def test_numpy_rejects_loop_decides(self, body, error):
+        shipped, loop, answered = parse_paths(self.GENERAL + body)
+        assert_same_outcome(shipped, loop)
+        assert not answered
+        assert (loop[1] and loop[1][1]) == error
+
+    def test_pattern_extra_token_left_to_loop(self):
+        text = ("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                "3 3 2\n2 1 junk\n3 3\n")
+        shipped, loop, answered = parse_paths(text)
+        assert_same_outcome(shipped, loop)
+        assert not answered and loop[0].entries == [
+            (0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)]
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_coordinates_past_float_precision_kept_exact(self, bulk):
+        text = f"{self.GENERAL}{2 ** 60} 1 1\n{2 ** 53 + 2} 1 1.0\n"
+        stub = matrices._bulk_entries if bulk else (lambda *args: None)
+        with mock.patch.object(matrices, "_bulk_entries", stub):
+            t = load_matrix_market(io.StringIO(text))
+        assert t.rows.tolist() == [2 ** 53 + 1]
+
+    def test_symmetric_duplicates_fold_in_file_order(self):
+        # (1,2) then the mirror of (2,1): the fold order decides the sum
+        text = ("%%MatrixMarket matrix coordinate real symmetric\n"
+                "2 2 3\n1 2 1e16\n2 1 1.0\n1 2 -1e16\n")
+        shipped, loop, answered = parse_paths(text)
+        assert answered
+        assert_same_outcome(shipped, loop)
+        assert shipped[0].entries == [(0, 1, 0.0), (1, 0, 0.0)]
 
 
 # --- conversions and writing ------------------------------------------------
