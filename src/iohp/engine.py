@@ -7,7 +7,7 @@ B-group slice.  Products land in an append-only psum store whose per-row
 address directory makes the later sort/accumulate pass regular.
 
 Accumulation order is fixed by the traversal: a block pair's products are
-built at once and each store appends its own in (inner index, A entry,
+built at once and each store takes its own in (inner index, A entry,
 B entry) order; the end-of-pass map is one stable (row, column) sort of
 every store's held products, in address order, and each run of equal
 coordinates is summed as its first value plus numpy's pairwise sum of the
@@ -19,10 +19,11 @@ identical under any PE scheduling.
 Store overflow (a product finding its row segment's ``s`` slots or the
 store's ``c_psum`` entries full; both are ``HardwareConfig`` fields) either
 aborts (policy ``fail``) or flushes the whole store through address mapping,
-emitting a partial output block (policy ``spill``).  A store has one append
-path: it appends the longest prefix that fits, then overflows, so it loops
-once per overflow event, never once per product.  A pass emits its held
-psums and its flushes as one block each, in block-pair coordinates.
+emitting a partial output block (policy ``spill``).  One grid-wide fill cuts
+a pass's PE-major product stream into fills (one store's products between
+two flushes) in one round per overflow of the busiest store; the stores are
+records of that fill.  A pass maps its held psums and its flushes with one
+sort each, into one block each in block-pair coordinates.
 """
 
 from __future__ import annotations
@@ -64,91 +65,36 @@ class OutputBlock:
         return OutputBlock(self.row + row, self.col + col, self.value)
 
 
+@dataclass
 class PsumStore:
-    """Append-only psum arrays plus the row-segmented address directory.
+    """One PE's psum store at the end of a pass, a record of the grid fill.
 
-    ``vc_addr[r, :row_len[r]]`` holds, in insertion order, the addresses of
-    row r's products inside value_psum/col_idx_psum.  ``id_psum`` is the next
-    free address.  Spilled partial outputs accumulate in ``spilled``.
+    ``value_psum``/``col_idx_psum`` hold its last fill (``id_psum`` psums) in
+    address order; ``vc_addr[r, :row_len[r]]`` lists row r's addresses in
+    insertion order (slots in use only: as wide as the grid's longest held
+    row).  ``spilled`` keeps each earlier fill's flush, mapped, in order;
+    ``peak_id`` is the longest fill, ``appended_total`` all its products.
     """
 
-    def __init__(self, m_t: int, s: int, capacity: int, policy: str,
-                 tile: tuple = ()):
-        self.m_t = m_t
-        self.s = s
-        self.capacity = capacity
-        self.policy = policy
-        self.tile = tile
-        self.value_psum = np.empty(0, dtype=np.float64)
-        self.col_idx_psum = np.empty(0, dtype=np.int64)
-        self.vc_addr = np.zeros((m_t, s), dtype=np.int64)
-        self.row_len = np.zeros(m_t, dtype=np.int64)
-        self.id_psum = 0
-        self.appended_total = 0
-        self.peak_id = 0
-        self.spilled: list[OutputBlock] = []
-        self.spill_events = 0
-
-    def append_products(self, rows_a: np.ndarray, vals_a: np.ndarray,
-                        cols_b: np.ndarray, vals_b: np.ndarray) -> None:
-        """Append the len(a) x len(b) outer-product batch of one (g,h,k) step."""
-        self.append(np.repeat(rows_a, len(cols_b)), np.tile(cols_b, len(rows_a)),
-                    np.multiply.outer(vals_a, vals_b).ravel())
-
-    def append(self, rows: np.ndarray, cols: np.ndarray,
-               vals: np.ndarray) -> None:
-        """Append products in order, overflowing before each that does not fit.
-
-        A product does not fit when the store is full or its row already
-        holds ``s`` entries.  Each step appends the longest prefix that fits,
-        so the loop runs once per overflow event, never once per product.
-        """
-        n = len(rows)
-        self.appended_total += n
-        # no prefix that fits is longer than the free entries or free slots
-        room = min(self.capacity, self.m_t * self.s)
-        lo = 0
-        while lo < n:
-            window = rows[lo:min(n, lo + room - self.id_psum)]
-            # each product's slot: row_len plus its rank among equal rows
-            order = np.argsort(window, kind="stable")
-            first = np.flatnonzero(np.diff(window[order], prepend=-1))
-            slot = self.row_len[window]
-            slot[order] += np.arange(len(window)) - np.repeat(
-                first, np.diff(first, append=len(window)))
-            full = np.flatnonzero(slot >= self.s)
-            stop = lo + (int(full[0]) if len(full) else len(window))
-            self.vc_addr[rows[lo:stop], slot[:stop - lo]] = \
-                self.id_psum + np.arange(stop - lo)
-            self.row_len += np.bincount(rows[lo:stop], minlength=self.m_t)
-            self.value_psum = np.concatenate((self.value_psum, vals[lo:stop]))
-            self.col_idx_psum = np.concatenate((self.col_idx_psum, cols[lo:stop]))
-            self.id_psum += stop - lo
-            self.peak_id = max(self.peak_id, self.id_psum)
-            if stop < n:
-                self._overflow()
-            lo = stop
-
-    def _overflow(self) -> None:
-        if self.policy == OVERFLOW_FAIL:
-            raise PsumOverflowError(
-                f"psum overflow at tile {self.tile}: id_psum={self.id_psum}, "
-                f"capacity={self.capacity}, segment size={self.s}")
-        flushed = address_map(self)
-        if flushed.nnz:
-            self.spilled.append(flushed)
-        self.spill_events += 1
-        self.value_psum = self.value_psum[:0]
-        self.col_idx_psum = self.col_idx_psum[:0]
-        self.row_len.fill(0)
-        self.id_psum = 0
+    m_t: int
+    s: int
+    capacity: int
+    value_psum: np.ndarray
+    col_idx_psum: np.ndarray
+    vc_addr: np.ndarray
+    row_len: np.ndarray
+    id_psum: int
+    peak_id: int
+    appended_total: int
+    spill_events: int
+    spilled: list[OutputBlock]
 
 
 @dataclass
 class PsumGrid:
     """One PsumStore per PE of a block pair's grid.  In block-pair coordinates
     (``g * m_t`` + row, ``h * n_t`` + column), ``held`` maps the psums the
-    stores hold and ``spilled`` lists every store's flushes, PE-major."""
+    stores hold and ``spilled`` lists every flush, PE-major, flush by flush."""
 
     stores: list[list[PsumStore]]
     g_na: int
@@ -195,10 +141,9 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     """Merge-join the block pair's shared index streams and fill the grid.
 
     At every inner index both blocks hold, in ascending order, each (g,h)
-    with both bitmap bits set appends the full outer product of its slices.
-    All products are built at once; each store appends its own in (k, A
-    entry, B entry) order.  Under ``fail`` the overflow raised is the first
-    in (k, g, h) order; else ``grid.held`` and ``grid.spilled`` are filled.
+    with both bitmap bits set appends the full outer product of its slices,
+    all built at once and filled PE-major, (k, A entry, B entry) within a PE.
+    Under ``fail`` the overflow raised is the first in (k, g, h) order.
     Store limits come from ``cfg``, the grid's shape from the blocks.
     """
     if a_blk.block_k != b_blk.block_k:
@@ -207,10 +152,6 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
             f"B k-block {b_blk.block_k}")
     cfg = cfg or HardwareConfig()
     s = cfg.s if cfg.s is not None else max(1, b_blk.n_t)
-    grid = PsumGrid([[PsumStore(a_blk.m_t, s, cfg.c_psum,
-                                cfg.overflow_policy, tile=tile)
-                      for _ in range(b_blk.g_nb)] for _ in range(a_blk.g_na)],
-                    a_blk.g_na, b_blk.g_nb)
     pos_a, group_a, rows_a, vals_a = a_blk.entry_table
     pos_b, group_b, cols_b, vals_b = b_blk.entry_table
     # the entries at a matched position are one run of each table
@@ -226,36 +167,88 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     pe = group_a[ea] * b_blk.g_nb + group_b[eb]
     order = np.argsort(pe, kind="stable")  # PE-major, (k, a, b) within a PE
     pair, ea, eb, pe = pair[order], ea[order], eb[order], pe[order]
-    rows, cols, vals = rows_a[ea], cols_b[eb], vals_a[ea] * vals_b[eb]
-    bounds = np.searchsorted(pe, np.arange(a_blk.g_na * b_blk.g_nb + 1))
-    n_held = np.empty(len(bounds) - 1, dtype=np.int64)  # each store's id_psum
-    failed = []  # (matched position, store, error) of each overflow
-    for i, (st, lo, hi) in enumerate(zip(grid, bounds[:-1], bounds[1:])):
-        try:
-            st.append(rows[lo:hi], cols[lo:hi], vals[lo:hi])
-        except PsumOverflowError as err:  # before any flush, at product id_psum
-            failed.append((int(pair[lo + st.id_psum]), i, err))
-        n_held[i] = st.id_psum
-    if failed:
-        raise min(failed)[2]
-    # a store holds the last id_psum products of its slice, in address order
-    kept = np.arange(len(pe)) >= (bounds[1:] - n_held)[pe]
-    pe = pe[kept]
-    grid.held = _accumulate(*_at_pe(pe, rows[kept], cols[kept], a_blk, b_blk),
-                            vals[kept])
-    flushes = [(i, blk) for i, st in enumerate(grid) for blk in st.spilled]
-    if flushes:
-        pe = np.repeat([i for i, _ in flushes], [blk.nnz for _, blk in flushes])
-        grid.spilled = OutputBlock(
-            *_at_pe(pe, np.concatenate([blk.row for _, blk in flushes]),
-                    np.concatenate([blk.col for _, blk in flushes]), a_blk, b_blk),
-            np.concatenate([blk.value for _, blk in flushes]))
+    grid, starts = fill_grid(pe, rows_a[ea], cols_b[eb], vals_a[ea] * vals_b[eb],
+                             (a_blk.g_na, b_blk.g_nb, a_blk.m_t, b_blk.n_t),
+                             s, cfg.c_psum)
+    # a fill that follows another of its PE starts at that PE's overflow
+    over = np.flatnonzero(pe[starts[1:]] == pe[starts[:-1]]) + 1
+    if cfg.overflow_policy == OVERFLOW_FAIL and len(over):
+        i = over[np.lexsort((pe[starts[over]], pair[starts[over]]))[0]]
+        raise PsumOverflowError(
+            f"psum overflow at tile {tile}: id_psum={starts[i] - starts[i - 1]}, "
+            f"capacity={cfg.c_psum}, segment size={s}")
     return grid
 
 
-def _at_pe(pe, rows, cols, a_blk: RpCscBlock, b_blk: CpCsrBlock):
+def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
+              capacity: int) -> tuple[PsumGrid, np.ndarray]:
+    """Fill every PE's store from one PE-major product stream, all at once.
+
+    ``shape`` is ``(g_na, g_nb, m_t, n_t)``; product i goes to PE ``pe[i] =
+    g * g_nb + h``, store row ``rows[i]``, column ``cols[i]``.  A fill is one
+    store's products between two flushes: the longest run that keeps to
+    ``capacity`` entries and ``s`` per row.  Each round cuts the next fill of
+    every PE with products left, so the loop runs once per overflow of the
+    busiest store.  A PE's last fill is what its store holds; the others are
+    flushed, keyed by fill.  Returns the grid and each fill's start.
+    """
+    g_na, g_nb, m_t, _ = shape
+    n_pe = g_na * g_nb
+    bounds = np.searchsorted(pe, np.arange(n_pe + 1))
+    slot = np.empty(len(pe), dtype=np.int64)  # each product's slot in its row
+    lo, hi, starts = bounds[:-1], bounds[1:], [bounds[:0]]
+    while (open_ := lo < hi).any():
+        lo, hi = lo[open_], hi[open_]
+        starts.append(lo)
+        n = np.minimum(hi - lo, min(capacity, m_t * s))  # no fill is longer
+        win = np.repeat(np.arange(len(n)), n)
+        at = np.arange(len(win)) - np.repeat(np.cumsum(n) - n, n)
+        idx = lo[win] + at
+        key = win * m_t + rows[idx]
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        slot[idx[order]] = np.arange(len(idx)) - np.repeat(
+            first, np.diff(first, append=len(idx)))
+        full = np.flatnonzero(slot[idx] >= s)
+        np.minimum.at(n, win[full], at[full])  # stop before a full row
+        lo = lo + n
+    starts = np.sort(np.concatenate(starts))
+    lengths = np.diff(starts, append=len(pe))
+    fill, fill_pe = np.repeat(np.arange(len(starts)), lengths), pe[starts]
+    last = np.diff(fill_pe, append=n_pe) > 0  # a PE's last fill
+    held = last[fill]
+    h_pe, h_rows = pe[held], rows[held]
+    flushes = _accumulate(fill[~held] * m_t + rows[~held], cols[~held],
+                          vals[~held])
+    f, f_rows = np.divmod(flushes.row, m_t)
+    edges = np.searchsorted(f, np.flatnonzero(~last))  # each flush's start
+    blocks = [OutputBlock(*part) for part in zip(
+        *(np.split(a, edges)[1:] for a in (f_rows, flushes.col, flushes.value)))]
+    by_pe = np.searchsorted(fill_pe[~last], np.arange(n_pe + 1)).tolist()
+    row_len = np.bincount(h_pe * m_t + h_rows,
+                          minlength=n_pe * m_t).reshape(n_pe, m_t)
+    vc_addr = np.zeros((n_pe, m_t, row_len.max()), dtype=np.int64)  # slots used
+    vc_addr[h_pe, h_rows, slot[held]] = np.flatnonzero(held) - starts[fill[held]]
+    peak = np.zeros(n_pe, dtype=np.int64)
+    np.maximum.at(peak, fill_pe, lengths)
+    cut = np.searchsorted(h_pe, np.arange(1, n_pe))
+    stores = [PsumStore(m_t, s, capacity, v, c, vc_addr[i], row_len[i],
+                        len(v), p, t, by_pe[i + 1] - by_pe[i],
+                        blocks[by_pe[i]:by_pe[i + 1]])
+              for i, (v, c, p, t) in enumerate(zip(
+                  np.split(vals[held], cut), np.split(cols[held], cut),
+                  peak.tolist(), np.diff(bounds).tolist()))]
+    return PsumGrid(
+        [stores[g * g_nb:(g + 1) * g_nb] for g in range(g_na)], g_na, g_nb,
+        _accumulate(*_at_pe(h_pe, h_rows, cols[held], shape), vals[held]),
+        OutputBlock(*_at_pe(fill_pe[f], f_rows, flushes.col, shape),
+                    flushes.value)), starts
+
+
+def _at_pe(pe, rows, cols, shape: tuple):
     """Block-pair coordinates of PE ``pe = g * g_nb + h``'s local (row, col)."""
-    return pe // b_blk.g_nb * a_blk.m_t + rows, pe % b_blk.g_nb * b_blk.n_t + cols
+    _, g_nb, m_t, n_t = shape
+    return pe // g_nb * m_t + rows, pe % g_nb * n_t + cols
 
 
 def _directory(ps: PsumStore) -> tuple[np.ndarray, np.ndarray]:

@@ -235,6 +235,8 @@ def _parse_mm(text: str) -> TripletMatrix:
         raise MatrixFormatError(f"line {lineno}: non-integer size header") from None
     if n_rows < 0 or n_cols < 0 or nnz < 0:
         raise MatrixFormatError(f"line {lineno}: negative size header")
+    if max(n_rows, n_cols, nnz) > np.iinfo(np.int64).max:
+        raise MatrixFormatError(f"line {lineno}: size header exceeds int64")
 
     body = text[sum(map(len, lines[:lineno])) + lineno:]  # past the size header
     pattern = fieldkind == "pattern"

@@ -63,6 +63,10 @@ class HardwareConfig:
             raise ValueError("r_x must be in (0, 1]")
         if min(self.g_na, self.g_nb) < 1:
             raise ValueError("grid dims must be >= 1")
+        if min(self.bits_value, self.bits_index, self.bits_len) < 1:
+            raise ValueError("stream bit widths must be >= 1")
+        if not 0 < self.freq_hz < math.inf:
+            raise ValueError("freq_hz must be positive and finite")
         if self.s is not None and self.s < 1:
             raise ValueError("segment size s must be >= 1")
         if self.overflow_policy not in (OVERFLOW_FAIL, OVERFLOW_SPILL):

@@ -425,6 +425,12 @@ class TestConfigFile:
         ("# header\nr_x=1.5\n", "line 2: r_x: r_x must be in (0, 1]"),
         ("foo=1\n", "line 1: foo: unknown config key"),
         ("g_na\n", "line 1: expected key=value"),
+        ("bits_value=-8\n", "line 1: bits_value: stream bit widths must be >= 1"),
+        ("bits_index=0\n", "line 1: bits_index: stream bit widths must be >= 1"),
+        ("bits_len=0\n", "line 1: bits_len: stream bit widths must be >= 1"),
+        ("freq_hz=-1\n", "line 1: freq_hz: freq_hz must be positive and finite"),
+        ("freq_hz=nan\n", "line 1: freq_hz: freq_hz must be positive and finite"),
+        ("freq_hz=inf\n", "line 1: freq_hz: freq_hz must be positive and finite"),
     ])
     def test_errors_name_stage_line_and_key(self, tmp_path, worked_files,
                                             capsys, text, message):
@@ -459,6 +465,26 @@ class TestZeroDimensionOperand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {stage}: ")
         assert "internal" not in err and "division" not in err
+
+
+class TestOversizedSizeHeader:
+    """A size header beyond int64 fails at parse, before any array or plan
+    is sized from it."""
+
+    @pytest.mark.parametrize("header, entry", [
+        (f"{2 ** 70} 1 1", f"{2 ** 65} 1 1.0"),  # the entry is in range
+        (f"{2 ** 70} 3 1", "1 1 1.0"),  # would plan a 2**70-row product
+    ])
+    def test_fails_at_parse(self, tmp_path, worked_files, capsys, header,
+                            entry):
+        big = tmp_path / "big.mtx"
+        big.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       f"{header}\n{entry}\n")
+        b = write_mtx(tmp_path / "b3.mtx", TripletMatrix(3, 3, [(0, 0, 1.0)]))
+        rc = main(["sim", "--a", str(big), "--b", b])
+        assert rc != 0
+        assert capsys.readouterr().err == (
+            f"error: parse: {big}: line 2: size header exceeds int64\n")
 
 
 class TestUnreadableConfig:

@@ -8,7 +8,7 @@ from iohp.costmodel import (CSV_COLUMNS, Workload, addrmap_cycles,
                             baseline_counters, compute_cycles, run,
                             sdmm_compute_cycles, simulate)
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import PsumGrid, PsumStore
+from iohp.engine import PsumGrid, fill_grid
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, to_csc, to_csr, to_dense, to_triplets)
 from iohp.planner import HardwareConfig, PartitionPlan, plan_partition
@@ -73,12 +73,12 @@ class TestAddrmapCycles:
     def grid_with_rows(self, row_lens_per_pe):
         stores = []
         for lens in row_lens_per_pe:
-            st = PsumStore(m_t=len(lens), s=16, capacity=256, policy="fail")
-            for r, ln in enumerate(lens):
-                if ln:
-                    st.append_products(np.array([r]), np.array([1.0]),
-                                       np.arange(ln), np.ones(ln))
-            stores.append(st)
+            # a one-PE stream: row r's ln products go to columns 0..ln-1
+            rows = np.repeat(np.arange(len(lens)), lens)
+            cols = np.concatenate([np.arange(ln) for ln in lens])
+            grid, _ = fill_grid(np.zeros(len(rows), dtype=np.int64), rows, cols,
+                                np.ones(len(rows)), (1, 1, len(lens), 1), 16, 256)
+            stores.append(grid.stores[0][0])
         return PsumGrid(stores=[stores], g_na=1, g_nb=len(stores))
 
     def test_empty_grid(self):

@@ -3,9 +3,9 @@ import pytest
 
 from iohp.costmodel import Workload, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import (OutputBlock, PsumStore, address_map, assemble_output,
-                         compute_psums, dump_psum_store, gather_dense_rows,
-                         merge_output_blocks, sdmm_compute,
+from iohp.engine import (OutputBlock, address_map, assemble_output,
+                         compute_psums, dump_psum_store, fill_grid,
+                         gather_dense_rows, merge_output_blocks, sdmm_compute,
                          validate_psum_store)
 from iohp.errors import (DimensionError, GatherError, MalformedBlockError,
                          PsumOverflowError)
@@ -25,6 +25,16 @@ def worked_blocks():
                                     (2, 1, 6.0)]))
     geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
     return encode_rp_csc(a, geom, 0, 0), encode_cp_csr(b, geom, 0, 0), geom
+
+
+def lone_store(m_t, s, capacity, rows, cols, vals):
+    """One store filled by ``fill_grid`` from a one-PE product stream."""
+    grid, _ = fill_grid(np.zeros(len(rows), dtype=np.int64),
+                        np.array(rows, dtype=np.int64),
+                        np.array(cols, dtype=np.int64),
+                        np.array(vals, dtype=np.float64),
+                        (1, 1, m_t, 1), s, capacity)  # one PE: no offsets
+    return grid.stores[0][0]
 
 
 def random_instance(rng, m=None, k=None, n=None, density=None, values="float"):
@@ -101,13 +111,10 @@ class TestAddressMap:
         # row0's addresses interleave with row1's: fetch order (0,2,3) maps
         # to columns (1,0,1); stable sort gives address order (2,0,3) and the
         # two column-1 psums accumulate.
-        st = PsumStore(m_t=2, s=4, capacity=16, policy="fail")
-        st.append_products(np.array([0]), np.array([2.0]),
-                           np.array([1]), np.array([3.0]))   # addr0 row0 col1
-        st.append_products(np.array([1]), np.array([1.0]),
-                           np.array([1]), np.array([5.0]))   # addr1 row1 col1
-        st.append_products(np.array([0]), np.array([4.0]),
-                           np.array([0, 1]), np.array([1.0, 1.0]))  # addr2,3
+        st = lone_store(2, 4, 16, rows=[0, 1, 0, 0], cols=[1, 1, 0, 1],
+                        vals=[2.0 * 3.0,          # addr0 row0 col1
+                              1.0 * 5.0,          # addr1 row1 col1
+                              4.0 * 1.0, 4.0 * 1.0])  # addr2,3 row0 cols 0,1
         assert st.vc_addr[0, :3].tolist() == [0, 2, 3]
         out = address_map(st)
         assert out.row.tolist() == [0, 0, 1]
@@ -123,7 +130,7 @@ class TestAddressMap:
                                                  (1, 1, 42.0)]
 
     def test_empty_store(self):
-        st = PsumStore(m_t=3, s=2, capacity=4, policy="fail")
+        st = lone_store(3, 2, 4, rows=[], cols=[], vals=[])
         assert address_map(st).nnz == 0
 
     def test_columns_strictly_increasing_and_sums_preserved(self):
@@ -428,9 +435,10 @@ class TestOracleEquivalenceSmall:
 
 class TestAppendProducts:
     def test_repeated_row_gets_one_slot_per_product(self):
-        st = PsumStore(m_t=2, s=4, capacity=16, policy="fail")
-        st.append_products(np.array([0, 0]), np.array([1.0, 2.0]),
-                           np.array([0, 1]), np.array([3.0, 4.0]))
+        # the outer product of A entries (0, 1.0), (0, 2.0) and B entries
+        # (0, 3.0), (1, 4.0), in (A entry, B entry) order
+        st = lone_store(2, 4, 16, rows=[0, 0, 0, 0], cols=[0, 1, 0, 1],
+                        vals=np.multiply.outer([1.0, 2.0], [3.0, 4.0]).ravel())
         assert st.id_psum == 4
         assert st.row_len.tolist() == [4, 0]
         assert st.vc_addr[0].tolist() == [0, 1, 2, 3]

@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from iohp import engine
 from iohp.costmodel import Workload, _passes, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import (OutputBlock, PsumStore, address_map, compute_psums,
-                         dump_psum_store, gather_dense_rows, merge_join,
-                         merge_output_blocks, sdmm_compute, validate_psum_store)
+from iohp.engine import (OutputBlock, address_map, compute_psums,
+                         dump_psum_store, fill_grid, gather_dense_rows,
+                         merge_join, merge_output_blocks, sdmm_compute,
+                         validate_psum_store)
 from iohp.errors import MalformedBlockError, PsumOverflowError
 from iohp.matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc, to_csr
 from iohp.planner import HardwareConfig, PartitionPlan
@@ -231,22 +231,13 @@ def test_sdmm_strip_equals_bank_loop(case, values):
 @pytest.mark.parametrize("values", ["int", "float"])
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("limits", [(4, 2), (10 ** 9, None)])
-def test_address_map_equals_row_loop(case, values, limits, monkeypatch):
+def test_address_map_equals_row_loop(case, values, limits):
     rng = np.random.default_rng(29)
     m, k, n = case[:3]
     ta = with_negative_zero(random_triplets(m, k, 0.4, rng, values))
     tb = with_negative_zero(random_triplets(k, n, 0.4, rng, values))
     geom, a, b = geometry(case), to_csc(ta), to_csr(tb)
-    flushes = []
-
-    def checked(ps):  # spill flushes call address_map through the module
-        got = new_map(ps)
-        assert_same_block(got, address_map_reference(ps))
-        flushes.append(got)
-        return got
-
-    new_map = engine.address_map
-    monkeypatch.setattr(engine, "address_map", checked)
+    spilled = 0
     capacity, s = limits
     cfg = HardwareConfig(c_psum=capacity, s=s)
     for bm in range(geom.t_m):
@@ -264,8 +255,9 @@ def test_address_map_equals_row_loop(case, values, limits, monkeypatch):
                                      i % geom.g_nb * geom.n_t)
                              for i, st in enumerate(grid)]
                 assert_same_block(grid.held, merge_reference(per_store))
+                spilled += grid.spilled.nnz
     if capacity == 4 and case[-1] != (1, 1):
-        assert flushes  # the spill path was exercised
+        assert spilled  # the spill path was exercised
 
 
 @pytest.mark.parametrize("strategy", ["RAF", "RBF", "RABE"])
@@ -340,10 +332,18 @@ def test_merge_equals_coordinate_loop():
         assert_same_block(merge_output_blocks(parts), merge_reference(parts))
 
 
+def lone_store(m_t, s, capacity, rows, cols, vals):
+    """One store filled by ``fill_grid`` from a one-PE product stream."""
+    grid, _ = fill_grid(np.zeros(len(rows), dtype=np.int64), rows, cols, vals,
+                        (1, 1, m_t, 1), s, capacity)  # one PE: no offsets
+    return grid.stores[0][0]
+
+
 def test_validate_names_the_bad_directory_entry():
-    st = PsumStore(m_t=3, s=4, capacity=16, policy="fail")
-    st.append_products(np.array([0, 2]), np.array([1.0, 2.0]),
-                       np.array([0, 1]), np.array([3.0, 4.0]))
+    # the outer product of A entries (0, 1.0), (2, 2.0) and B entries
+    # (0, 3.0), (1, 4.0), in (A entry, B entry) order
+    st = lone_store(3, 4, 16, np.array([0, 0, 2, 2]), np.array([0, 1, 0, 1]),
+                    np.multiply.outer([1.0, 2.0], [3.0, 4.0]).ravel())
     validate_psum_store(st)
     st.vc_addr[2, 1] = 9
     with pytest.raises(MalformedBlockError, match="row 2: address out of range"):
@@ -446,7 +446,7 @@ def psum_operands(case, values):
 @pytest.mark.parametrize("policy", ["spill", "fail"])
 @pytest.mark.parametrize("values", ["int", "float"])
 @pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("limits", [(4, 2), (10 ** 9, None)])
+@pytest.mark.parametrize("limits", [(4, 2), (10 ** 9, None), (1, 1)])
 def test_compute_psums_equals_product_loop(case, values, limits, policy):
     geom, a, b = psum_operands(case, values)
     capacity, s = limits
@@ -483,16 +483,18 @@ def test_fail_names_the_first_overflow_in_k_g_h_order():
 
 @pytest.mark.parametrize("limits", [(1, 1), (3, 2), (5, 1), (7, 3), (64, 4)])
 def test_append_equals_product_loop(limits):
-    # arbitrary row order with repeats, over two appends to one store
+    # arbitrary row order with repeats, over two draws: one fill of the draws
+    # so far against one store that took them product by product
     rng = np.random.default_rng(53)
     capacity, s = limits
-    st = PsumStore(m_t=4, s=s, capacity=capacity, policy="spill")
     ref = ReferenceStore(4, s, capacity, "spill")
+    drawn = [np.empty(0, dtype=np.int64)] * 2 + [np.empty(0)]
     for n in (int(rng.integers(0, 40)), int(rng.integers(0, 40))):
         rows = rng.integers(0, 4, n)
         cols = rng.integers(0, 6, n)
         vals = rng.uniform(-1, 1, n)
-        st.append(rows, cols, vals)
+        drawn = [np.concatenate(p) for p in zip(drawn, (rows, cols, vals))]
+        st = lone_store(4, s, capacity, *drawn)
         ref.appended_total += n
         for r, c, v in zip(rows.tolist(), cols.tolist(), vals):
             ref.add(r, c, v)

@@ -61,6 +61,17 @@ class TestLoadMatrixMarket:
         with pytest.raises(MatrixFormatError, match="line 2"):
             mm("%%MatrixMarket matrix coordinate real general\nfoo bar\n")
 
+    @pytest.mark.parametrize("header", [f"{2 ** 63} 1 0", f"1 {2 ** 63} 0",
+                                        f"1 1 {2 ** 63}"])
+    def test_size_header_beyond_int64_names_line(self, header):
+        with pytest.raises(MatrixFormatError,
+                           match="^line 2: size header exceeds int64$"):
+            mm(f"%%MatrixMarket matrix coordinate real general\n{header}\n")
+
+    def test_size_header_at_int64_max_parses(self):
+        t = mm(f"%%MatrixMarket matrix coordinate real general\n{2 ** 63 - 1} 1 0\n")
+        assert (t.n_rows, t.n_cols, t.nnz) == (2 ** 63 - 1, 1, 0)
+
     def test_out_of_bounds_index(self):
         with pytest.raises(BoundsError, match="line 3"):
             mm("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n")

@@ -94,6 +94,18 @@ class TestHardwareConfig:
         with pytest.raises(ValueError, match=r"^segment size s must be >= 1$"):
             HardwareConfig(s=s)
 
+    @pytest.mark.parametrize("field", ["bits_value", "bits_index", "bits_len"])
+    @pytest.mark.parametrize("bits", [0, -8])
+    def test_rejects_bit_width_below_one(self, field, bits):
+        with pytest.raises(ValueError, match=r"^stream bit widths must be >= 1$"):
+            HardwareConfig(**{field: bits})
+
+    @pytest.mark.parametrize("freq", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_freq_not_positive_and_finite(self, freq):
+        with pytest.raises(ValueError,
+                           match=r"^freq_hz must be positive and finite$"):
+            HardwareConfig(freq_hz=freq)
+
     def test_rejects_unknown_overflow_policy(self):
         with pytest.raises(ValueError,
                            match=r"^unknown overflow policy 'drop'$"):
