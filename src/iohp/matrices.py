@@ -2,12 +2,12 @@
 
 Triplets keep int64 ``rows``/``cols`` and float64 ``vals`` arrays; CSC keeps
 (value, row_idx, col_ptr); CSR keeps (value, col_idx, row_ptr).  A Matrix
-Market body is parsed in one numpy pass; a line loop reads it again wherever
-that pass cannot vouch for the result, and only the loop raises, naming the
-faulty line.  ``dense_matmul`` is the brute-force reference product every
-sparse path is verified against.  A stored entry counts as nonzero even when its value is
-exactly 0.0 (duplicates that cancel stay stored, which keeps nnz conservation
-checks exact).
+Market body or a dense CSV file is parsed in one numpy pass; a line loop
+reads it again wherever that pass cannot vouch for the result, and only the
+loop raises, naming the faulty line.  ``dense_matmul`` is the brute-force
+reference product every sparse path is verified against.  A stored entry
+counts as nonzero even when its value is exactly 0.0 (duplicates that cancel
+stay stored, which keeps nnz conservation checks exact).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import BoundsError, CoordinateError, DimensionError, MatrixFormatError
+from .errors import (BoundsError, CoordinateError, DegenerateInputError,
+                     DimensionError, MatrixFormatError)
 
 Entry = tuple[int, int, float]
 
@@ -169,15 +170,27 @@ class DenseMatrix:
 AnySparse = Union[TripletMatrix, CscMatrix, CsrMatrix]
 
 
+def check_density(name: str, density: float) -> None:
+    """Reject a density outside [0, 1]; NaN fails too."""
+    if not 0 <= density <= 1:
+        raise DegenerateInputError(f"density {name}={density} outside [0, 1]")
+
+
 def canonicalize(n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
                  arrays: tuple | None = None) -> TripletMatrix:
     """Sort by (row, col); sum each coordinate's values as a left fold in input
     order (-0.0 + v is v, so a fold starts at its first value).  Takes entries
-    (checked as given) or ``arrays=(rows, cols, vals)`` (checked once sorted)."""
+    (checked as given) or ``arrays=(rows, cols, vals)`` (checked once sorted).
+    Input whose (row, col) keys already rise strictly is taken as it is."""
     if arrays is None:
         t = TripletMatrix(n_rows, n_cols, entries)
         arrays = t.rows, t.cols, t.vals
-    rows, cols, vals, starts = coordinate_runs(*(np.asarray(a) for a in arrays))
+    rows, cols, vals = (np.asarray(a) for a in arrays)
+    row_step, col_step = np.diff(rows), np.diff(cols)
+    if np.all((row_step > 0) | ((row_step == 0) & (col_step > 0))):
+        return TripletMatrix(n_rows, n_cols,
+                             arrays=(rows, cols, vals.astype(np.float64)))
+    rows, cols, vals, starts = coordinate_runs(rows, cols, vals)
     out, run = vals[starts].astype(np.float64), np.arange(len(starts))
     length = np.diff(starts, append=len(vals))
     for j in range(1, int(length.max(initial=1))):  # the runs still open
@@ -397,8 +410,33 @@ def write_dense_csv(m: DenseMatrix, path) -> None:
 
 
 def load_dense_csv(source) -> DenseMatrix:
+    """Comma-separated rows of floats; blank lines are skipped.  The text is
+    read in one numpy pass; the line loop reads it again when that pass
+    declines, and only the loop raises, naming the faulty line."""
+    text = _read_text(source)
+    rows = _bulk_csv(text)
+    return DenseMatrix.from_rows(_csv_rows(text) if rows is None else rows)
+
+
+def _bulk_csv(text: str):
+    """Every row as one float64 array, or None unless numpy reads the text as
+    :func:`_csv_rows` would.  numpy converts a token as ``float()`` does but
+    rejects a few that it takes (``1_0``, non-ASCII digits, whitespace-only
+    lines), and a ragged or empty file; those are left to the loop."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file warns
+            return np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
+                              ndmin=2, dtype=np.float64)
+    except (ValueError, Warning):
+        return None
+
+
+def _csv_rows(text: str) -> list[list[float]]:
+    """Every non-blank line's floats, read one line at a time; every error
+    names its line."""
     rows = []
-    for i, line in enumerate(_read_text(source).split("\n"), start=1):
+    for i, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -410,4 +448,4 @@ def load_dense_csv(source) -> DenseMatrix:
         rows.append(row)
     if not rows:
         raise MatrixFormatError("line 1: empty CSV matrix")
-    return DenseMatrix.from_rows(rows)
+    return rows

@@ -16,11 +16,13 @@ the strip counts ``t_m`` and ``t_n``, and feasibility is monotone in tile size.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DegenerateInputError, InfeasibleError
+from .matrices import check_density
 
 OVERFLOW_FAIL = "fail"
 OVERFLOW_SPILL = "spill"
@@ -131,12 +133,6 @@ class WorkloadSpec:
                    nnz_a=nnz_a, nnz_b=nnz_b, b_dense=b_dense)
 
 
-def check_density(name: str, density: float) -> None:
-    """Reject a density outside [0, 1]; NaN fails too."""
-    if not 0 <= density <= 1:
-        raise DegenerateInputError(f"density {name}={density} outside [0, 1]")
-
-
 def _sparse_bits(nnz: int, ptr_len: int, cfg: HardwareConfig) -> int:
     return nnz * (cfg.bits_value + cfg.bits_index) + ptr_len * cfg.bits_len
 
@@ -190,39 +186,40 @@ def storage_size(rows: int, cols: int, density: float, cfg: HardwareConfig,
 _BUFFER_LABELS = ("buffer A constraint (1) m_t*k_t*d_a < c_a*r_x",
                   "buffer B constraint (2) k_t*n_t*d_b < c_b*r_x",
                   "psum constraint (3) m_t*d_a*n_t*d_b*k_t < c_psum*r_x")
+_CHUNK_CELLS = 1 << 20  # lattice trials costed at once: bounds every array
+_UNOFFERED = 2**63 - 1  # the cost of a strategy whose residency fails
 
 
-def _buffer_loads(plan: PartitionPlan, cfg: HardwareConfig,
-                  wl: WorkloadSpec) -> tuple[tuple[float, float], ...]:
-    """One tile's expected (load, bound) in each ``_BUFFER_LABELS`` buffer."""
-    return ((plan.m_t * plan.k_t * wl.d_a, cfg.c_a * cfg.r_x),
-            (plan.k_t * plan.n_t * wl.d_b, cfg.c_b * cfg.r_x),
-            (plan.m_t * wl.d_a * plan.n_t * wl.d_b * plan.k_t,
-             cfg.c_psum * cfg.r_x))
+def _buffer_loads(m_t, k_t, n_t, cfg: HardwareConfig, wl: WorkloadSpec):
+    """One tile's expected (load, bound) in each ``_BUFFER_LABELS`` buffer, for
+    ints or int64 arrays (exact integer products, then float: the same loads)."""
+    return ((m_t * k_t * wl.d_a, cfg.c_a * cfg.r_x),
+            (k_t * n_t * wl.d_b, cfg.c_b * cfg.r_x),
+            (m_t * wl.d_a * n_t * wl.d_b * k_t, cfg.c_psum * cfg.r_x))
 
 
 def feasible(plan: PartitionPlan, cfg: HardwareConfig, wl: WorkloadSpec) -> bool:
     """Strict buffer-capacity constraints on one tile's expected contents."""
     if min(plan.m_t, plan.k_t, plan.n_t) <= 0:
         return False
-    (a, a_max), (b, b_max), (p, p_max) = _buffer_loads(plan, cfg, wl)
-    return a < a_max and b < b_max and p < p_max
+    return all(load < bound for load, bound in
+               _buffer_loads(plan.m_t, plan.k_t, plan.n_t, cfg, wl))
+
+
+def _strategies(m_t, n_t, t_m, t_n, cfg: HardwareConfig, wl: WorkloadSpec):
+    """(name, residency condition, cost) of RAF, RBF, RABE, for ints or arrays."""
+    return ((STRATEGY_RAF, m_t * wl.k * wl.d_a < cfg.c_a * cfg.r_x,
+             wl.m_b * t_m + wl.m_a),
+            (STRATEGY_RBF, n_t * wl.k * wl.d_b < cfg.c_b * cfg.r_x,
+             wl.m_a * t_n + wl.m_b),
+            (STRATEGY_RABE, True, wl.m_a * t_n + wl.m_b * t_m))
 
 
 def dram_access(plan: PartitionPlan, cfg: HardwareConfig,
                 wl: WorkloadSpec) -> list[tuple[str, int]]:
-    """Costs of the strategies whose extra residency condition holds.
-
-    RAF needs a whole A row strip in buffer A; RBF a whole B column strip in
-    buffer B; RABE is unconditional.
-    """
-    out = []
-    if plan.m_t * wl.k * wl.d_a < cfg.c_a * cfg.r_x:
-        out.append((STRATEGY_RAF, wl.m_b * plan.t_m + wl.m_a))
-    if plan.n_t * wl.k * wl.d_b < cfg.c_b * cfg.r_x:
-        out.append((STRATEGY_RBF, wl.m_a * plan.t_n + wl.m_b))
-    out.append((STRATEGY_RABE, wl.m_a * plan.t_n + wl.m_b * plan.t_m))
-    return out
+    """Costs of the strategies whose residency condition holds."""
+    return [(name, cost) for name, resident, cost in _strategies(
+        plan.m_t, plan.n_t, plan.t_m, plan.t_n, cfg, wl) if resident]
 
 
 def _tile_candidates(dim: int, group: int) -> list[tuple[int, int]]:
@@ -241,41 +238,56 @@ def _tile_candidates(dim: int, group: int) -> list[tuple[int, int]]:
 
 
 def plan_partition(cfg: HardwareConfig, wl: WorkloadSpec) -> PartitionPlan:
-    """Search the (m_t, n_t) lattice for minimal DRAM access.
+    """Search the (m_t, k_t, n_t) lattice for minimal DRAM access.
 
     Ties break toward fewer blocks, then RAF > RBF > RABE, then larger k_t
-    (then m_t, n_t).  No cost reads k_t, so each pair is costed once, at its
-    largest feasible k_t, found by bisection (a larger k_t never fits better).
-    """
+    (then m_t, n_t).  No cost reads k_t, so each (m_t, n_t) pair is costed at
+    its largest feasible k_t only.  The lattice is broadcast in blocks of at
+    most ``_CHUNK_CELLS`` trials (or one pair's k candidates)."""
     if min(wl.m, wl.k, wl.n) <= 0:
         raise DegenerateInputError("workload dimensions must be positive")
-    k_tiles = _tile_candidates(wl.k, 1)  # largest first: feasible() flips once
-    n_tiles = _tile_candidates(wl.n, cfg.g_nb)
-    costed = []
-    for m_tile in _tile_candidates(wl.m, cfg.g_na):
-        for n_tile in n_tiles:
-            at = bisect.bisect_left(k_tiles, True, key=lambda k_tile: feasible(
-                _trial(m_tile, k_tile, n_tile), cfg, wl))
-            if at < len(k_tiles):
-                trial = _trial(m_tile, k_tiles[at], n_tile)
-                costed += [replace(trial, strategy=strategy, predicted_dram=cost)
-                           for strategy, cost in dram_access(trial, cfg, wl)]
-    if not costed:
+    t_m, t_n = -(-wl.m // cfg.g_na), -(-wl.n // cfg.g_nb)  # the largest counts
+    top = max(wl.m_a * t_n + wl.m_b * t_m, t_m * wl.k * t_n)  # cost, t_m*t_k*t_n
+    if top >= _UNOFFERED:
+        raise DegenerateInputError(f"plan of (m, k, n)={(wl.m, wl.k, wl.n)} needs "
+                                   f"costs or block counts up to {top}, past int64")
+    m_tiles, k_tiles, n_tiles = (np.array(_tile_candidates(*arg)).T for arg in (
+        (wl.m, cfg.g_na), (wl.k, 1), (wl.n, cfg.g_nb)))  # (dims, counts) rows
+    n_step = min(n_tiles.shape[1], max(1, _CHUNK_CELLS // k_tiles.shape[1]))
+    m_step = max(1, _CHUNK_CELLS // (n_step * k_tiles.shape[1]))
+    best = [key for m in range(0, m_tiles.shape[1], m_step)
+            for n in range(0, n_tiles.shape[1], n_step) if (key := _cheapest(
+                m_tiles[:, m:m + m_step], k_tiles, n_tiles[:, n:n + n_step], cfg, wl))]
+    if not best:
         raise InfeasibleError(_name_violation(cfg, wl))
-    return min(costed, key=lambda p: (
-        p.predicted_dram, p.t_m * p.t_k * p.t_n, _STRATEGY_RANK[p.strategy],
-        -p.k_t, -p.m_t, -p.n_t))
+    cost, _, rank, k_t, m_t, n_t, t_m, t_k, t_n = min(best)
+    return PartitionPlan(t_m, t_k, t_n, -m_t, -k_t, -n_t,
+                         tuple(_STRATEGY_RANK)[rank], cost)
 
 
-def _trial(m_tile, k_tile, n_tile) -> PartitionPlan:
-    """An uncosted plan from three ``(tile_dim, tile_count)`` candidates."""
-    (m_t, t_m), (k_t, t_k), (n_t, t_n) = m_tile, k_tile, n_tile
-    return PartitionPlan(t_m, t_k, t_n, m_t, k_t, n_t, STRATEGY_RABE, 0)
+def _cheapest(m_c, k_c, n_c, cfg: HardwareConfig, wl: WorkloadSpec):
+    """Tie key, then (t_m, t_k, t_n), of the best trial over (tile dims, tile
+    counts) candidate rows, each (m_t, n_t) at its largest feasible k_t, or None."""
+    (a, a_max), (b, b_max), (p, p_max) = _buffer_loads(
+        m_c[0, :, None, None], k_c[0], n_c[0, :, None], cfg, wl)
+    fits = (a < a_max) & (b < b_max) & (p < p_max)  # over (m_t, n_t, k_t)
+    m_i, n_i = np.nonzero(fits.any(axis=2))
+    if not len(m_i):
+        return None
+    k_i = fits.argmax(axis=2)[m_i, n_i]  # k candidates run largest first
+    (m_t, t_m), (k_t, t_k), (n_t, t_n) = m_c[:, m_i], k_c[:, k_i], n_c[:, n_i]
+    _, resident, costs = zip(*_strategies(m_t, n_t, t_m, t_n, cfg, wl))
+    cost = np.where(np.broadcast_arrays(*resident), costs, _UNOFFERED)
+    rank, i = np.nonzero(cost == cost.min())  # the tie key's first column
+    keys = (cost[rank, i], (t_m * t_k * t_n)[i], rank, -k_t[i], -m_t[i], -n_t[i],
+            t_m[i], t_k[i], t_n[i])
+    win = np.lexsort(keys[5::-1])[0]
+    return tuple(int(key[win]) for key in keys)
 
 
 def _name_violation(cfg: HardwareConfig, wl: WorkloadSpec) -> str:
     """Name the buffer constraint that unit tiles break: A, else B, else psum."""
-    loads = _buffer_loads(_trial((1, 1), (1, 1), (1, 1)), cfg, wl)
+    loads = _buffer_loads(1, 1, 1, cfg, wl)
     i = next((i for i, (load, bound) in enumerate(loads[:2]) if not load < bound), 2)
     return (f"infeasible even at unit tiles: {_BUFFER_LABELS[i]} fails "
             f"({loads[i][0]} >= {loads[i][1]})")

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import DenseMatrix, TripletMatrix
+from .matrices import DenseMatrix, TripletMatrix, check_density
 
 
 def random_triplets(n_rows: int, n_cols: int, density: float,
                     rng: np.random.Generator,
                     values: str = "float") -> TripletMatrix:
     """Uniform-random coordinates at the target density, sorted; ``values``
-    is ``float`` (uniform in [-1, 1)) or ``int`` (1..9, exact in float64)."""
+    is ``float`` (uniform in [-1, 1)) or ``int`` (1..9, exact in float64).
+    A density outside [0, 1] raises DegenerateInputError."""
+    check_density("density", density)
     cells = n_rows * n_cols
-    nnz = min(cells, max(0, round(density * cells)))
+    nnz = round(density * cells)
     flat = rng.choice(cells, size=nnz, replace=False)
     if values == "int":
         vals = rng.integers(1, 10, size=nnz).astype(np.float64)

@@ -145,6 +145,14 @@ class TestPlanCommand:
         assert capsys.readouterr().err == (
             f"error: plan: density {bad} outside [0, 1]\n")
 
+    def test_costs_past_int64_fail_at_plan(self, capsys):
+        rc = main(["plan", "--m", str(2 ** 62), "--k", "100", "--n", "100",
+                   "--da", "0.01", "--db", "0.01"])
+        assert rc != 0
+        assert capsys.readouterr().err == (
+            f"error: plan: plan of (m, k, n)=({2 ** 62}, 100, 100) needs costs "
+            "or block counts up to 12211744576795723190592, past int64\n")
+
 
 class TestGcnCommand:
     def test_identity_adjacency(self, tmp_path):

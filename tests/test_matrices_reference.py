@@ -5,11 +5,12 @@ Market parser, ``to_triplets``, ``to_dense``, ``write_matrix_market``,
 ``to_csc``/``to_csr`` and ``random_triplets``, kept verbatim in logic.  Every
 comparison is bit for bit: coordinates and their Python types, value bits
 (so ``-0.0`` differs from ``0.0``), array dtypes, file bytes and error
-messages.  The Matrix Market body's bulk numpy pass is also checked against
-the line loop it stands in for.
+messages.  The bulk numpy passes over a Matrix Market body and a dense CSV
+file are also checked against the line loops they stand in for.
 """
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 from unittest import mock
@@ -21,10 +22,12 @@ from hypothesis import strategies as st
 
 from iohp import matrices
 from iohp.costmodel import Workload
-from iohp.errors import BoundsError, CoordinateError, MatrixFormatError
+from iohp.errors import (BoundsError, CoordinateError, DegenerateInputError,
+                         MatrixFormatError)
 from iohp.matrices import (CscMatrix, CsrMatrix, TripletMatrix,
-                           canonicalize, load_matrix_market, to_csc, to_csr,
-                           to_dense, to_triplets, write_matrix_market)
+                           canonicalize, load_dense_csv, load_matrix_market,
+                           to_csc, to_csr, to_dense, to_triplets,
+                           write_matrix_market)
 from iohp.planner import HardwareConfig, plan_partition
 from iohp.synthetic import random_triplets
 
@@ -277,6 +280,31 @@ class TestCanonicalize:
         n, raw = case
         raw = [(0, 0, v) for _, _, v in raw]
         assert_same(canonicalize(n, n, raw), ref_canonicalize(n, n, raw))
+
+    def test_canonical_input_skips_the_sort(self):
+        # strictly rising (row, col) keys come back as given, -0.0 included
+        rows, cols = np.array([0, 0, 1, 2]), np.array([1, 3, 0, 2])
+        vals = np.array([-0.0, 2.5, 1e16, 7.0])
+        raw = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+        with mock.patch.object(matrices, "coordinate_runs",
+                               side_effect=AssertionError("sorted")):
+            from_entries = canonicalize(3, 4, raw)
+            from_arrays = canonicalize(3, 4, arrays=(rows, cols, vals))
+        assert_same(from_entries, ref_canonicalize(3, 4, raw))
+        assert_same(from_arrays, ref_canonicalize(3, 4, raw))
+        vals[0] = 9.0  # the result does not share the caller's values
+        assert np.signbit(from_arrays.vals[0])
+
+    def test_sorted_with_a_duplicate_still_folds(self):
+        raw = [(0, 0, 1.0), (0, 1, 1e16), (0, 1, 1.0), (0, 1, -1e16),
+               (1, 0, -0.0), (1, 0, -0.0)]
+        with mock.patch.object(matrices, "coordinate_runs",
+                               wraps=matrices.coordinate_runs) as runs:
+            got = canonicalize(2, 2, raw)
+        assert runs.call_count == 1
+        assert_same(got, ref_canonicalize(2, 2, raw))
+        assert got.entries == [(0, 0, 1.0), (0, 1, 0.0), (1, 0, -0.0)]
+        assert np.signbit(got.vals).tolist() == [False, False, True]
 
     def test_seeded_large(self):
         rng = np.random.default_rng(5)
@@ -601,6 +629,68 @@ class TestBulkBodyParse:
         assert shipped[0].entries == [(0, 1, 0.0), (1, 0, 0.0)]
 
 
+# --- dense CSV --------------------------------------------------------------
+
+csv_tokens = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda v: f"{v:.17e}"),
+    st.floats(allow_nan=False).map(lambda v: f"{v:.3E}"),
+    st.floats(allow_nan=False).map(lambda v: f" {v:.25g}\t"),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["-0.0", "0", "-0", "inf", "-inf", "Infinity", "+nan",
+                     "1e308", "1e309", "4.9e-324", "2.4703282292062328e-324",
+                     "1.7976931348623158e308", ".5", "5.", "1E-5"]))
+
+
+@st.composite
+def csv_texts(draw):
+    n_cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(csv_tokens, min_size=n_cols, max_size=n_cols),
+                         min_size=1, max_size=6))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    blank = draw(st.sampled_from(["", end]))  # a blank line between rows
+    return (end + blank).join(",".join(row) for row in rows) + end
+
+
+def csv_outcome(call):
+    try:
+        return np.asarray(call()).view(np.int64).tolist(), None
+    except MatrixFormatError as e:
+        return None, str(e)
+
+
+class TestBulkCsvParse:
+    """The bulk CSV pass reads every token as ``float()`` does, or leaves the
+    file to the line loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_bulk_equals_loop_bit_for_bit(self, text):
+        bulk = matrices._bulk_csv(text)
+        assert bulk is not None
+        assert bulk.view(np.int64).tolist() == \
+            np.asarray(matrices._csv_rows(text)).view(np.int64).tolist()
+        assert load_dense_csv(io.StringIO(text)).data.tobytes() == bulk.tobytes()
+
+    @pytest.mark.parametrize("text, error", [
+        ("1_0,2\n", None),  # Python's float reads 1_0
+        ("\u0661,2\n", None),  # so does it a non-ASCII digit
+        ("1,2\n   \n3,4\n", None),  # a whitespace-only line is blank
+        ("1,2\n3\n", "line 2: ragged CSV row"),
+        ("1,,2\n", "line 1: bad CSV number"),
+        ("1,2,\n", "line 1: bad CSV number"),
+        ("1\r2\n", "line 1: bad CSV number"),
+        ("# a comment\n1\n", "line 1: bad CSV number"),
+        ("\n \n", "line 1: empty CSV matrix"),
+        ("", "line 1: empty CSV matrix"),
+    ])
+    def test_numpy_declines_loop_decides(self, text, error):
+        assert matrices._bulk_csv(text) is None
+        loop = csv_outcome(lambda: matrices._csv_rows(text))
+        shipped = csv_outcome(lambda: load_dense_csv(io.StringIO(text)).data)
+        assert shipped == loop and loop[1] == error
+
+
 # --- conversions and writing ------------------------------------------------
 
 def _random_canonical(rng, m, n):
@@ -662,14 +752,22 @@ class TestConversions:
 class TestRandomTriplets:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("shape,density", [((1, 1), 1.0), ((13, 7), 0.3),
-                                               ((40, 90), 0.05), ((5, 5), 0.0),
-                                               ((3, 4), 2.0)])
+                                               ((40, 90), 0.05), ((5, 5), 0.0)])
     @pytest.mark.parametrize("kind", ["float", "int"])
     def test_matches_reference_and_rng_state(self, seed, shape, density, kind):
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         got = random_triplets(*shape, density, rng_got, kind)
         assert_same(got, ref_random_triplets(*shape, density, rng_want, kind))
         assert rng_got.random() == rng_want.random()
+
+    @pytest.mark.parametrize("density", [2.0, 1.0000001, -1.0, -0.0001, math.nan])
+    def test_density_outside_unit_interval_rejected(self, density):
+        # the reference clamps 2.0 to every cell; the draw rejects it instead
+        rng = np.random.default_rng(0)
+        with pytest.raises(DegenerateInputError,
+                           match=rf"^density density={density} outside \[0, 1\]$"):
+            random_triplets(3, 4, density, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
 
 # --- scale ------------------------------------------------------------------

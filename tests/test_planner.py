@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from iohp.errors import InfeasibleError
+from iohp import planner
+from iohp.errors import DegenerateInputError, InfeasibleError
 from iohp.planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
                           _name_violation, _tile_candidates, dram_access,
                           feasible, plan_partition, storage_size)
@@ -148,6 +150,16 @@ class TestFeasible:
         assert plan.m_t * plan.k_t * wl.d_a == cfg.c_a * cfg.r_x  # exactly equal
         assert not feasible(plan, cfg, wl)
 
+    def test_psum_load_is_formed_left_to_right(self):
+        # 9*0.1*10*0.3*10 rounds to 26.999999999999996, 9*10*10*0.1*0.3 to
+        # 27.0: the load's operation order decides the strict bound
+        cfg = HardwareConfig(c_a=1000, c_b=1000, c_psum=27, g_na=1, g_nb=1,
+                             r_x=1.0)
+        wl = WorkloadSpec.from_dims(9, 10, 10, 0.1, 0.3, cfg)
+        assert feasible(PartitionPlan(1, 1, 1, 9, 10, 10, "RABE", 0), cfg, wl)
+        plan = plan_partition(cfg, wl)
+        assert (plan.t_m, plan.t_k, plan.t_n, plan.strategy) == (1, 1, 1, "RAF")
+
     def test_unit_tile_feasible(self):
         cfg = small_cfg()
         wl = WorkloadSpec.from_dims(10, 10, 10, 0.9, 0.9, cfg)
@@ -176,6 +188,13 @@ class TestDramAccess:
         assert costs["RBF"] == 100 * 2 + 200 == 400
         assert costs["RABE"] == 100 * 2 + 200 * 3 == 800
         assert min(costs, key=costs.get) == "RBF"
+
+    def test_residency_is_strict(self):
+        # a strip of m_t*K*d_a = 2*8*0.25 = 4.0 == c_a*r_x does not stay resident
+        cfg = HardwareConfig(c_a=8, c_b=8, c_psum=1000, r_x=0.5)
+        wl = WorkloadSpec.from_dims(8, 8, 8, 0.25, 0.25, cfg)
+        plan = PartitionPlan(2, 4, 2, 2, 2, 2, "RABE", 0)
+        assert [s for s, _ in dram_access(plan, cfg, wl)] == ["RABE"]
 
     def test_condition_a_gates_raf(self):
         cfg = HardwareConfig(c_a=4, c_b=1000, c_psum=1000, r_x=0.5)
@@ -330,6 +349,39 @@ class TestPlanMatchesReference:
         assert_plans_agree(cfg, WorkloadSpec.from_dims(2000, 2000, 2000, 0.002,
                                                        0.002, cfg))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ssmm_sdmm_sweep(self, seed):
+        # 8 x 250 specs, two in five of them SDMM (dense B, doubled psum store)
+        rng = np.random.default_rng(1000 + seed)
+        for i in range(250):
+            caps = [int(rng.integers(1, 9)) if rng.random() < 0.3
+                    else int(rng.integers(9, 8193)) for _ in range(3)]
+            cfg = HardwareConfig(c_a=caps[0], c_b=caps[1], c_psum=caps[2],
+                                 g_na=int(rng.integers(1, 65)),
+                                 g_nb=int(rng.integers(1, 65)),
+                                 r_x=float(rng.choice([0.5, 0.75, 1.0,
+                                                       rng.uniform(0.01, 1)])))
+            b_dense = i % 5 < 2
+            if b_dense:
+                cfg = cfg.sdmm_variant()
+            dims = (int(d) for d in np.exp(rng.uniform(0, np.log(800), 3)))
+            d_a, d_b = (float(rng.choice([0.0, 1.0, 10 ** rng.uniform(-5, 0),
+                                          rng.uniform(0, 1)])) for _ in range(2))
+            assert_plans_agree(cfg, WorkloadSpec.from_dims(*dims, d_a, d_b, cfg,
+                                                           b_dense=b_dense))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_batch_like_specs(self, seed):
+        # concrete products as the small-batch workload draws them: dims
+        # 1-256, densities 0.1-10 % log-uniform, the default machine
+        cfg = HardwareConfig()
+        rng = np.random.default_rng(2000 + seed)
+        for _ in range(250):
+            m, k, n = (int(d) for d in rng.integers(1, 257, 3))
+            d_a, d_b = 10.0 ** rng.uniform(-3, -1, 2)
+            assert_plans_agree(cfg, WorkloadSpec.from_counts(
+                m, k, n, round(m * k * d_a), round(k * n * d_b), cfg))
+
     # the four dense-B products of the Cora-sized two-layer GCN chain
     @pytest.mark.parametrize("m, k, n, d_a", [(2708, 1433, 16, 0.0127),
                                               (2708, 2708, 16, 0.0014),
@@ -339,6 +391,59 @@ class TestPlanMatchesReference:
         cfg = HardwareConfig().sdmm_variant()
         assert_plans_agree(cfg, WorkloadSpec.from_dims(m, k, n, d_a, 1.0, cfg,
                                                        b_dense=True))
+
+
+class TestLatticeBlocks:
+    """The lattice is costed in blocks of at most ``_CHUNK_CELLS`` trials."""
+
+    @pytest.mark.parametrize("cells", [1, 7, 300])
+    def test_any_block_size_plans_alike(self, cells, monkeypatch):
+        # one cell per block costs each (m_t, n_t) pair on its own
+        monkeypatch.setattr(planner, "_CHUNK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for i in range(40):
+            cfg = HardwareConfig(c_a=int(rng.integers(4, 2049)),
+                                 c_b=int(rng.integers(4, 2049)),
+                                 c_psum=int(rng.integers(2, 257)),
+                                 g_na=int(rng.integers(1, 9)),
+                                 g_nb=int(rng.integers(1, 9)))
+            wl = WorkloadSpec.from_dims(*(int(d) for d in rng.integers(1, 300, 3)),
+                                        float(rng.uniform(0, 0.3)),
+                                        float(rng.uniform(0, 0.3)), cfg,
+                                        b_dense=i % 3 == 0)
+            assert_plans_agree(cfg.sdmm_variant() if i % 3 == 0 else cfg, wl)
+
+    def test_huge_m_plans_in_bounded_time(self, monkeypatch):
+        # about 70 000 m candidates: the lattice spans several blocks
+        cfg = HardwareConfig()
+        wl = WorkloadSpec.from_dims(10**10, 100, 100, 0.01, 0.01, cfg)
+        start = time.perf_counter()
+        plan = plan_partition(cfg, wl)
+        assert time.perf_counter() - start < 2.0
+        monkeypatch.setattr(planner, "_CHUNK_CELLS", 4096)
+        assert plan_partition(cfg, wl) == plan
+
+    def test_costs_past_int64_raise_before_the_search(self):
+        # m = 2**62 has about 10**9 m candidates: only the bound stops it
+        cfg = HardwareConfig()
+        wl = WorkloadSpec.from_dims(2**62, 100, 100, 0.01, 0.01, cfg)
+        with pytest.raises(DegenerateInputError,
+                           match=r"\(m, k, n\)=\(4611686018427387904, 100, 100\)"
+                           r" needs .* past int64$"):
+            plan_partition(cfg, wl)
+
+    @pytest.mark.parametrize("m_b, fits", [(2**62 - 2, True), (2**62 - 1, False)])
+    def test_int64_bound_is_exact(self, m_b, fits):
+        # one tile: every cost is m_a + m_b; 2**63 - 1 marks an unoffered strategy
+        cfg = HardwareConfig()
+        wl = dataclasses.replace(WorkloadSpec.from_dims(4, 4, 4, 0.1, 0.1, cfg),
+                                 m_a=2**62, m_b=m_b)
+        if fits:
+            assert plan_partition(cfg, wl).predicted_dram == 2**63 - 2
+            assert_plans_agree(cfg, wl)
+        else:
+            with pytest.raises(DegenerateInputError, match="past int64"):
+                plan_partition(cfg, wl)
 
 
 class TestPlanSerialization:
