@@ -160,10 +160,8 @@ def sdmm_compute_cycles(a_blk: RpCscBlock, span: int, n_t: int) -> int:
 
 def addrmap_cycles(grid: PsumGrid) -> int:
     """Concurrent per-PE sort/accumulate: 2 cycles per psum + 1 per row."""
-    row_len = np.array([st.row_len for st in grid], dtype=np.int64)
-    if not row_len.size:
-        return 0
-    return int((2 * row_len.sum(axis=1) + np.count_nonzero(row_len, axis=1)).max())
+    lens = grid.row_len
+    return int((2 * lens.sum(axis=1) + np.count_nonzero(lens, axis=1)).max())
 
 
 @dataclass(frozen=True)
@@ -288,8 +286,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
             addr = addrmap_cycles(grid)
             pass_spills = grid.spill_events
             macs += grid.appended_products
-            peak = max((st.peak_id for st in grid), default=0)
-            util_psum.append(min(1.0, peak / psum_cap))
+            util_psum.append(min(1.0, int(grid.peak.max()) / psum_cap))
             bits_spill += grid.spilled.nnz * (cfg.bits_value + REDUCED_BITS_INDEX)
             r_lo, c_lo = geom.block_rows(m)[0], geom.block_cols(n)[0]
             outputs += [grid.spilled.shifted(r_lo, c_lo),

@@ -21,15 +21,20 @@ store's ``c_psum`` entries full; both are ``HardwareConfig`` fields) either
 aborts (policy ``fail``) or flushes the whole store through address mapping,
 emitting a partial output block (policy ``spill``).  One grid-wide fill cuts
 a pass's PE-major product stream into fills (one store's products between
-two flushes) in one round per overflow of the busiest store; the stores are
-records of that fill.  A pass maps its held psums and its flushes with one
-sort each, into one block each in block-pair coordinates.
+two flushes) in one round per overflow of the busiest store.  The grid keeps
+that fill as per-PE arrays (row lengths, peaks, products, flushes), which is
+all the cost model reads; the per-store ``PsumStore`` records are built from
+them only when something inspects a store.  A pass maps its held psums and
+its flushes with one sort each, into one block each in block-pair
+coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -92,27 +97,50 @@ class PsumStore:
 
 @dataclass
 class PsumGrid:
-    """One PsumStore per PE of a block pair's grid.  In block-pair coordinates
-    (``g * m_t`` + row, ``h * n_t`` + column), ``held`` maps the psums the
-    stores hold and ``spilled`` lists every flush, PE-major, flush by flush."""
+    """A pass's psum state, as arrays over its PEs (PE ``g * g_nb + h``).
+    ``held`` maps the held psums and ``spilled`` lists every flush, PE-major,
+    flush by flush; ``stores[g][h]`` records are built on first use."""
 
-    stores: list[list[PsumStore]]
-    g_na: int
-    g_nb: int
-    held: OutputBlock = field(default_factory=OutputBlock.empty)
-    spilled: OutputBlock = field(default_factory=OutputBlock.empty)
+    shape: tuple  # (g_na, g_nb, m_t, n_t)
+    s: int
+    capacity: int
+    row_len: np.ndarray  # (n_pe, m_t): each store row's held psums
+    peak: np.ndarray  # per PE: its longest fill
+    appended: np.ndarray  # per PE: every product
+    spills: np.ndarray  # per PE: its flushes
+    held: OutputBlock  # mapped, at (g * m_t + row, h * n_t + column)
+    spilled: OutputBlock  # every flush, mapped, at the same coordinates
+    stored: tuple  # held psums' (pe, row, slot, column, value), address order
+    flushed: tuple  # ``spilled`` as (row, column, value) in store coordinates
+    flush_at: np.ndarray  # each flush's start in ``spilled``/``flushed``
+
+    @cached_property
+    def stores(self) -> list[list[PsumStore]]:
+        g_na, g_nb, m_t, _ = self.shape
+        pe, rows, slot, cols, vals = self.stored
+        first = np.searchsorted(pe, np.arange(g_na * g_nb))
+        vc_addr = np.zeros((*self.row_len.shape, self.row_len.max()), np.int64)
+        vc_addr[pe, rows, slot] = np.arange(len(pe)) - first[pe]
+        blocks = map(OutputBlock, *(np.split(a, self.flush_at)[1:]
+                                    for a in self.flushed))
+        records = [PsumStore(m_t, self.s, self.capacity, v, c, addr, lens,
+                             len(v), p, t, n, [next(blocks) for _ in range(n)])
+                   for v, c, addr, lens, p, t, n in zip(
+                       np.split(vals, first[1:]), np.split(cols, first[1:]),
+                       vc_addr, self.row_len.copy(), *(a.tolist() for a in (
+                           self.peak, self.appended, self.spills)))]
+        return [records[g * g_nb:(g + 1) * g_nb] for g in range(g_na)]
 
     def __iter__(self):
-        for row in self.stores:
-            yield from row
+        return (st for row in self.stores for st in row)
 
     @property
     def appended_products(self) -> int:
-        return sum(st.appended_total for st in self)
+        return int(self.appended.sum())
 
     @property
     def spill_events(self) -> int:
-        return sum(st.spill_events for st in self)
+        return int(self.spills.sum())
 
 
 @dataclass
@@ -221,28 +249,18 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
     flushes = _accumulate(fill[~held] * m_t + rows[~held], cols[~held],
                           vals[~held])
     f, f_rows = np.divmod(flushes.row, m_t)
-    edges = np.searchsorted(f, np.flatnonzero(~last))  # each flush's start
-    blocks = [OutputBlock(*part) for part in zip(
-        *(np.split(a, edges)[1:] for a in (f_rows, flushes.col, flushes.value)))]
-    by_pe = np.searchsorted(fill_pe[~last], np.arange(n_pe + 1)).tolist()
-    row_len = np.bincount(h_pe * m_t + h_rows,
-                          minlength=n_pe * m_t).reshape(n_pe, m_t)
-    vc_addr = np.zeros((n_pe, m_t, row_len.max()), dtype=np.int64)  # slots used
-    vc_addr[h_pe, h_rows, slot[held]] = np.flatnonzero(held) - starts[fill[held]]
     peak = np.zeros(n_pe, dtype=np.int64)
     np.maximum.at(peak, fill_pe, lengths)
-    cut = np.searchsorted(h_pe, np.arange(1, n_pe))
-    stores = [PsumStore(m_t, s, capacity, v, c, vc_addr[i], row_len[i],
-                        len(v), p, t, by_pe[i + 1] - by_pe[i],
-                        blocks[by_pe[i]:by_pe[i + 1]])
-              for i, (v, c, p, t) in enumerate(zip(
-                  np.split(vals[held], cut), np.split(cols[held], cut),
-                  peak.tolist(), np.diff(bounds).tolist()))]
     return PsumGrid(
-        [stores[g * g_nb:(g + 1) * g_nb] for g in range(g_na)], g_na, g_nb,
+        shape, s, capacity, np.bincount(h_pe * m_t + h_rows,
+                                        minlength=n_pe * m_t).reshape(n_pe, m_t),
+        peak, np.diff(bounds), np.bincount(fill_pe[~last], minlength=n_pe),
         _accumulate(*_at_pe(h_pe, h_rows, cols[held], shape), vals[held]),
         OutputBlock(*_at_pe(fill_pe[f], f_rows, flushes.col, shape),
-                    flushes.value)), starts
+                    flushes.value),
+        (h_pe, h_rows, slot[held], cols[held], vals[held]),
+        (f_rows, flushes.col, flushes.value),
+        np.searchsorted(f, np.flatnonzero(~last))), starts
 
 
 def _at_pe(pe, rows, cols, shape: tuple):
@@ -271,6 +289,11 @@ def validate_psum_store(ps: PsumStore) -> None:
         raise MalformedBlockError("row_len sum != id_psum")
     if np.any(ps.row_len < 0) or np.any(ps.row_len > ps.s):
         raise MalformedBlockError(f"row_len outside 0..{ps.s}")
+    wide = np.flatnonzero(ps.row_len > ps.vc_addr.shape[1])
+    if len(wide):
+        raise MalformedBlockError(
+            f"row {int(wide[0])}: row_len {int(ps.row_len[wide[0]])} exceeds "
+            f"the directory's {ps.vc_addr.shape[1]} slots")
     rows, addrs = _directory(ps)
     bad = (addrs < 0) | (addrs >= ps.id_psum)
     if bad.any():
@@ -313,8 +336,26 @@ def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
     ends = np.append(starts[1:], len(rows))
     out_vals = vals[starts].astype(np.float64)
     for i in np.flatnonzero(ends - starts > 1).tolist():
-        out_vals[i] = math.fsum(vals[starts[i]:ends[i]])
+        out_vals[i] = _exact_sum(vals[starts[i]:ends[i]])
     return OutputBlock(rows[starts], cols[starts], out_vals)
+
+
+def _exact_sum(vals: np.ndarray) -> float:
+    """A run's sum as ``math.fsum`` gives it; where fsum raises, the IEEE
+    rounding of the exact sum: nan where a nan is present or +inf meets -inf,
+    the infinity where one is present, else the exact rational sum rounded
+    to the nearest double (+-inf only past the double range)."""
+    try:
+        return math.fsum(vals)
+    except (OverflowError, ValueError):
+        special = vals[~np.isfinite(vals)].tolist()
+        if special:
+            return sum(special)
+        exact = sum(map(Fraction, vals.tolist()))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
 
 def assemble_output(merged: OutputBlock, geom: TilingGeometry) -> CscMatrix:

@@ -33,3 +33,14 @@ def test_sim_report_is_spmm_report_but_for_command(tmp_path, fmt):
     assert "command=sim" in reports["sim"]
     assert reports["sim"].replace("command=sim", "command=spmm") == \
         reports["spmm"]
+
+
+def test_spmm_sum_past_the_double_range_writes_inf(tmp_path):
+    # the second k product spills (s = n_t = 1) and the merge meets
+    # 1e308 + 1e308: the result is the dense product's inf, not an error
+    a, b, out = tmp_path / "a.mtx", tmp_path / "b.mtx", tmp_path / "c.mtx"
+    write_matrix_market(TripletMatrix(1, 2, [(0, 0, 1e200), (0, 1, 1e200)]), a)
+    write_matrix_market(TripletMatrix(2, 1, [(0, 0, 1e108), (1, 0, 1e108)]), b)
+    assert main(["spmm", "--a", str(a), "--b", str(b), "--mode", "ssmm",
+                 "--out", str(out), "--report", str(tmp_path / "r.txt")]) == 0
+    assert out.read_text().splitlines()[1:] == ["1 1 1", "1 1 inf"]

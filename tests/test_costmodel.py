@@ -8,7 +8,7 @@ from iohp.costmodel import (CSV_COLUMNS, Workload, addrmap_cycles,
                             baseline_counters, compute_cycles, run,
                             sdmm_compute_cycles, simulate)
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import PsumGrid, fill_grid
+from iohp.engine import fill_grid
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, to_csc, to_csr, to_dense, to_triplets)
 from iohp.planner import HardwareConfig, PartitionPlan, plan_partition
@@ -71,15 +71,16 @@ class TestComputeCycles:
 
 class TestAddrmapCycles:
     def grid_with_rows(self, row_lens_per_pe):
-        stores = []
-        for lens in row_lens_per_pe:
-            # a one-PE stream: row r's ln products go to columns 0..ln-1
-            rows = np.repeat(np.arange(len(lens)), lens)
-            cols = np.concatenate([np.arange(ln) for ln in lens])
-            grid, _ = fill_grid(np.zeros(len(rows), dtype=np.int64), rows, cols,
-                                np.ones(len(rows)), (1, 1, len(lens), 1), 16, 256)
-            stores.append(grid.stores[0][0])
-        return PsumGrid(stores=[stores], g_na=1, g_nb=len(stores))
+        # PE i's row r takes ln = row_lens_per_pe[i][r] products, to columns
+        # 0..ln-1, all filled at once into one row of PEs
+        lens = np.array(row_lens_per_pe)
+        n_pe, m_t = lens.shape
+        pe = np.repeat(np.arange(n_pe), lens.sum(axis=1))
+        rows = np.repeat(np.tile(np.arange(m_t), n_pe), lens.ravel())
+        cols = np.concatenate([np.arange(ln) for ln in lens.ravel()])
+        grid, _ = fill_grid(pe, rows, cols, np.ones(len(rows)),
+                            (1, n_pe, m_t, 16), 16, 256)
+        return grid
 
     def test_empty_grid(self):
         grid = self.grid_with_rows([[0]])

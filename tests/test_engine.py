@@ -229,6 +229,35 @@ class TestMerge:
             assert np.array_equal(ref.value, other.value)  # bit-exact
 
 
+    @pytest.mark.parametrize("run, want", [
+        ([1e308, 1e308], np.inf),
+        ([-1e308, -1e308], -np.inf),
+        ([1e308, 1e308, -1e308], 1e308),  # only a partial sum overflows
+        ([np.inf, 1.0, -np.inf], np.nan),
+        ([1e308, 1e308, -np.inf], -np.inf),
+        ([1e308, 1e308, np.nan], np.nan),
+        ([np.inf, 1e308, 1e308], np.inf),
+    ])
+    def test_run_fsum_rejects_takes_the_rounded_exact_sum(self, run, want):
+        # every value lands on one coordinate, one block each
+        parts = [OutputBlock(np.array([1]), np.array([2]), np.array([v]))
+                 for v in run]
+        out = merge_output_blocks(parts)
+        assert out.row.tolist() == [1] and out.col.tolist() == [2]
+        np.testing.assert_array_equal(out.value, [want])
+
+    def test_run_past_the_double_range_matches_the_held_path(self):
+        # the same overflowing product, summed in one store (k_t = 2) or
+        # merged across two k blocks (k_t = 1), as the dense product gives
+        a = to_csc(TripletMatrix(1, 2, [(0, 0, 1e200), (0, 1, 1e200)]))
+        b = to_csr(TripletMatrix(2, 1, [(0, 0, 1e108), (1, 0, 1e108)]))
+        for k_t in (1, 2):
+            with np.errstate(over="ignore"):  # the held sum overflows
+                result, _ = run(Workload(a, b), plan_of(1, k_t, 1),
+                                HardwareConfig(s=4), "ssmm")
+            assert result.value.tolist() == [np.inf]
+
+
 class TestAssemble:
     def test_worked_instance_matches_oracle(self):
         # the held block puts store (1, 1)'s psum at (1 * m_t, 1 * n_t)

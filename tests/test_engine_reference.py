@@ -356,6 +356,17 @@ def test_validate_names_the_bad_directory_entry():
         validate_psum_store(st)
 
 
+def test_validate_names_a_row_past_the_directory():
+    # row lengths within 0..s that still sum to id_psum, but run row 0 past
+    # the directory's two slots in use
+    st = lone_store(3, 4, 16, np.array([0, 0, 2, 2]), np.array([0, 1, 0, 1]),
+                    np.multiply.outer([1.0, 2.0], [3.0, 4.0]).ravel())
+    st.row_len[0], st.row_len[2] = 3, 1
+    with pytest.raises(MalformedBlockError,
+                       match="row 0: row_len 3 exceeds the directory's 2 slots"):
+        validate_psum_store(st)
+
+
 class ReferenceStore:
     """A psum store that appends one product at a time.
 
