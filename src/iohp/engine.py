@@ -319,10 +319,13 @@ def _accumulate(rows, cols, vals) -> OutputBlock:
 
 
 def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
-    """Sorted merge summing coincident coordinates.
+    """Sorted (row, column) merge summing coincident coordinates.
 
-    Coordinate sums use exact (correctly rounded) summation, so the result is
-    identical under any permutation or regrouping of the inputs.
+    Each sum is the exact sum correctly rounded, so the result is identical
+    under any permutation or regrouping of the inputs.  Two-term runs, the
+    common case, are summed together as arrays, since IEEE ``a + b`` is that
+    rounding (bar -0.0 + -0.0, set to fsum's +0.0); longer runs, and pairs
+    of nans, whose sign fsum decides, go through ``_exact_sum`` one by one.
     """
     parts = [p for p in parts if p.nnz]
     if not parts:
@@ -333,10 +336,16 @@ def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
         np.concatenate([p.row for p in parts]),
         np.concatenate([p.col for p in parts]),
         np.concatenate([p.value for p in parts]))
-    ends = np.append(starts[1:], len(rows))
+    length = np.diff(starts, append=len(rows))
     out_vals = vals[starts].astype(np.float64)
-    for i in np.flatnonzero(ends - starts > 1).tolist():
-        out_vals[i] = _exact_sum(vals[starts[i]:ends[i]])
+    two = np.flatnonzero(length == 2)
+    a, b = out_vals[two], vals[starts[two] + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_vals[two] = a + b + 0.0  # + 0.0: fsum's +0.0 for -0.0 + -0.0
+    slow = length > 2
+    slow[two] = np.isnan(a) & np.isnan(b)  # which nan numpy keeps varies
+    for i in np.flatnonzero(slow).tolist():
+        out_vals[i] = _exact_sum(vals[starts[i]:starts[i] + length[i]])
     return OutputBlock(rows[starts], cols[starts], out_vals)
 
 

@@ -24,6 +24,7 @@ from .errors import (BoundsError, CoordinateError, DegenerateInputError,
                      DimensionError, MatrixFormatError)
 
 Entry = tuple[int, int, float]
+KEY_SORT_MIN = 512  # fewer pairs sort faster by lexsort than the key is built
 
 
 class TripletMatrix:
@@ -77,9 +78,22 @@ class TripletMatrix:
         return f"TripletMatrix({self.n_rows}, {self.n_cols}, {self.entries!r})"
 
 
+def coordinate_order(major, minor) -> np.ndarray:
+    """Stable order by (major, minor): one argsort of the int64 key
+    ``major * (max(minor) + 1) + minor`` for ``KEY_SORT_MIN`` or more pairs of
+    integers >= 0 whose largest key is below 2**63, else ``np.lexsort``."""
+    if (len(major) >= KEY_SORT_MIN and major.dtype.kind in "iu"
+            and minor.dtype.kind in "iu" and min(major.min(), minor.min()) >= 0):
+        width = int(minor.max()) + 1
+        if int(major.max()) * width + width - 1 < 2 ** 63:
+            major, minor = (a.astype(np.int64, copy=False) for a in (major, minor))
+            return np.argsort(major * width + minor, kind="stable")
+    return np.lexsort((minor, major))
+
+
 def coordinate_runs(rows, cols, vals):
     """Stable-sort triplets by (row, col); return them and each run's start."""
-    order = np.lexsort((cols, rows))
+    order = coordinate_order(rows, cols)
     rows, cols, vals = rows[order], cols[order], vals[order]
     change = np.ones(len(rows), dtype=bool)
     change[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
@@ -338,6 +352,10 @@ def _mirror(rows, cols, vals):
 def write_matrix_market(m: AnySparse, path) -> None:
     """Write coordinate real general Matrix Market; values round-trip exactly.
     A TripletMatrix is written as stored, CSC and CSR canonical."""
+    if isinstance(m, CscMatrix):  # row-major; columns stay rising in a row
+        order = np.argsort(m.row_idx, kind="stable")
+        m = canonicalize(m.n_rows, m.n_cols,
+                         arrays=tuple(a[order] for a in _coords(m)))
     t = m if isinstance(m, TripletMatrix) else \
         canonicalize(m.n_rows, m.n_cols, arrays=_coords(m))
     with open(path, "w", encoding="ascii") as f:
@@ -359,7 +377,7 @@ def _coords(m: AnySparse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _compress(major, minor, vals, n_major: int):
     """Stable sort by (major, minor): (values, minor indices, major offsets)."""
-    order = np.lexsort((minor, major))
+    order = coordinate_order(major, minor)
     ptr = np.zeros(n_major + 1, dtype=np.int64)
     np.cumsum(np.bincount(major, minlength=n_major), out=ptr[1:])
     return vals[order], minor[order], ptr
