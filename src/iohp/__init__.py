@@ -2,8 +2,8 @@
 and a deterministic cycle/DRAM cost model."""
 
 from .costmodel import (BaselineCounters, DramCounter, SimStats, StageTrace,
-                        Workload, addrmap_cycles, baseline_counters,
-                        compute_cycles, run, simulate)
+                        Workload, addrmap_cycles, baseline_counters, run,
+                        simulate)
 from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, decode_cp_csr,
                        decode_rp_csc, encode_cp_csr, encode_rp_csc,
                        make_geometry)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .costmodel import (CSV_COLUMNS, MODE_SDMM, MODE_SSMM, SimStats, Workload,
                         run)
-from .encoding import make_geometry
+from .encoding import check_group_limit, make_geometry
 from .matrices import (DenseMatrix, TripletMatrix, dense_matmul,
                        load_dense_csv, load_matrix_market, to_csc, to_csr,
                        to_dense, to_triplets, write_dense_csv,
@@ -37,22 +37,15 @@ class CommandError(Exception):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class GcnWorkload:
-    """Two-layer GCN operands: adjacency, features, and dense weights."""
-
-    a: TripletMatrix
-    x: TripletMatrix
-    w1: DenseMatrix
-    w2: DenseMatrix
-
-    def validate(self) -> None:
-        if self.a.n_rows != self.a.n_cols or self.a.n_cols != self.x.n_rows:
-            raise CommandError("parse", "A must be square and conform with X")
-        if self.x.n_cols != self.w1.n_rows:
-            raise CommandError("step1_xw1", "X columns != W1 rows")
-        if self.w1.n_cols != self.w2.n_rows:
-            raise CommandError("step3_h1w2", "W1 columns != W2 rows")
+def _check_chain(a: TripletMatrix, x: TripletMatrix, w1: DenseMatrix,
+                 w2: DenseMatrix) -> None:
+    """Two-layer GCN operands must conform: adjacency, features, weights."""
+    if a.n_rows != a.n_cols or a.n_cols != x.n_rows:
+        raise CommandError("parse", "A must be square and conform with X")
+    if x.n_cols != w1.n_rows:
+        raise CommandError("step1_xw1", "X columns != W1 rows")
+    if w1.n_cols != w2.n_rows:
+        raise CommandError("step3_h1w2", "W1 columns != W2 rows")
 
 
 def load_config(path: str | None) -> HardwareConfig:
@@ -82,6 +75,8 @@ def load_config(path: str | None) -> HardwareConfig:
         try:
             kwargs[key] = (int if key in int_keys else float)(val.strip())
             HardwareConfig(**kwargs)  # name the line that breaks a bound
+            if key in ("g_na", "g_nb"):
+                check_group_limit(**{key: kwargs[key]})
         except ValueError as e:
             raise CommandError("config", f"{where}: {key}: {e}") from e
     return HardwareConfig(**kwargs)
@@ -176,23 +171,27 @@ def _positive_list(text: str, flag: str, kind) -> list:
                        f"separated by commas, got {text!r}")
 
 
+def _plan(spec: WorkloadSpec, cfg: HardwareConfig,
+          plan_file: str | None = None) -> PartitionPlan:
+    """Plan one product, or load and check its plan record; a product with
+    a dense B plans against the doubled psum store."""
+    if spec.b_dense:
+        cfg = cfg.sdmm_variant()
+    if not plan_file:
+        return plan_partition(cfg, spec)
+    with open(plan_file, "r", encoding="ascii") as f:
+        plan = PartitionPlan.from_text(f.read())
+    _check_plan_record(plan, spec, cfg)
+    return plan
+
+
 def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, label: str,
              plan_file: str | None = None):
     """Plan (or load a plan record) and execute one product."""
-    a = to_csc(a_trip)
-    if mode == MODE_SDMM:
-        workload = Workload(a, to_dense(b_trip), label)
-        plan_cfg = cfg.sdmm_variant()
-    else:
-        workload = Workload(a, to_csr(b_trip), label)
-        plan_cfg = cfg
+    b = to_dense(b_trip) if mode == MODE_SDMM else to_csr(b_trip)
+    workload = Workload(to_csc(a_trip), b, label)
     try:
-        if plan_file:
-            with open(plan_file, "r", encoding="ascii") as f:
-                plan = PartitionPlan.from_text(f.read())
-            _check_plan_record(plan, workload, cfg, plan_cfg)
-        else:
-            plan = plan_partition(plan_cfg, workload.spec(plan_cfg))
+        plan = _plan(workload.spec(cfg), cfg, plan_file)
     except (ValueError, OSError) as e:
         raise CommandError("plan", str(e)) from e
     try:
@@ -202,21 +201,20 @@ def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, label: str,
     return result, stats, plan
 
 
-def _check_plan_record(plan: PartitionPlan, workload: Workload,
-                       cfg: HardwareConfig, plan_cfg: HardwareConfig) -> None:
+def _check_plan_record(plan: PartitionPlan, spec: WorkloadSpec,
+                       cfg: HardwareConfig) -> None:
     """Reject a plan record made for other dims or with a wrong cost.
 
     The tile counts must be ``make_geometry``'s, and the record's strategy
     must be one ``dram_access`` offers here, at the cost it predicts.
     """
-    geom = make_geometry(plan, (workload.a.n_rows, workload.a.n_cols,
-                                workload.b.n_cols), (cfg.g_na, cfg.g_nb))
+    geom = make_geometry(plan, (spec.m, spec.k, spec.n), (cfg.g_na, cfg.g_nb))
     for name in ("t_m", "t_k", "t_n"):
         if getattr(plan, name) != getattr(geom, name):
             raise ValueError(
                 f"plan record does not fit this workload: expected "
                 f"{name}={getattr(geom, name)}, found {getattr(plan, name)}")
-    costs = dict(dram_access(plan, plan_cfg, workload.spec(plan_cfg)))
+    costs = dict(dram_access(plan, cfg, spec))
     if plan.strategy not in costs:
         raise ValueError(
             f"plan record: strategy {plan.strategy} is not available for this "
@@ -253,19 +251,18 @@ def cmd_spmm(args) -> int:
 
 def cmd_plan(args) -> int:
     cfg = load_config(args.config)
-    plan_cfg = cfg.sdmm_variant() if args.mode == MODE_SDMM else cfg
     try:  # parse failures raise CommandError, which passes through
         files = _operand_files(args)
         if files:
             a_trip, b_trip = files
             spec = WorkloadSpec.from_counts(
                 a_trip.n_rows, a_trip.n_cols, b_trip.n_cols, a_trip.nnz,
-                b_trip.nnz, plan_cfg, b_dense=args.mode == MODE_SDMM)
+                b_trip.nnz, cfg, b_dense=args.mode == MODE_SDMM)
         else:
             spec = WorkloadSpec.from_dims(args.m, args.k, args.n, args.da,
-                                          args.db, plan_cfg,
+                                          args.db, cfg,
                                           b_dense=args.mode == MODE_SDMM)
-        plan = plan_partition(plan_cfg, spec)
+        plan = _plan(spec, cfg)
     except ValueError as e:
         raise CommandError("plan", str(e)) from e
     _write(args.report, plan.to_text())
@@ -288,18 +285,16 @@ def cmd_gcn(args) -> int:
         x_trip = _load(load_matrix_market, args.x)
         w1 = _load(load_dense_csv, args.w1)
         w2 = _load(load_dense_csv, args.w2)
-    gcn = GcnWorkload(a_trip, x_trip, w1, w2)
-    gcn.validate()
+    _check_chain(a_trip, x_trip, w1, w2)
 
     a_csc = to_csc(a_trip)
     rows: list[tuple[str, SimStats]] = []
 
     def sdmm_step(label: str, a_sparse, b_dense: DenseMatrix) -> DenseMatrix:
         workload = Workload(a_sparse, b_dense, label)
-        plan_cfg = cfg.sdmm_variant()
         try:
-            plan = plan_partition(plan_cfg, workload.spec(plan_cfg))
-            result, stats = run(workload, plan, cfg, MODE_SDMM)
+            result, stats = run(workload, _plan(workload.spec(cfg), cfg), cfg,
+                                MODE_SDMM)
         except Exception as e:
             raise CommandError(label, str(e)) from e
         rows.append((label, stats))
@@ -376,31 +371,29 @@ def build_parser() -> argparse.ArgumentParser:
                            default=DEFAULT_SDMM_THRESHOLD,
                            help="auto mode picks SDMM above this B density")
 
-    p = sub.add_parser("spmm", help="multiply two matrices and report stats")
-    p.add_argument("--a", required=True, help="Matrix Market file for A")
-    p.add_argument("--b", required=True, help="Matrix Market file for B")
-    p.add_argument("--out", help="result path (.mtx for ssmm, CSV for sdmm)")
-    p.add_argument("--policy", choices=("spill", "fail"), default="spill")
-    p.add_argument("--plan", help="use this plan record instead of planning")
-    common(p)
-    p.set_defaults(func=cmd_spmm)
+    def operands(p):  # A and B as files, or dims and densities to draw
+        for flag in ("--a", "--b"):
+            p.add_argument(flag)
+        for flag in ("--m", "--k", "--n"):
+            p.add_argument(flag, type=int)
+        for flag in ("--da", "--db"):
+            p.add_argument(flag, type=float)
 
-    p = sub.add_parser("sim", help="simulate a product, report stats only")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--policy", choices=("spill", "fail"), default="spill")
-    p.add_argument("--plan", help="use this plan record instead of planning")
-    common(p)
-    p.set_defaults(func=cmd_spmm, out=None)
+    for name, help_ in (("spmm", "multiply two matrices and report stats"),
+                        ("sim", "simulate a product, report stats only")):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--a", required=True, help="Matrix Market file for A")
+        p.add_argument("--b", required=True, help="Matrix Market file for B")
+        if name == "spmm":
+            p.add_argument("--out",
+                           help="result path (.mtx for ssmm, CSV for sdmm)")
+        p.add_argument("--policy", choices=("spill", "fail"), default="spill")
+        p.add_argument("--plan", help="use this plan record instead of planning")
+        common(p)
+        p.set_defaults(func=cmd_spmm, out=None)
 
     p = sub.add_parser("plan", help="print the DRAM-minimal partition plan")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--da", type=float)
-    p.add_argument("--db", type=float)
+    operands(p)
     p.add_argument("--mode", choices=("ssmm", "sdmm"), default="ssmm")
     p.add_argument("--config")
     p.add_argument("--report")
@@ -424,13 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gcn)
 
     p = sub.add_parser("sweep", help="grid/buffer design-space sweep")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--da", type=float)
-    p.add_argument("--db", type=float)
+    operands(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grids", default="4,8,16")
     p.add_argument("--buffer-scales", default="0.5,1,2")

@@ -8,11 +8,9 @@ The three stages (encode, psum compute, address map) run as a pipeline over
 tile passes: total cycles are the sum over passes of the slowest stage, plus
 the first pass's encode and the last pass's address map as fill/drain.
 
-Compute is modeled lockstep per inner index: the grid shares one pair of
-index cursors, so a matched index costs the busiest PE's product count and
-every other index consumed costs one cycle.  Address mapping costs one
-setup cycle per non-empty row plus two cycles per stored psum (index insert
-during sorting, value fetch-accumulate), with concurrent per-PE units.
+Address mapping costs one setup cycle per non-empty row plus two cycles per
+stored psum (index insert during sorting, value fetch-accumulate), with
+concurrent per-PE units.
 
 DRAM reads follow the chosen reuse strategy's reload pattern: entry streams
 are counted per tile-load event and pointer streams once per full pass over
@@ -31,8 +29,7 @@ from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, encode_cp_csr,
                        encode_rp_csc, make_geometry)
 from .errors import DimensionError
 from .engine import (OutputBlock, PsumGrid, assemble_output, compute_psums,
-                     gather_dense_rows, merge_join, merge_output_blocks,
-                     sdmm_compute)
+                     gather_dense_rows, merge_output_blocks, sdmm_compute)
 from .matrices import CscMatrix, CsrMatrix, DenseMatrix
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
                       STRATEGY_RAF, STRATEGY_RBF)
@@ -138,19 +135,6 @@ class SimStats:
 def _bytes(bits: int):
     """Whole bytes as an int, else the exact fraction."""
     return bits // 8 if bits % 8 == 0 else bits / 8
-
-
-def compute_cycles(a_blk: RpCscBlock, b_blk: CpCsrBlock) -> int:
-    """Lockstep merge-join cost: busiest PE per matched index, 1 per skip.
-
-    Every inner index either stream holds without a match costs one cycle,
-    including the leftover tail of the longer stream.
-    """
-    ia, ib = merge_join(a_blk, b_blk)
-    ma = a_blk.busiest[ia]
-    mb = b_blk.busiest[ib]
-    unmatched = a_blk.col_all_len + b_blk.row_all_len - 2 * len(ia)
-    return int(ma @ mb) + unmatched
 
 
 def sdmm_compute_cycles(a_blk: RpCscBlock, span: int, n_t: int) -> int:
@@ -282,7 +266,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
                 encode += b_blk.nnz
             util_b.append(min(1.0, b_blk.nnz / cfg.c_b))
             grid = compute_psums(a_blk, b_blk, cfg, tile=(m, n, k))
-            comp = compute_cycles(a_blk, b_blk)
+            comp = grid.compute_cycles
             addr = addrmap_cycles(grid)
             pass_spills = grid.spill_events
             macs += grid.appended_products

@@ -80,6 +80,15 @@ class TilingGeometry:
         return min(lo, self.n), min(lo + self.g_nb * self.n_t, self.n)
 
 
+def check_group_limit(**counts: int) -> None:
+    """Reject a grid dimension wider than the 64-bit group bitmap."""
+    for name, count in counts.items():
+        if count > MAX_GROUPS:
+            raise GridLimitError(
+                f"{name}={count} exceeds the {MAX_GROUPS}-group limit of "
+                "the 64-bit group bitmap")
+
+
 def make_geometry(plan, dims: tuple[int, int, int],
                   groups: tuple[int, int]) -> TilingGeometry:
     """Build the geometry for a partition plan over concrete dimensions.
@@ -93,11 +102,7 @@ def make_geometry(plan, dims: tuple[int, int, int],
         raise DegenerateInputError(f"matrix dimensions must be positive, got {dims}")
     if g_na <= 0 or g_nb <= 0:
         raise DegenerateInputError(f"group counts must be positive, got {groups}")
-    for name, count in (("g_na", g_na), ("g_nb", g_nb)):
-        if count > MAX_GROUPS:
-            raise GridLimitError(
-                f"{name}={count} exceeds the {MAX_GROUPS}-group limit of "
-                "the 64-bit group bitmap")
+    check_group_limit(g_na=g_na, g_nb=g_nb)
     if plan.m_t <= 0 or plan.k_t <= 0 or plan.n_t <= 0:
         raise DegenerateInputError("tile dimensions must be positive")
     t_m = math.ceil(m / (g_na * plan.m_t))

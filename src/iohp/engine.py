@@ -27,6 +27,10 @@ all the cost model reads; the per-store ``PsumStore`` records are built from
 them only when something inspects a store.  A pass maps its held psums and
 its flushes with one sort each, into one block each in block-pair
 coordinates.
+
+Compute is modeled lockstep per inner index: the grid shares one pair of
+index cursors, so a matched index costs the busiest PE's product count and
+every other index consumed costs one cycle.
 """
 
 from __future__ import annotations
@@ -113,6 +117,7 @@ class PsumGrid:
     stored: tuple  # held psums' (pe, row, slot, column, value), address order
     flushed: tuple  # ``spilled`` as (row, column, value) in store coordinates
     flush_at: np.ndarray  # each flush's start in ``spilled``/``flushed``
+    compute_cycles: int = 0  # lockstep cost of ``compute_psums``' join
 
     @cached_property
     def stores(self) -> list[list[PsumStore]]:
@@ -205,6 +210,8 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
         raise PsumOverflowError(
             f"psum overflow at tile {tile}: id_psum={starts[i] - starts[i - 1]}, "
             f"capacity={cfg.c_psum}, segment size={s}")
+    grid.compute_cycles = int(a_blk.busiest[ia] @ b_blk.busiest[ib]) + (
+        a_blk.col_all_len + b_blk.row_all_len - 2 * len(ia))
     return grid
 
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from iohp.costmodel import (CSV_COLUMNS, Workload, addrmap_cycles,
-                            baseline_counters, compute_cycles, run,
-                            sdmm_compute_cycles, simulate)
+                            baseline_counters, run, sdmm_compute_cycles,
+                            simulate)
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import fill_grid
+from iohp.engine import compute_psums, fill_grid
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, to_csc, to_csr, to_dense, to_triplets)
 from iohp.planner import HardwareConfig, PartitionPlan, plan_partition
@@ -31,21 +31,21 @@ class TestComputeCycles:
     def test_worked_instance(self):
         a_blk, b_blk, _ = worked_blocks()
         # k=0 busiest PE does 1*2 products, k=1 and k=2 do 1 each
-        assert compute_cycles(a_blk, b_blk) == 4
+        assert compute_psums(a_blk, b_blk).compute_cycles == 4
 
     def test_empty_pair(self):
         a = to_csc(TripletMatrix(4, 4, []))
         b = to_csr(TripletMatrix(4, 4, []))
         geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
-        assert compute_cycles(encode_rp_csc(a, geom, 0, 0),
-                              encode_cp_csr(b, geom, 0, 0)) == 0
+        assert compute_psums(encode_rp_csc(a, geom, 0, 0),
+                             encode_cp_csr(b, geom, 0, 0)).compute_cycles == 0
 
     def test_unmatched_column_costs_one(self):
         a = to_csc(TripletMatrix(4, 4, [(0, 0, 1.0)]))
         b = to_csr(TripletMatrix(4, 4, []))
         geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
-        assert compute_cycles(encode_rp_csc(a, geom, 0, 0),
-                              encode_cp_csr(b, geom, 0, 0)) == 1
+        assert compute_psums(encode_rp_csc(a, geom, 0, 0),
+                             encode_cp_csr(b, geom, 0, 0)).compute_cycles == 1
 
     def test_bounds_against_mac_law(self):
         rng = np.random.default_rng(2)
@@ -60,7 +60,7 @@ class TestComputeCycles:
                                          max(1, n // g[1])), (m, k, n), g)
             a_blk = encode_rp_csc(to_csc(ta), geom, 0, 0)
             b_blk = encode_cp_csr(to_csr(tb), geom, 0, 0)
-            cycles = compute_cycles(a_blk, b_blk)
+            cycles = compute_psums(a_blk, b_blk).compute_cycles
             macs = int(to_csc(ta).nnz_per_column() @ to_csr(tb).nnz_per_row())
             matched = len(np.intersect1d(a_blk.col_idx, b_blk.row_idx))
             skipped = (a_blk.col_all_len - matched) + (b_blk.row_all_len - matched)
