@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import (BoundsError, DegenerateInputError, GridLimitError,
                      MalformedBlockError)
-from .matrices import CscMatrix, CsrMatrix, TripletMatrix, canonicalize
+from .matrices import (CscMatrix, CsrMatrix, TripletMatrix, canonicalize,
+                       run_starts, stable_order)
 
 
 MAX_GROUPS = 64  # group bitmaps are uint64
@@ -148,28 +149,28 @@ class _GroupBlock:
         """Every entry as ``(position, group, local_idx, value)`` arrays.
 
         ``position`` indexes the shared inner stream; entries are in
-        (position, group, stream) order.  This is the one walk over the group
+        (position, group, stream) order.  The encoder hands its blocks this
+        table; for any other block it is built from one walk over the group
         bitmap, cached because a block joins several passes.
         """
         s = self.streams
         member = [_members(s.bitmap, g) for g in range(s.n_groups)]
         position = np.repeat(np.concatenate(member), np.concatenate(s.lengths))
         group = np.repeat(np.arange(s.n_groups), [len(v) for v in s.value])
-        order = np.argsort(position, kind="stable")
-        return (position[order], group[order], np.concatenate(s.local_idx)[order],
-                np.concatenate(s.value)[order])
+        return _entry_table(position, group, np.concatenate(s.local_idx),
+                            np.concatenate(s.value), s.n_groups, len(s.bitmap))
 
     @functools.cached_property
     def busiest(self) -> np.ndarray:
         """Each shared position's longest member-group run (its busiest PE).
 
-        Read from the entry table, where each run of equal (position, group)
+        The encoder hands its blocks this array; for any other block it is
+        read from the entry table, where each run of equal (position, group)
         is one group's entries at one position.  Each pass reads it for its
         cycle count.
         """
         position, group, _, _ = self.entry_table
-        starts = np.flatnonzero(np.diff(position * self.streams.n_groups + group,
-                                        prepend=-1))  # one per (position, group)
+        starts = np.flatnonzero(run_starts(position, group))
         out = np.zeros(self.streams.inner_len, dtype=np.int64)
         np.maximum.at(out, position[starts], np.diff(starts, append=len(position)))
         return out
@@ -239,16 +240,30 @@ def _members(bitmap: np.ndarray, g: int) -> np.ndarray:
     return np.flatnonzero((bits >> np.uint64(g)) & np.uint64(1))
 
 
+def _entry_table(position, group, local, value, n_groups: int,
+                 n_positions: int) -> tuple[np.ndarray, ...]:
+    """A block's entry stream stable-sorted by (position, group), so a stream
+    in (k, input) order within each group gives the same table whatever its
+    order across groups."""
+    order = stable_order(position * n_groups + group, n_positions * n_groups)
+    return position[order], group[order], local[order], value[order]
+
+
 def _encode_strip(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray,
                   k_span: tuple[int, int], outer_span: tuple[int, int],
-                  n_groups: int, tile: int) -> GroupStreams:
+                  n_groups: int, tile: int) -> tuple[GroupStreams, tuple,
+                                                     np.ndarray]:
     """Group-partition one strip of a matrix compressed along k.
 
     ``ptr``/``idx``/``val`` are A's CSC or B's CSR arrays.  Entries of the k
     range whose outer index lies in ``outer_span`` land in group
     ``(idx - lo) // tile`` with group-local indices; k positions with no such
-    entry are omitted from the shared streams.  One mask and one stable sort
-    by group keep every group's entries in (k, outer) order.
+    entry are omitted from the shared streams.  One mask keeps the entries in
+    input order, k ascending; one stable sort by group keeps every group's
+    entries in (k, input) order, and each (group, k) run of it sets a length,
+    a bitmap bit and its position's busiest run.  Returns the streams, the
+    entry table (the input order stable-sorted by position and group) and
+    the busiest runs.
     """
     k_lo, k_hi = k_span
     lo, hi = outer_span
@@ -258,29 +273,41 @@ def _encode_strip(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray,
     outer = idx[first:last]
     keep = (outer >= lo) & (outer < hi)
     inner, outer, vals = inner[keep], outer[keep] - lo, val[first:last][keep]
+    new = run_starts(inner)  # each shared position's first entry
+    inner_idx = inner[new]
+    position = np.cumsum(new) - 1
     group = outer // tile
-    order = np.argsort(group, kind="stable")
-    local = (outer - group * tile)[order]
-    inner, group, vals = inner[order], group[order], vals[order]
-    # one length per (group, k) run, and each run sets one bitmap bit
-    _, runs, run_len = np.unique(group * (k_hi - k_lo) + inner,
-                                 return_index=True, return_counts=True)
-    inner_idx = np.unique(inner)
+    local = outer - group * tile
+    group = group.astype(np.int64, copy=False)  # as the bitmap walk gives it
+    table = _entry_table(position, group, local, vals, n_groups, len(inner_idx))
+    order = stable_order(group, n_groups)
+    position, group, local, vals = (a[order] for a in (position, group, local, vals))
+    # one length, one bitmap bit and one busiest bid per (group, k) run
+    ends = np.flatnonzero(np.append(run_starts(group, position), True))
+    runs, run_len = ends[:-1], np.diff(ends)
+    run_at = position[runs]
     bitmap = np.zeros(len(inner_idx), dtype=np.uint64)
-    np.bitwise_or.at(bitmap, np.searchsorted(inner_idx, inner[runs]),
+    np.bitwise_or.at(bitmap, run_at,
                      np.left_shift(np.uint64(1), group[runs].astype(np.uint64)))
+    busiest = np.zeros(len(inner_idx), dtype=np.int64)
+    np.maximum.at(busiest, run_at, run_len)
     at = np.searchsorted(group, np.arange(n_groups + 1))
-    run_at = np.searchsorted(group[runs], np.arange(n_groups + 1))
-    return GroupStreams(
+    run_g = np.searchsorted(group[runs], np.arange(n_groups + 1))
+    streams = GroupStreams(
         n_groups, tile,
         value=[vals[at[g]:at[g + 1]] for g in range(n_groups)],
         local_idx=[local[at[g]:at[g + 1]] for g in range(n_groups)],
-        lengths=[run_len[run_at[g]:run_at[g + 1]] for g in range(n_groups)],
+        lengths=[run_len[run_g[g]:run_g[g + 1]] for g in range(n_groups)],
         inner_idx=inner_idx, bitmap=bitmap, inner_len=len(inner_idx))
+    return streams, table, busiest
 
 
-def _block(cls, streams: GroupStreams, **coords):
-    return cls(**dict(zip(_LAYOUT[cls].fields, streams)), **coords)
+def _block(cls, encoded: tuple, **coords):
+    """A block of the encoder's streams that holds its table and busiest runs."""
+    streams, table, busiest = encoded
+    blk = cls(**dict(zip(_LAYOUT[cls].fields, streams)), **coords)
+    blk.__dict__.update(entry_table=table, busiest=busiest)
+    return blk
 
 
 def encode_rp_csc(a: CscMatrix, geom: TilingGeometry,
@@ -289,10 +316,10 @@ def encode_rp_csc(a: CscMatrix, geom: TilingGeometry,
     if not (0 <= block_row < geom.t_m and 0 <= block_k < geom.t_k):
         raise BoundsError(
             f"block ({block_row},{block_k}) outside {geom.t_m}x{geom.t_k} grid")
-    streams = _encode_strip(a.col_ptr, a.row_idx, a.value,
+    encoded = _encode_strip(a.col_ptr, a.row_idx, a.value,
                             geom.k_span(block_k), geom.block_rows(block_row),
                             geom.g_na, geom.m_t)
-    return _block(RpCscBlock, streams, block_row=block_row, block_k=block_k)
+    return _block(RpCscBlock, encoded, block_row=block_row, block_k=block_k)
 
 
 def encode_cp_csr(b: CsrMatrix, geom: TilingGeometry,
@@ -301,10 +328,10 @@ def encode_cp_csr(b: CsrMatrix, geom: TilingGeometry,
     if not (0 <= block_k < geom.t_k and 0 <= block_col < geom.t_n):
         raise BoundsError(
             f"block ({block_k},{block_col}) outside {geom.t_k}x{geom.t_n} grid")
-    streams = _encode_strip(b.row_ptr, b.col_idx, b.value,
+    encoded = _encode_strip(b.row_ptr, b.col_idx, b.value,
                             geom.k_span(block_k), geom.block_cols(block_col),
                             geom.g_nb, geom.n_t)
-    return _block(CpCsrBlock, streams, block_k=block_k, block_col=block_col)
+    return _block(CpCsrBlock, encoded, block_k=block_k, block_col=block_col)
 
 
 def validate_block(blk: RpCscBlock | CpCsrBlock) -> None:

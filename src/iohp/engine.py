@@ -21,12 +21,16 @@ store's ``c_psum`` entries full; both are ``HardwareConfig`` fields) either
 aborts (policy ``fail``) or flushes the whole store through address mapping,
 emitting a partial output block (policy ``spill``).  One grid-wide fill cuts
 a pass's PE-major product stream into fills (one store's products between
-two flushes) in one round per overflow of the busiest store.  The grid keeps
-that fill as per-PE arrays (row lengths, peaks, products, flushes), which is
-all the cost model reads; the per-store ``PsumStore`` records are built from
-them only when something inspects a store.  A pass maps its held psums and
-its flushes with one sort each, into one block each in block-pair
-coordinates.
+two flushes).  One stable sort by (PE, row) gives every product the
+``s``-th earlier product of its row; a fill ends before the first product
+whose running maximum of these lies inside it, or at ``c_psum`` products.
+So each round (one per overflow of the busiest store) is one search over the
+stores with products left, and the same sort ranks each psum's slot in its
+row.  The grid keeps that fill as per-PE arrays (row lengths, peaks,
+products, flushes), which is all the cost model reads; the per-store
+``PsumStore`` records are built from them only when something inspects a
+store.  A pass maps its held psums and its flushes with one sort each, into
+one block each in block-pair coordinates.
 
 Compute is modeled lockstep per inner index: the grid shares one pair of
 index cursors, so a matched index costs the busiest PE's product count and
@@ -45,7 +49,8 @@ import numpy as np
 from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry
 from .errors import (DimensionError, GatherError, MalformedBlockError,
                      PsumOverflowError)
-from .matrices import CscMatrix, DenseMatrix, coordinate_runs
+from .matrices import (CscMatrix, DenseMatrix, coordinate_runs, run_starts,
+                       stable_order)
 from .planner import OVERFLOW_FAIL, HardwareConfig
 
 
@@ -198,7 +203,7 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     ea = a_lo[pair] + within // nb[pair]
     eb = b_lo[pair] + within % nb[pair]
     pe = group_a[ea] * b_blk.g_nb + group_b[eb]
-    order = np.argsort(pe, kind="stable")  # PE-major, (k, a, b) within a PE
+    order = stable_order(pe, a_blk.g_na * b_blk.g_nb)  # PE-major, (k, a, b) in a PE
     pair, ea, eb, pe = pair[order], ea[order], eb[order], pe[order]
     grid, starts = fill_grid(pe, rows_a[ea], cols_b[eb], vals_a[ea] * vals_b[eb],
                              (a_blk.g_na, b_blk.g_nb, a_blk.m_t, b_blk.n_t),
@@ -222,34 +227,38 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
     ``shape`` is ``(g_na, g_nb, m_t, n_t)``; product i goes to PE ``pe[i] =
     g * g_nb + h``, store row ``rows[i]``, column ``cols[i]``.  A fill is one
     store's products between two flushes: the longest run that keeps to
-    ``capacity`` entries and ``s`` per row.  Each round cuts the next fill of
-    every PE with products left, so the loop runs once per overflow of the
-    busiest store.  A PE's last fill is what its store holds; the others are
-    flushed, keyed by fill.  Returns the grid and each fill's start.
+    ``capacity`` entries and ``s`` per row.  One stable sort by (PE, row)
+    gives each product its ``s``-th earlier product in its row, and ``reach``
+    their running maximum: a fill from ``lo`` overflows at the first product
+    whose ``reach`` is ``lo`` or more, so each round cuts the next fill of
+    every PE with products left by one search, and a product's slot is its
+    rank within (PE, row, fill) in the same sort.  A PE's last fill is what
+    its store holds; the others are flushed, keyed by fill.  Returns the
+    grid and each fill's start.
     """
     g_na, g_nb, m_t, _ = shape
     n_pe = g_na * g_nb
     bounds = np.searchsorted(pe, np.arange(n_pe + 1))
-    slot = np.empty(len(pe), dtype=np.int64)  # each product's slot in its row
+    key = pe * m_t + rows
+    order = stable_order(key, n_pe * m_t)  # each row's products in stream order
+    key = key[order]
+    back = np.flatnonzero(_ranks(key) >= s)
+    reach = np.full(len(pe), -1)
+    reach[order[back]] = order[back - s]  # the s-th earlier product in the row
+    np.maximum.accumulate(reach, out=reach)
     lo, hi, starts = bounds[:-1], bounds[1:], [bounds[:0]]
     while (open_ := lo < hi).any():
         lo, hi = lo[open_], hi[open_]
         starts.append(lo)
-        n = np.minimum(hi - lo, min(capacity, m_t * s))  # no fill is longer
-        win = np.repeat(np.arange(len(n)), n)
-        at = np.arange(len(win)) - np.repeat(np.cumsum(n) - n, n)
-        idx = lo[win] + at
-        key = win * m_t + rows[idx]
-        order = np.argsort(key, kind="stable")
-        first = np.flatnonzero(np.diff(key[order], prepend=-1))
-        slot[idx[order]] = np.arange(len(idx)) - np.repeat(
-            first, np.diff(first, append=len(idx)))
-        full = np.flatnonzero(slot[idx] >= s)
-        np.minimum.at(n, win[full], at[full])  # stop before a full row
-        lo = lo + n
+        lo = np.minimum(lo + np.minimum(hi - lo, min(capacity, m_t * s)),
+                        np.searchsorted(reach, lo))
+    del reach
     starts = np.sort(np.concatenate(starts))
     lengths = np.diff(starts, append=len(pe))
     fill, fill_pe = np.repeat(np.arange(len(starts)), lengths), pe[starts]
+    slot = np.empty(len(pe), dtype=np.int64)  # its rank in (PE, row, fill)
+    slot[order] = _ranks(key, fill[order])
+    del key, order
     last = np.diff(fill_pe, append=n_pe) > 0  # a PE's last fill
     held = last[fill]
     h_pe, h_rows = pe[held], rows[held]
@@ -268,6 +277,13 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
         (h_pe, h_rows, slot[held], cols[held], vals[held]),
         (f_rows, flushes.col, flushes.value),
         np.searchsorted(f, np.flatnonzero(~last))), starts
+
+
+def _ranks(*keys) -> np.ndarray:
+    """Each element's rank in its run of equal keys, in arrays sorted by the
+    keys together."""
+    at = np.arange(len(keys[0]))
+    return at - np.maximum.accumulate(np.where(run_starts(*keys), at, 0))
 
 
 def _at_pe(pe, rows, cols, shape: tuple):
@@ -381,7 +397,7 @@ def assemble_output(merged: OutputBlock, geom: TilingGeometry) -> CscMatrix:
                        or merged.col.max() >= geom.n):
         raise MalformedBlockError(
             f"merged output exceeds the {geom.m}x{geom.n} result")
-    order = np.argsort(merged.col, kind="stable")  # rows stay ascending
+    order = stable_order(merged.col, geom.n)  # rows stay ascending
     col_ptr = np.zeros(geom.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(merged.col, minlength=geom.n), out=col_ptr[1:])
     return CscMatrix(geom.m, geom.n, merged.value[order], merged.row[order],

@@ -79,25 +79,43 @@ class TripletMatrix:
 
 
 def coordinate_order(major, minor) -> np.ndarray:
-    """Stable order by (major, minor): one argsort of the int64 key
-    ``major * (max(minor) + 1) + minor`` for ``KEY_SORT_MIN`` or more pairs of
-    integers >= 0 whose largest key is below 2**63, else ``np.lexsort``."""
+    """Stable order by (major, minor): one :func:`stable_order` of the int64
+    key ``major * (max(minor) + 1) + minor`` for ``KEY_SORT_MIN`` or more pairs
+    of integers >= 0 whose largest key is below 2**63, else ``np.lexsort``."""
     if (len(major) >= KEY_SORT_MIN and major.dtype.kind in "iu"
             and minor.dtype.kind in "iu" and min(major.min(), minor.min()) >= 0):
         width = int(minor.max()) + 1
-        if int(major.max()) * width + width - 1 < 2 ** 63:
+        bound = int(major.max()) * width + width
+        if bound <= 2 ** 63:
             major, minor = (a.astype(np.int64, copy=False) for a in (major, minor))
-            return np.argsort(major * width + minor, kind="stable")
+            return stable_order(major * width + minor, bound)
     return np.lexsort((minor, major))
+
+
+def stable_order(keys, bound: int) -> np.ndarray:
+    """Stable argsort of integer keys in ``[0, bound)``.  Below ``2**16`` they
+    sort as uint16, numpy's radix path; a stable sort's permutation does not
+    depend on the keys' width."""
+    return np.argsort(keys.astype(np.uint16) if bound <= 2 ** 16 else keys,
+                      kind="stable")
+
+
+def run_starts(*keys) -> np.ndarray:
+    """Mask of each run's first element, in arrays sorted by the keys
+    together."""
+    first, *rest = keys
+    new = np.ones(len(first), dtype=bool)
+    new[1:] = first[1:] != first[:-1]
+    for key in rest:
+        new[1:] |= key[1:] != key[:-1]
+    return new
 
 
 def coordinate_runs(rows, cols, vals):
     """Stable-sort triplets by (row, col); return them and each run's start."""
     order = coordinate_order(rows, cols)
     rows, cols, vals = rows[order], cols[order], vals[order]
-    change = np.ones(len(rows), dtype=bool)
-    change[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    return rows, cols, vals, np.flatnonzero(change)
+    return rows, cols, vals, np.flatnonzero(run_starts(rows, cols))
 
 
 @dataclass(frozen=True)
@@ -353,7 +371,7 @@ def write_matrix_market(m: AnySparse, path) -> None:
     """Write coordinate real general Matrix Market; values round-trip exactly.
     A TripletMatrix is written as stored, CSC and CSR canonical."""
     if isinstance(m, CscMatrix):  # row-major; columns stay rising in a row
-        order = np.argsort(m.row_idx, kind="stable")
+        order = stable_order(m.row_idx, m.n_rows)
         m = canonicalize(m.n_rows, m.n_cols,
                          arrays=tuple(a[order] for a in _coords(m)))
     t = m if isinstance(m, TripletMatrix) else \

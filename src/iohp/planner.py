@@ -222,19 +222,21 @@ def dram_access(plan: PartitionPlan, cfg: HardwareConfig,
         plan.m_t, plan.n_t, plan.t_m, plan.t_n, cfg, wl) if resident]
 
 
-def _tile_candidates(dim: int, group: int) -> list[tuple[int, int]]:
-    """Distinct (tile_dim, tile_count) pairs of ceil(dim / (group * t)), t>=1."""
-    out = []
-    t = 1
-    while t <= dim:
-        size = math.ceil(dim / (group * t))
-        count = math.ceil(dim / (group * size))
-        out.append((size, count))
-        if size == 1:
-            break
-        # smallest t producing a strictly smaller tile
-        t = math.ceil(dim / (group * (size - 1)))
-    return out
+def _tile_candidates(dim: int, group: int) -> np.ndarray:
+    """Distinct (tile_dim, tile_count) pairs of ceil(dim / (group * t)), t>=1,
+    largest tile first, as the rows of a (2, N) int64 array.
+
+    The tiles are ceil(full / t) with ``full = ceil(dim / group)``.  While
+    t(t - 1) <= full each t gives a tile smaller than the last, whose count
+    is t; every smaller size v is then some t's tile, with count
+    ceil(full / v), since [full / v, full / (v - 1)) is at least 1 wide."""
+    full = (dim - 1) // group + 1
+    last = math.isqrt(full) + 1
+    last -= last * (last - 1) > full
+    count = np.arange(1, last + 1, dtype=np.int64)
+    small = np.arange((full - 1) // last, 0, -1, dtype=np.int64)
+    return np.array((np.concatenate(((full - 1) // count + 1, small)),
+                     np.concatenate((count, (full - 1) // small + 1))))
 
 
 def plan_partition(cfg: HardwareConfig, wl: WorkloadSpec) -> PartitionPlan:
@@ -251,7 +253,7 @@ def plan_partition(cfg: HardwareConfig, wl: WorkloadSpec) -> PartitionPlan:
     if top >= _UNOFFERED:
         raise DegenerateInputError(f"plan of (m, k, n)={(wl.m, wl.k, wl.n)} needs "
                                    f"costs or block counts up to {top}, past int64")
-    m_tiles, k_tiles, n_tiles = (np.array(_tile_candidates(*arg)).T for arg in (
+    m_tiles, k_tiles, n_tiles = (_tile_candidates(*arg) for arg in (
         (wl.m, cfg.g_na), (wl.k, 1), (wl.n, cfg.g_nb)))  # (dims, counts) rows
     n_step = min(n_tiles.shape[1], max(1, _CHUNK_CELLS // k_tiles.shape[1]))
     m_step = max(1, _CHUNK_CELLS // (n_step * k_tiles.shape[1]))

@@ -41,6 +41,43 @@ def brute_force_min_cost(cfg: HardwareConfig, wl: WorkloadSpec):
     return best
 
 
+def tile_candidates_reference(dim: int, group: int) -> list[tuple[int, int]]:
+    """The former candidate loop: each distinct (tile_dim, tile_count) of
+    ceil(dim / (group * t)), t >= 1, stepping t to the next smaller tile."""
+    out = []
+    t = 1
+    while t <= dim:
+        size = math.ceil(dim / (group * t))
+        count = math.ceil(dim / (group * size))
+        out.append((size, count))
+        if size == 1:
+            break
+        # smallest t producing a strictly smaller tile
+        t = math.ceil(dim / (group * (size - 1)))
+    return out
+
+
+class TestTileCandidates:
+    """The candidate arrays against the loop, in the same order."""
+
+    @staticmethod
+    def as_pairs(dim, group):
+        got = _tile_candidates(dim, group)
+        assert got.dtype == np.int64 and got.shape[0] == 2
+        return list(zip(*got.tolist()))
+
+    @pytest.mark.parametrize("group", [1, 2, 3, 7, 8, 64])
+    def test_every_dim_to_2000(self, group):
+        for dim in range(1, 2001):
+            assert self.as_pairs(dim, group) == tile_candidates_reference(dim, group)
+
+    @pytest.mark.parametrize("dim", [10 ** 9, 10 ** 9 + 7, 2 ** 31 + 1,
+                                     10 ** 10 + 3])
+    @pytest.mark.parametrize("group", [1, 8, 64])
+    def test_huge_dims(self, dim, group):
+        assert self.as_pairs(dim, group) == tile_candidates_reference(dim, group)
+
+
 def plan_partition_reference(cfg: HardwareConfig, wl: WorkloadSpec):
     """The planner's former search: every (m_t, k_t, n_t) of the lattice.
 
@@ -49,9 +86,9 @@ def plan_partition_reference(cfg: HardwareConfig, wl: WorkloadSpec):
     """
     best = None
     best_key = None
-    k_tiles = _tile_candidates(wl.k, 1)
-    n_tiles = _tile_candidates(wl.n, cfg.g_nb)
-    for m_t, t_m in _tile_candidates(wl.m, cfg.g_na):
+    k_tiles = tile_candidates_reference(wl.k, 1)
+    n_tiles = tile_candidates_reference(wl.n, cfg.g_nb)
+    for m_t, t_m in tile_candidates_reference(wl.m, cfg.g_na):
         for k_t, t_k in k_tiles:
             if not feasible(PartitionPlan(t_m, t_k, 1, m_t, k_t, 1,
                                           "RABE", 0), cfg, wl):
