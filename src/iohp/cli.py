@@ -322,6 +322,15 @@ def cmd_gcn(args) -> int:
     return 0
 
 
+def _cell_config(base: HardwareConfig, grid: int,
+                 scale: float) -> HardwareConfig:
+    """One sweep cell's config: a square grid and scaled buffers."""
+    try:
+        return base.with_grid(grid, grid).scaled_buffers(scale)
+    except ValueError as e:
+        raise CommandError("config", str(e)) from e
+
+
 def cmd_sweep(args) -> int:
     base = load_config(args.config)
     grids = _positive_list(args.grids, "--grids", int)
@@ -339,9 +348,9 @@ def cmd_sweep(args) -> int:
              + ",".join(CSV_COLUMNS) + ",status"]
     for g in grids:
         for s in scales:
-            cfg = base.with_grid(g, g).scaled_buffers(s)
             label = f"{g}x{g}_scale{s:g}"
             try:
+                cfg = _cell_config(base, g, s)
                 _, stats, _ = _run_one(a_trip, b_trip, mode, cfg, label)
                 lines.append(f"{g},{s:g},{stats.peak_macs_per_cycle},"
                              + stats.csv_row(label) + ",ok")

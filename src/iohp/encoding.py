@@ -1,16 +1,22 @@
 """Group-partitioned block encodings consumed by the PE grid.
 
 An A block covers ``g_na`` row groups of ``m_t`` rows by one ``k_t``-wide
-column strip.  Its encoding holds, per group, the value / group-local row /
-per-column length streams, plus shared streams over the block's non-empty
-columns: the block-local column index and a bitmap of which groups touch that
-column.  B is encoded the same way mirrored over rows, with ``g_nb`` column
-groups of ``n_t``.
+column strip.  In the paper's RP-CSC format it holds, per group, the value /
+group-local row / per-column length streams, plus shared streams over the
+block's non-empty columns: the block-local column index and a bitmap of which
+groups touch that column.  B is encoded the same way mirrored over rows (CP-
+CSR), with ``g_nb`` column groups of ``n_t``.
 
-Both are one format seen from the two sides of the inner dimension k, so a
-single codec (encode, validate, decode, dump) works on the orientation-free
-:class:`GroupStreams`; ``_LAYOUT`` maps each block type's field names onto
-them.
+A block stores the shared index stream and its entry table: every entry as
+(position in the shared stream, group, group-local index, value), built by
+the encoder with one sort, with each position's busiest group run.  The
+engine and the cost model read only these.  The per-group streams and the
+bitmap are one cached :class:`GroupStreams` view read off the table when a
+block is inspected (dumped, or its streams read by name).
+
+Both orientations are one format seen from the two sides of the inner
+dimension k, so a single codec (encode, validate, decode, dump) works on the
+orientation-free view; ``_LAYOUT`` maps each block type's names onto it.
 
 Edge blocks may be ragged: streams simply contain fewer entries; the geometry
 carries the full dimensions so global coordinates can be reconstructed.
@@ -23,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -136,94 +143,96 @@ class GroupStreams(NamedTuple):
 class _GroupBlock:
     """Orientation-free behaviour shared by both block types."""
 
-    @property
+    @functools.cached_property
     def streams(self) -> GroupStreams:
-        return GroupStreams(*(getattr(self, f) for f in _LAYOUT[type(self)].fields))
+        """The paper's per-group streams, read off the entry table.
+
+        A stable sort by group puts the table's (position, group, input)
+        order into each group's (k, input) stream order; each (group,
+        position) run of it is one length and one bitmap bit.  Built only
+        when a block is inspected (dumps, tests): the engine, the cost model
+        and validation read the table.
+        """
+        name = _LAYOUT[type(self)].fields
+        n_groups, inner_idx = (getattr(self, f) for f in (name.n_groups,
+                                                          name.inner_idx))
+        order = stable_order(self.entry_table[1], n_groups)
+        position, group, local, value = (a[order] for a in self.entry_table)
+        ends = np.flatnonzero(np.append(run_starts(group, position), True))
+        runs, run_len = ends[:-1], np.diff(ends)
+        bitmap = np.zeros(len(inner_idx), dtype=np.uint64)
+        np.bitwise_or.at(bitmap, position[runs], np.left_shift(
+            np.uint64(1), group[runs].astype(np.uint64)))
+        cut = np.arange(1, n_groups)  # each later group's first entry / run
+        at, run_at = np.searchsorted(group, cut), np.searchsorted(group[runs], cut)
+        return GroupStreams(
+            n_groups, getattr(self, name.tile), np.split(value, at),
+            np.split(local, at), np.split(run_len, run_at), inner_idx, bitmap,
+            getattr(self, name.inner_len))
 
     @property
     def nnz(self) -> int:
-        return sum(len(v) for v in self.value)
-
-    @functools.cached_property
-    def entry_table(self) -> tuple[np.ndarray, ...]:
-        """Every entry as ``(position, group, local_idx, value)`` arrays.
-
-        ``position`` indexes the shared inner stream; entries are in
-        (position, group, stream) order.  The encoder hands its blocks this
-        table; for any other block it is built from one walk over the group
-        bitmap, cached because a block joins several passes.
-        """
-        s = self.streams
-        member = [_members(s.bitmap, g) for g in range(s.n_groups)]
-        position = np.repeat(np.concatenate(member), np.concatenate(s.lengths))
-        group = np.repeat(np.arange(s.n_groups), [len(v) for v in s.value])
-        return _entry_table(position, group, np.concatenate(s.local_idx),
-                            np.concatenate(s.value), s.n_groups, len(s.bitmap))
-
-    @functools.cached_property
-    def busiest(self) -> np.ndarray:
-        """Each shared position's longest member-group run (its busiest PE).
-
-        The encoder hands its blocks this array; for any other block it is
-        read from the entry table, where each run of equal (position, group)
-        is one group's entries at one position.  Each pass reads it for its
-        cycle count.
-        """
-        position, group, _, _ = self.entry_table
-        starts = np.flatnonzero(run_starts(position, group))
-        out = np.zeros(self.streams.inner_len, dtype=np.int64)
-        np.maximum.at(out, position[starts], np.diff(starts, append=len(position)))
-        return out
+        return len(self.entry_table[0])
 
 
 @dataclass(frozen=True)
 class RpCscBlock(_GroupBlock):
     """Row-partitioned CSC encoding of one A block.
 
-    value[g] / row_idx[g] / col_len[g] are per-group streams in column-major
-    order; col_idx and group_bitmap have one entry per non-empty block column.
-    Row indices are group-local (0..m_t-1).
+    col_idx has one entry per non-empty block column.  entry_table holds
+    every entry as ``(position, group, local row, value)`` arrays in
+    (position, group, input) order, ``position`` indexing col_idx; busiest
+    holds each column's longest member-group run.  The paper's per-group
+    value / row_idx / col_len streams (column-major, group-local rows
+    0..m_t-1) and the group_bitmap are read off the table on inspection.
     """
 
     g_na: int
     m_t: int
     block_row: int
     block_k: int
-    value: list[np.ndarray]
-    row_idx: list[np.ndarray]
-    col_len: list[np.ndarray]
     col_idx: np.ndarray
-    group_bitmap: np.ndarray
     col_all_len: int
+    entry_table: tuple[np.ndarray, ...]
+    busiest: np.ndarray
+
+    value = property(attrgetter("streams.value"))
+    row_idx = property(attrgetter("streams.local_idx"))
+    col_len = property(attrgetter("streams.lengths"))
+    group_bitmap = property(attrgetter("streams.bitmap"))
 
 
 @dataclass(frozen=True)
 class CpCsrBlock(_GroupBlock):
     """Column-partitioned CSR encoding of one B block (mirror over rows).
 
-    col_idx[g] holds group-local column indices (0..n_t-1); row_idx and
-    group_bitmap have one entry per non-empty block row.
+    row_idx has one entry per non-empty block row, and the table's local
+    indices are group-local columns (0..n_t-1); the per-group value /
+    col_idx / row_len streams and the group_bitmap are read off it.
     """
 
     g_nb: int
     n_t: int
     block_k: int
     block_col: int
-    value: list[np.ndarray]
-    col_idx: list[np.ndarray]
-    row_len: list[np.ndarray]
     row_idx: np.ndarray
-    group_bitmap: np.ndarray
     row_all_len: int
+    entry_table: tuple[np.ndarray, ...]
+    busiest: np.ndarray
+
+    value = property(attrgetter("streams.value"))
+    col_idx = property(attrgetter("streams.local_idx"))
+    row_len = property(attrgetter("streams.lengths"))
+    group_bitmap = property(attrgetter("streams.bitmap"))
 
 
 class _Layout(NamedTuple):
     kind: str
     coords: tuple[str, str]
-    fields: GroupStreams  # each block field name at its stream's place
+    fields: GroupStreams  # each block's name for each stream
 
 
-# The one place that maps each orientation's field names onto GroupStreams.
+# The one place that maps each orientation's names onto GroupStreams.
 _LAYOUT = {
     RpCscBlock: _Layout("rp_csc", ("block_row", "block_k"), GroupStreams(
         "g_na", "m_t", "value", "row_idx", "col_len", "col_idx",
@@ -234,36 +243,20 @@ _LAYOUT = {
 }
 
 
-def _members(bitmap: np.ndarray, g: int) -> np.ndarray:
-    """Shared positions whose bitmap has group g's bit set."""
-    bits = np.asarray(bitmap, dtype=np.uint64)
-    return np.flatnonzero((bits >> np.uint64(g)) & np.uint64(1))
-
-
-def _entry_table(position, group, local, value, n_groups: int,
-                 n_positions: int) -> tuple[np.ndarray, ...]:
-    """A block's entry stream stable-sorted by (position, group), so a stream
-    in (k, input) order within each group gives the same table whatever its
-    order across groups."""
-    order = stable_order(position * n_groups + group, n_positions * n_groups)
-    return position[order], group[order], local[order], value[order]
-
-
 def _encode_strip(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray,
                   k_span: tuple[int, int], outer_span: tuple[int, int],
-                  n_groups: int, tile: int) -> tuple[GroupStreams, tuple,
-                                                     np.ndarray]:
+                  n_groups: int, tile: int) -> tuple[np.ndarray, int, tuple, np.ndarray]:
     """Group-partition one strip of a matrix compressed along k.
 
     ``ptr``/``idx``/``val`` are A's CSC or B's CSR arrays.  Entries of the k
     range whose outer index lies in ``outer_span`` land in group
     ``(idx - lo) // tile`` with group-local indices; k positions with no such
-    entry are omitted from the shared streams.  One mask keeps the entries in
-    input order, k ascending; one stable sort by group keeps every group's
-    entries in (k, input) order, and each (group, k) run of it sets a length,
-    a bitmap bit and its position's busiest run.  Returns the streams, the
-    entry table (the input order stable-sorted by position and group) and
-    the busiest runs.
+    entry are omitted from the shared stream.  One mask keeps the entries in
+    input order, k ascending, and one stable sort by (position, group) makes
+    the entry table, in which each (position, group) run is one group's
+    entries at one position: the longest sets its position's busiest run.
+    Returns the block's shared stream, its length, the table and the
+    busiest runs, in the blocks' field order.
     """
     k_lo, k_hi = k_span
     lo, hi = outer_span
@@ -278,36 +271,14 @@ def _encode_strip(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray,
     position = np.cumsum(new) - 1
     group = outer // tile
     local = outer - group * tile
-    group = group.astype(np.int64, copy=False)  # as the bitmap walk gives it
-    table = _entry_table(position, group, local, vals, n_groups, len(inner_idx))
-    order = stable_order(group, n_groups)
-    position, group, local, vals = (a[order] for a in (position, group, local, vals))
-    # one length, one bitmap bit and one busiest bid per (group, k) run
-    ends = np.flatnonzero(np.append(run_starts(group, position), True))
-    runs, run_len = ends[:-1], np.diff(ends)
-    run_at = position[runs]
-    bitmap = np.zeros(len(inner_idx), dtype=np.uint64)
-    np.bitwise_or.at(bitmap, run_at,
-                     np.left_shift(np.uint64(1), group[runs].astype(np.uint64)))
+    group = group.astype(np.int64, copy=False)
+    order = stable_order(position * n_groups + group, len(inner_idx) * n_groups)
+    table = tuple(a[order] for a in (position, group, local, vals))
+    position, group = table[:2]
+    starts = np.flatnonzero(run_starts(position, group))
     busiest = np.zeros(len(inner_idx), dtype=np.int64)
-    np.maximum.at(busiest, run_at, run_len)
-    at = np.searchsorted(group, np.arange(n_groups + 1))
-    run_g = np.searchsorted(group[runs], np.arange(n_groups + 1))
-    streams = GroupStreams(
-        n_groups, tile,
-        value=[vals[at[g]:at[g + 1]] for g in range(n_groups)],
-        local_idx=[local[at[g]:at[g + 1]] for g in range(n_groups)],
-        lengths=[run_len[run_g[g]:run_g[g + 1]] for g in range(n_groups)],
-        inner_idx=inner_idx, bitmap=bitmap, inner_len=len(inner_idx))
-    return streams, table, busiest
-
-
-def _block(cls, encoded: tuple, **coords):
-    """A block of the encoder's streams that holds its table and busiest runs."""
-    streams, table, busiest = encoded
-    blk = cls(**dict(zip(_LAYOUT[cls].fields, streams)), **coords)
-    blk.__dict__.update(entry_table=table, busiest=busiest)
-    return blk
+    np.maximum.at(busiest, position[starts], np.diff(starts, append=len(position)))
+    return inner_idx, len(inner_idx), table, busiest
 
 
 def encode_rp_csc(a: CscMatrix, geom: TilingGeometry,
@@ -316,10 +287,9 @@ def encode_rp_csc(a: CscMatrix, geom: TilingGeometry,
     if not (0 <= block_row < geom.t_m and 0 <= block_k < geom.t_k):
         raise BoundsError(
             f"block ({block_row},{block_k}) outside {geom.t_m}x{geom.t_k} grid")
-    encoded = _encode_strip(a.col_ptr, a.row_idx, a.value,
-                            geom.k_span(block_k), geom.block_rows(block_row),
-                            geom.g_na, geom.m_t)
-    return _block(RpCscBlock, encoded, block_row=block_row, block_k=block_k)
+    return RpCscBlock(geom.g_na, geom.m_t, block_row, block_k, *_encode_strip(
+        a.col_ptr, a.row_idx, a.value, geom.k_span(block_k),
+        geom.block_rows(block_row), geom.g_na, geom.m_t))
 
 
 def encode_cp_csr(b: CsrMatrix, geom: TilingGeometry,
@@ -328,34 +298,38 @@ def encode_cp_csr(b: CsrMatrix, geom: TilingGeometry,
     if not (0 <= block_k < geom.t_k and 0 <= block_col < geom.t_n):
         raise BoundsError(
             f"block ({block_k},{block_col}) outside {geom.t_k}x{geom.t_n} grid")
-    encoded = _encode_strip(b.row_ptr, b.col_idx, b.value,
-                            geom.k_span(block_k), geom.block_cols(block_col),
-                            geom.g_nb, geom.n_t)
-    return _block(CpCsrBlock, encoded, block_k=block_k, block_col=block_col)
+    return CpCsrBlock(geom.g_nb, geom.n_t, block_k, block_col, *_encode_strip(
+        b.row_ptr, b.col_idx, b.value, geom.k_span(block_k),
+        geom.block_cols(block_col), geom.g_nb, geom.n_t))
 
 
 def validate_block(blk: RpCscBlock | CpCsrBlock) -> None:
-    """Raise MalformedBlockError on any structural invariant violation."""
-    s = blk.streams
+    """Raise MalformedBlockError on any structural invariant violation.
+
+    Checks the stored form, so a valid block has a valid ``streams`` view:
+    every table column in range, the table in (position, group) order, and
+    every shared position holding an entry (the bitmap's no-empty rule).
+    """
     name = _LAYOUT[type(blk)].fields
-    if len(s.inner_idx) != len(s.bitmap) or len(s.inner_idx) != s.inner_len:
+    n_groups, tile, inner_idx, inner_len = (getattr(blk, f) for f in (
+        name.n_groups, name.tile, name.inner_idx, name.inner_len))
+    position, group, local, value = blk.entry_table
+    if len(inner_idx) != inner_len or len(blk.busiest) != inner_len:
         raise MalformedBlockError(
             f"shared stream lengths disagree with {name.inner_len}")
-    if s.inner_len and np.any(np.diff(s.inner_idx) <= 0):
+    if inner_len and np.any(np.diff(inner_idx) <= 0):
         raise MalformedBlockError(f"{name.inner_idx} not strictly increasing")
-    for g in range(s.n_groups):
-        if int(np.sum(s.lengths[g])) != len(s.value[g]):
-            raise MalformedBlockError(
-                f"group {g}: {name.lengths} sum != stream length")
-        if len(s.value[g]) != len(s.local_idx[g]):
-            raise MalformedBlockError(
-                f"group {g}: value/{name.local_idx} length mismatch")
-        if len(_members(s.bitmap, g)) != len(s.lengths[g]):
-            raise MalformedBlockError(
-                f"group {g}: bitmap/{name.lengths} count mismatch")
-        if len(s.local_idx[g]) and int(s.local_idx[g].max()) >= s.tile:
-            raise MalformedBlockError(
-                f"group {g}: {name.local_idx} entry >= {name.tile}")
+    if not len(position) == len(group) == len(local) == len(value):
+        raise MalformedBlockError("entry table columns differ in length")
+    for col, bound, what in ((position, inner_len, "position"),
+                             (group, n_groups, "group"),
+                             (local, tile, name.local_idx)):
+        if len(col) and (col.min() < 0 or col.max() >= bound):
+            raise MalformedBlockError(f"entry table {what} outside 0..{bound - 1}")
+    if np.any(np.diff(position * n_groups + group) < 0):
+        raise MalformedBlockError("entry table not in (position, group) order")
+    if len(np.unique(position)) != inner_len:
+        raise MalformedBlockError(f"a {name.inner_idx} position holds no entry")
 
 
 def decode_block(blk: RpCscBlock | CpCsrBlock,
@@ -363,14 +337,17 @@ def decode_block(blk: RpCscBlock | CpCsrBlock,
     """Reconstruct the global-coordinate triplets of an A or a B block."""
     validate_block(blk)
     is_a = isinstance(blk, RpCscBlock)
-    coords = tuple(getattr(blk, c) for c in _LAYOUT[type(blk)].coords)
+    layout = _LAYOUT[type(blk)]
+    coords = tuple(getattr(blk, c) for c in layout.coords)
     block_outer, block_k = coords if is_a else coords[::-1]
     outer_span = geom.row_span if is_a else geom.col_span
     k_lo, _ = geom.k_span(block_k)
+    name = layout.fields
     position, group, local, value = blk.entry_table
-    group_lo = [outer_span(block_outer, g)[0] for g in range(len(blk.value))]
+    group_lo = [outer_span(block_outer, g)[0]
+                for g in range(getattr(blk, name.n_groups))]
     outer = np.asarray(group_lo, dtype=np.int64)[group] + local
-    kk = k_lo + np.asarray(blk.streams.inner_idx, dtype=np.int64)[position]
+    kk = k_lo + np.asarray(getattr(blk, name.inner_idx), dtype=np.int64)[position]
     rows, cols = (outer, kk) if is_a else (kk, outer)
     return canonicalize(*((geom.m, geom.k) if is_a else (geom.k, geom.n)),
                         arrays=(rows, cols, value))

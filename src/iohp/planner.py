@@ -80,10 +80,14 @@ class HardwareConfig:
 
     def scaled_buffers(self, scale: float) -> "HardwareConfig":
         """Input buffers scale linearly, the psum buffer quadratically."""
-        return replace(self,
-                       c_a=max(1, round(self.c_a * scale)),
-                       c_b=max(1, round(self.c_b * scale)),
-                       c_psum=max(1, round(self.c_psum * scale * scale)))
+        sizes = {"c_a": self.c_a * scale, "c_b": self.c_b * scale,
+                 "c_psum": self.c_psum * scale * scale}
+        for name, size in sizes.items():
+            if not math.isfinite(size):
+                raise ValueError(f"buffer scale {scale:g} gives {name}={size:g}:"
+                                 " not a finite buffer size")
+        return replace(self, **{name: max(1, round(size))
+                                for name, size in sizes.items()})
 
     def with_grid(self, g_na: int, g_nb: int) -> "HardwareConfig":
         return replace(self, g_na=g_na, g_nb=g_nb)

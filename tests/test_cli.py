@@ -315,6 +315,23 @@ class TestSweepCommand:
         assert rc == 0
         assert len(report.read_text().splitlines()) == 1
 
+    def test_overflowing_scale_fails_its_cell_only(self, tmp_path):
+        def sweep(scales):
+            report = tmp_path / f"sweep_{scales}.csv"
+            rc = main(["sweep", "--m", "12", "--k", "12", "--n", "12",
+                       "--da", "0.3", "--db", "0.3", "--seed", "5",
+                       "--grids", "4", "--buffer-scales", scales,
+                       "--report", str(report)])
+            assert rc == 0
+            return report.read_text().splitlines()
+
+        alone = sweep("1")
+        header, huge, one = sweep("1e300,1")
+        assert [header, one] == alone
+        assert huge.endswith(",error: config: buffer scale 1e+300 gives "
+                             "c_psum=inf: not a finite buffer size")
+        assert huge.startswith("4,1e+300,16,4x4_scale1e+300,")
+
     def test_failed_cell_recorded_not_fatal(self, tmp_path):
         cfgfile = tmp_path / "hw.cfg"
         cfgfile.write_text("c_a=2\nc_b=2\nc_psum=2\nr_x=0.5\n")

@@ -1,12 +1,17 @@
-"""The encoder hands each block its entry table and busiest runs.
+"""A block stores its entry table; the paper's streams are read off it.
 
-They must equal what the block's cached properties build from its streams
-(``dataclasses.replace`` makes a block without them), including for CSC
-columns or CSR rows whose minor indices are unsorted, which the constructors
-allow; and an encoder-built block never walks its group bitmap.
+Every case is checked three ways: the encoder's shared stream, table and
+busiest runs equal those built by a plain loop over the strip of the input
+arrays, including for CSC columns or CSR rows whose minor indices are
+unsorted, which the constructors allow; walking the bitmap of the derived
+``streams`` view gives the table back; and ``costmodel.run`` builds no
+``streams`` view for any block it encodes.  ``validate_block`` checks the
+stored table itself.
 """
 
+import contextlib
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -15,9 +20,11 @@ from hypothesis import strategies as st
 
 import iohp.encoding
 from iohp.costmodel import Workload, run
-from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import compute_psums
-from iohp.matrices import CscMatrix, CsrMatrix, TripletMatrix, to_csc, to_csr
+from iohp.encoding import (dump_block, encode_cp_csr, encode_rp_csc,
+                           make_geometry, validate_block)
+from iohp.errors import MalformedBlockError
+from iohp.matrices import (CscMatrix, CsrMatrix, TripletMatrix, to_csc,
+                           to_csr, to_dense)
 from iohp.planner import HardwareConfig, PartitionPlan
 
 
@@ -25,27 +32,119 @@ def plan_of(m_t, k_t, n_t):
     return PartitionPlan(1, 1, 1, m_t, k_t, n_t, "RABE", 0)
 
 
-def assert_same_array(got, ref):
-    assert got.dtype == ref.dtype
-    assert got.shape == ref.shape
-    assert got.tobytes() == ref.tobytes()
+def strip_reference(ptr, idx, val, k_span, outer_span, n_groups, tile):
+    """Shared stream, table rows and busiest runs of one strip, by loops.
+
+    Positions number the k lines of the span that hold an entry of the
+    outer range; the table is the strip's entries in input order, stably
+    sorted by (position, group).
+    """
+    (k_lo, k_hi), (lo, hi) = k_span, outer_span
+    inner, rows = [], []
+    for kk in range(k_lo, k_hi):
+        members = [(int(idx[e]) - lo, float(val[e]))
+                   for e in range(int(ptr[kk]), int(ptr[kk + 1]))
+                   if lo <= int(idx[e]) < hi]
+        if members:
+            rows += [(len(inner), o // tile, o % tile, v) for o, v in members]
+            inner.append(kk - k_lo)
+    rows.sort(key=lambda row: row[:2])
+    busiest = [max(sum(1 for r in rows if r[:2] == (p, g))
+                   for g in range(n_groups)) for p in range(len(inner))]
+    return inner, rows, busiest
 
 
-def assert_handed_over(blk):
-    """The encoder's table and busiest runs are those read from the streams."""
-    assert {"entry_table", "busiest"} <= vars(blk).keys()
-    rebuilt = dataclasses.replace(blk)
-    assert "entry_table" not in vars(rebuilt)
-    for got, ref in zip(blk.entry_table, rebuilt.entry_table, strict=True):
-        assert_same_array(got, ref)
-    assert_same_array(blk.busiest, rebuilt.busiest)
+def walked_table(blk):
+    """The table read back from the streams view, group by group through
+    its bitmap: group g's entries fill its member positions run by run."""
+    s = blk.streams
+    rows = []
+    for g in range(s.n_groups):
+        members = [p for p in range(s.inner_len) if int(s.bitmap[p]) >> g & 1]
+        lo = 0
+        for p, run_len in zip(members, s.lengths[g].tolist(), strict=True):
+            rows += [(p, g, int(i), float(v)) for i, v in
+                     zip(s.local_idx[g][lo:lo + run_len],
+                         s.value[g][lo:lo + run_len])]
+            lo += run_len
+        assert lo == len(s.value[g]) == len(s.local_idx[g])
+    rows.sort(key=lambda row: row[:2])
+    return rows
 
 
-def every_block(a, b, geom):
-    yield from (encode_rp_csc(a, geom, bm, bk)
-                for bm in range(geom.t_m) for bk in range(geom.t_k))
-    yield from (encode_cp_csr(b, geom, bk, bn)
-                for bk in range(geom.t_k) for bn in range(geom.t_n))
+def table_rows(blk):
+    return list(zip(*(col.tolist() for col in blk.entry_table)))
+
+
+def assert_block_matches(blk, strip):
+    """The encoder's fields equal the loop reference, and so does the
+    table walked back from the derived streams."""
+    inner, rows, busiest = strip_reference(*strip)
+    shared = blk.col_idx if isinstance(blk, iohp.encoding.RpCscBlock) \
+        else blk.row_idx
+    assert shared.tolist() == inner
+    assert [col.dtype for col in blk.entry_table] == [np.int64] * 3 + [
+        np.float64]
+    assert table_rows(blk) == rows
+    assert blk.busiest.dtype == np.int64
+    assert blk.busiest.tolist() == busiest
+    assert blk.nnz == len(rows)
+    validate_block(blk)
+    assert walked_table(blk) == rows
+    assert blk.streams.inner_idx is shared
+
+
+def a_strip(a, geom, bm, bk):
+    return (a.col_ptr, a.row_idx, a.value, geom.k_span(bk),
+            geom.block_rows(bm), geom.g_na, geom.m_t)
+
+
+def b_strip(b, geom, bk, bn):
+    return (b.row_ptr, b.col_idx, b.value, geom.k_span(bk),
+            geom.block_cols(bn), geom.g_nb, geom.n_t)
+
+
+def assert_every_block(a, b, geom):
+    for bm in range(geom.t_m):
+        for bk in range(geom.t_k):
+            assert_block_matches(encode_rp_csc(a, geom, bm, bk),
+                                 a_strip(a, geom, bm, bk))
+    for bk in range(geom.t_k):
+        for bn in range(geom.t_n):
+            assert_block_matches(encode_cp_csr(b, geom, bk, bn),
+                                 b_strip(b, geom, bk, bn))
+
+
+@contextlib.contextmanager
+def counted_streams():
+    """Yield the list of blocks whose ``streams`` view gets built."""
+    built = []
+    real = iohp.encoding._GroupBlock.streams.func
+
+    def counted(blk):
+        built.append(blk)
+        return real(blk)
+
+    view = functools.cached_property(counted)
+    view.__set_name__(iohp.encoding._GroupBlock, "streams")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iohp.encoding._GroupBlock, "streams", view)
+        yield built
+
+
+def assert_run_builds_no_streams(a, b, geom):
+    """Both modes of ``costmodel.run``, spilling, never build the view."""
+    plan = plan_of(geom.m_t, geom.k_t, geom.n_t)
+    cfg = HardwareConfig(c_psum=2, s=1, g_na=geom.g_na, g_nb=geom.g_nb)
+    with counted_streams() as built:
+        run(Workload(a, b), plan, cfg, "ssmm")
+        run(Workload(a, to_dense(b)), plan, cfg, "sdmm")
+    assert built == []
+
+
+def check_case(a, b, geom):
+    assert_every_block(a, b, geom)
+    assert_run_builds_no_streams(a, b, geom)
 
 
 def shuffled_minor(ptr, idx, val, rng):
@@ -61,6 +160,7 @@ def test_unsorted_column_reads_by_position_then_group():
     # input order reads groups [3, 0, 1], the table [0, 3, 1]
     a = CscMatrix(8, 2, np.array([1., 2., 3.]), np.array([7, 0, 3]),
                   np.array([0, 2, 3]))
+    b = to_csr(TripletMatrix(2, 1, [(0, 0, 1.0), (1, 0, 2.0)]))
     geom = make_geometry(plan_of(2, 2, 1), (8, 2, 1), (4, 1))
     blk = encode_rp_csc(a, geom, 0, 0)
     position, group, local, value = blk.entry_table
@@ -69,17 +169,18 @@ def test_unsorted_column_reads_by_position_then_group():
     assert local.tolist() == [0, 1, 1]
     assert value.tolist() == [2., 1., 3.]
     assert blk.busiest.tolist() == [1, 1]
-    assert_handed_over(blk)
+    check_case(a, b, geom)
 
 
 def test_unsorted_row_of_b():
+    a = to_csc(TripletMatrix(1, 2, [(0, 0, 1.0), (0, 1, 1.0)]))
     b = CsrMatrix(2, 8, np.array([1., 2., 3., 4.]), np.array([6, 1, 2, 0]),
                   np.array([0, 3, 4]))
     geom = make_geometry(plan_of(1, 2, 2), (1, 2, 8), (1, 4))
     blk = encode_cp_csr(b, geom, 0, 0)
     assert blk.entry_table[1].tolist() == [0, 1, 3, 0]
     assert blk.busiest.tolist() == [1, 1]
-    assert_handed_over(blk)
+    check_case(a, b, geom)
 
 
 @pytest.mark.parametrize("dims, tiles, groups", [
@@ -99,11 +200,11 @@ def test_ragged_and_empty_blocks(dims, tiles, groups):
                               for r in range(k - 1) for c in range(n)
                               if rng.random() < 0.3])
     geom = make_geometry(plan_of(*tiles), dims, groups)
-    for blk in every_block(to_csc(ta), to_csr(tb), geom):
-        assert_handed_over(blk)
-    empty = encode_rp_csc(to_csc(TripletMatrix(m, k, [])), geom, 0, 0)
+    check_case(to_csc(ta), to_csr(tb), geom)
+    a, b = to_csc(TripletMatrix(m, k, [])), to_csr(TripletMatrix(k, n, []))
+    empty = encode_rp_csc(a, geom, 0, 0)
     assert [len(x) for x in empty.entry_table] == [0, 0, 0, 0]
-    assert_handed_over(empty)
+    check_case(a, b, geom)
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,27 +227,39 @@ def test_drawn_blocks_with_unsorted_minor_indices(data):
                                             rng)[::-1], a.col_ptr)
         b = CsrMatrix(k, n, *shuffled_minor(b.row_ptr, b.col_idx, b.value,
                                             rng)[::-1], b.row_ptr)
-    geom = make_geometry(plan_of(*tiles), (m, k, n), (g_na, g_nb))
-    for blk in every_block(a, b, geom):
-        assert_handed_over(blk)
+    check_case(a, b, make_geometry(plan_of(*tiles), (m, k, n), (g_na, g_nb)))
 
 
-def test_encoded_blocks_never_walk_the_bitmap(monkeypatch):
-    def walk(*_):
-        raise AssertionError("the group bitmap was walked")
-
-    monkeypatch.setattr(iohp.encoding, "_members", walk)
+def test_streams_are_built_once_on_inspection():
     rng = np.random.default_rng(3)
-    ta = TripletMatrix(20, 12, [(r, c, 1.0) for r in range(20) for c in range(12)
-                                if rng.random() < 0.3])
-    tb = TripletMatrix(12, 15, [(r, c, 2.0) for r in range(12) for c in range(15)
-                                if rng.random() < 0.3])
+    ta = TripletMatrix(20, 12, [(r, c, 1.0) for r in range(20)
+                                for c in range(12) if rng.random() < 0.3])
     geom = make_geometry(plan_of(3, 4, 2), (20, 12, 15), (4, 3))
-    a_blk = encode_rp_csc(to_csc(ta), geom, 0, 1)
-    b_blk = encode_cp_csr(to_csr(tb), geom, 1, 0)
-    assert a_blk.entry_table and len(a_blk.busiest) and len(b_blk.busiest)
-    compute_psums(a_blk, b_blk, HardwareConfig(c_psum=4, s=2))
-    cfg = HardwareConfig(c_psum=6, s=2, g_na=4, g_nb=3)
-    run(Workload(to_csc(ta), to_csr(tb)), plan_of(3, 4, 2), cfg, "ssmm")
-    with pytest.raises(AssertionError, match="walked"):
-        dataclasses.replace(a_blk).entry_table
+    with counted_streams() as built:
+        blk = encode_rp_csc(to_csc(ta), geom, 0, 1)
+        assert blk.nnz and len(blk.busiest) and built == []
+        dump_block(blk)
+        validate_block(blk)
+        assert blk.col_len is blk.streams.lengths
+        assert built == [blk]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p, g, l, v: (p + 1, g, l, v), "entry table position outside 0..1"),
+    (lambda p, g, l, v: (p, g + 1, l, v), "entry table group outside 0..1"),
+    (lambda p, g, l, v: (p, g, l + 2, v), "entry table row_idx outside 0..1"),
+    (lambda p, g, l, v: (p[::-1], g[::-1], l, v),
+     r"entry table not in \(position, group\) order"),
+    (lambda p, g, l, v: (p * 0, g, l, v), "a col_idx position holds no entry"),
+    (lambda p, g, l, v: (p, g, l, v[:1]), "entry table columns differ"),
+])
+def test_validate_checks_the_stored_table(edit, message):
+    # columns 0 and 2 of a 4x4 A hold rows 0 and 3: groups 0 and 1 of m_t=2
+    a = to_csc(TripletMatrix(4, 4, [(0, 0, 1.0), (3, 2, 2.0)]))
+    geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
+    blk = encode_rp_csc(a, geom, 0, 0)
+    validate_block(blk)
+    bad = dataclasses.replace(blk, entry_table=edit(*blk.entry_table))
+    with pytest.raises(MalformedBlockError, match=message):
+        validate_block(bad)
+
