@@ -29,7 +29,7 @@ from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, encode_cp_csr,
                        encode_rp_csc, make_geometry)
 from .errors import DimensionError
 from .engine import (OutputBlock, PsumGrid, assemble_output, compute_psums,
-                     gather_dense_rows, merge_output_blocks, sdmm_compute)
+                     merge_output_blocks, sdmm_compute)
 from .matrices import CscMatrix, CsrMatrix, DenseMatrix
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
                       STRATEGY_RAF, STRATEGY_RBF)
@@ -135,11 +135,6 @@ class SimStats:
 def _bytes(bits: int):
     """Whole bytes as an int, else the exact fraction."""
     return bits // 8 if bits % 8 == 0 else bits / 8
-
-
-def sdmm_compute_cycles(a_blk: RpCscBlock, span: int, n_t: int) -> int:
-    """Column-wise dense accumulation cost: busiest group times PE width."""
-    return int(a_blk.busiest.sum()) * min(n_t, span) if span > 0 else 0
 
 
 def addrmap_cycles(grid: PsumGrid) -> int:
@@ -280,10 +275,9 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
             c_lo, c_hi = geom.block_cols(n)
             if b_loaded:
                 bits_b += (k_hi - k_lo) * (c_hi - c_lo) * cfg.bits_value
-            b_rows = gather_dense_rows(b, a_blk, geom, n)
-            util_b.append(min(1.0, b_rows.n_rows * b_rows.n_cols / cfg.c_b))
-            dense_grid = sdmm_compute(a_blk, b_rows)
-            comp = sdmm_compute_cycles(a_blk, c_hi - c_lo, geom.n_t)
+            util_b.append(min(1.0, a_blk.col_all_len * (c_hi - c_lo) / cfg.c_b))
+            dense_grid = sdmm_compute(a_blk, b, geom, n)
+            comp = dense_grid.compute_cycles
             addr = 0
             pass_spills = 0
             macs += dense_grid.macs

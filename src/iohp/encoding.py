@@ -175,7 +175,7 @@ class _GroupBlock:
         return len(self.entry_table[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RpCscBlock(_GroupBlock):
     """Row-partitioned CSC encoding of one A block.
 
@@ -202,7 +202,7 @@ class RpCscBlock(_GroupBlock):
     group_bitmap = property(attrgetter("streams.bitmap"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpCsrBlock(_GroupBlock):
     """Column-partitioned CSR encoding of one B block (mirror over rows).
 
@@ -371,12 +371,6 @@ def dump_block(blk: RpCscBlock | CpCsrBlock) -> str:
             + f" {name.local_idx}=" + _ints(s.local_idx[g])
             + " value=" + _floats(s.value[g]))
     return "\n".join(lines) + "\n"
-
-
-# per-orientation names kept for existing callers
-validate_rp_csc = validate_cp_csr = validate_block
-decode_rp_csc = decode_cp_csr = decode_block
-dump_rp_csc = dump_cp_csr = dump_block
 
 
 def _ints(arr) -> str:

@@ -34,7 +34,8 @@ one block each in block-pair coordinates.
 
 Compute is modeled lockstep per inner index: the grid shares one pair of
 index cursors, so a matched index costs the busiest PE's product count and
-every other index consumed costs one cycle.
+every other index consumed costs one cycle.  A sparse-dense pass costs, per
+A column, its busiest group's entries times the PE width.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .matrices import (CscMatrix, DenseMatrix, coordinate_runs, run_starts,
 from .planner import OVERFLOW_FAIL, HardwareConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputBlock:
     """Accumulated output triplets in block-local coordinates.
 
@@ -79,7 +80,7 @@ class OutputBlock:
         return OutputBlock(self.row + row, self.col + col, self.value)
 
 
-@dataclass
+@dataclass(eq=False)
 class PsumStore:
     """One PE's psum store at the end of a pass, a record of the grid fill.
 
@@ -104,7 +105,7 @@ class PsumStore:
     spilled: list[OutputBlock]
 
 
-@dataclass
+@dataclass(eq=False)
 class PsumGrid:
     """A pass's psum state, as arrays over its PEs (PE ``g * g_nb + h``).
     ``held`` maps the held psums and ``spilled`` lists every flush, PE-major,
@@ -153,12 +154,13 @@ class PsumGrid:
         return int(self.spills.sum())
 
 
-@dataclass
+@dataclass(eq=False)
 class DensePsumGrid:
     """Dense accumulators of one sparse-dense pass, one strip row per A row."""
 
     strip: np.ndarray  # (g_na * m_t, width); row g * m_t + r is group g's row r
     macs: int
+    compute_cycles: int  # lockstep: each column's busiest group x PE width
 
 
 def merge_join(a_blk: RpCscBlock,
@@ -404,41 +406,30 @@ def assemble_output(merged: OutputBlock, geom: TilingGeometry) -> CscMatrix:
                      col_ptr)
 
 
-def gather_dense_rows(b: DenseMatrix, a_blk: RpCscBlock, geom: TilingGeometry,
-                      block_col: int) -> DenseMatrix:
-    """Fetch the dense B rows named by the block's non-empty columns.
+def sdmm_compute(a_blk: RpCscBlock, b: DenseMatrix, geom: TilingGeometry,
+                 block_col: int) -> DensePsumGrid:
+    """One sparse-dense pass: an A block against B's output block columns.
 
-    Returns one row per entry of the block's shared column stream, restricted
-    to the output block's column span.
+    Every A entry reads its column's dense B row, restricted to the block's
+    column span, straight from ``b`` and adds its value times that row into
+    its strip row; a strip row receives its products in ascending inner
+    index.  The MAC counter only counts products whose dense operand is
+    nonzero, matching the nonzero-product optimum.
     """
     k_lo, _ = geom.k_span(a_blk.block_k)
     c_lo, c_hi = geom.block_cols(block_col)
-    rows = k_lo + a_blk.col_idx
-    if len(rows) and int(rows.max()) >= b.n_rows:
-        raise GatherError(
-            f"dense operand has {b.n_rows} rows; column index {int(rows.max())} "
-            "has no matching row")
-    data = b.data[rows][:, c_lo:c_hi] if len(rows) else np.zeros((0, c_hi - c_lo))
-    return DenseMatrix(len(rows), c_hi - c_lo, data)
-
-
-def sdmm_compute(a_blk: RpCscBlock, b_rows: DenseMatrix) -> DensePsumGrid:
-    """Dense accumulation of one A block against gathered dense rows.
-
-    Every A entry adds its value times its column's dense row into its strip
-    row; a strip row receives its products in ascending inner index.  The MAC
-    counter only counts products whose dense operand is nonzero, matching
-    the nonzero-product optimum.
-    """
-    if b_rows.n_rows != a_blk.col_all_len:
-        raise GatherError(
-            f"need {a_blk.col_all_len} gathered rows, got {b_rows.n_rows}")
     pos, group, rows, vals = a_blk.entry_table
-    strip = np.zeros((a_blk.g_na * a_blk.m_t, b_rows.n_cols))
+    k = k_lo + a_blk.col_idx[pos]
+    if len(k) and int(k.max()) >= b.n_rows:
+        raise GatherError(
+            f"dense operand has {b.n_rows} rows; column index {int(k.max())} "
+            "has no matching row")
+    dense = b.data[k, c_lo:c_hi]
+    strip = np.zeros((a_blk.g_na * a_blk.m_t, c_hi - c_lo))
     # unbuffered: a repeated strip row takes its products in table (k) order
-    np.add.at(strip, group * a_blk.m_t + rows, vals[:, None] * b_rows.data[pos])
-    macs = int(np.count_nonzero(b_rows.data, axis=1)[pos].sum())
-    return DensePsumGrid(strip=strip, macs=macs)
+    np.add.at(strip, group * a_blk.m_t + rows, vals[:, None] * dense)
+    return DensePsumGrid(strip, int(np.count_nonzero(dense)),
+                         int(a_blk.busiest.sum()) * min(geom.n_t, c_hi - c_lo))
 
 
 def dump_psum_store(ps: PsumStore) -> str:

@@ -118,7 +118,7 @@ def coordinate_runs(rows, cols, vals):
     return rows, cols, vals, np.flatnonzero(run_starts(rows, cols))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CscMatrix:
     """Compressed sparse column: value/row_idx per entry, col_ptr per column."""
 
@@ -146,7 +146,7 @@ class CscMatrix:
         return np.diff(self.col_ptr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsrMatrix:
     """Compressed sparse row: value/col_idx per entry, row_ptr per row."""
 
@@ -174,7 +174,7 @@ class CsrMatrix:
         return np.diff(self.row_ptr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseMatrix:
     """Row-major float64 matrix; the oracle-side representation."""
 

@@ -14,8 +14,8 @@ import pytest
 
 from iohp.cli import main
 from iohp.costmodel import Workload, run, simulate
-from iohp.encoding import (decode_cp_csr, decode_rp_csc, encode_cp_csr,
-                           encode_rp_csc, make_geometry)
+from iohp.encoding import (decode_block, encode_cp_csr, encode_rp_csc,
+                           make_geometry)
 from iohp.engine import compute_psums
 from iohp.errors import PsumOverflowError
 from iohp.matrices import (canonicalize, dense_matmul, to_csc, to_csr,
@@ -124,7 +124,7 @@ def test_criterion_3_encoder_roundtrip():
             bc = int(rng.integers(0, geom.t_n))
 
             blk_a = encode_rp_csc(to_csc(ta), geom, br, bk)
-            back = to_dense(decode_rp_csc(blk_a, geom)).data
+            back = to_dense(decode_block(blk_a, geom)).data
             r0, r1 = geom.block_rows(br)
             k0, k1 = geom.k_span(bk)
             ref = np.zeros_like(da)
@@ -132,7 +132,7 @@ def test_criterion_3_encoder_roundtrip():
             assert np.array_equal(back, ref), f"A block {i}"
 
             blk_b = encode_cp_csr(to_csr(tb), geom, bk, bc)
-            back_b = to_dense(decode_cp_csr(blk_b, geom)).data
+            back_b = to_dense(decode_block(blk_b, geom)).data
             c0, c1 = geom.block_cols(bc)
             ref_b = np.zeros_like(db)
             ref_b[k0:k1, c0:c1] = db[k0:k1, c0:c1]

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from iohp.costmodel import (CSV_COLUMNS, Workload, addrmap_cycles,
-                            baseline_counters, run, sdmm_compute_cycles,
-                            simulate)
+                            baseline_counters, run, simulate)
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import compute_psums, fill_grid
+from iohp.engine import compute_psums, fill_grid, sdmm_compute
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, to_csc, to_csr, to_dense, to_triplets)
 from iohp.planner import HardwareConfig, PartitionPlan, plan_partition
@@ -274,5 +273,6 @@ class TestSdmmComputeCycles:
         a = to_csc(canonicalize(4, 3, [(0, 0, 1.0), (1, 0, 1.0), (2, 2, 1.0)]))
         geom = make_geometry(plan_of(2, 3, 2), (4, 3, 4), (2, 2))
         a_blk = encode_rp_csc(a, geom, 0, 0)
+        grid = sdmm_compute(a_blk, DenseMatrix.zeros(3, 4), geom, 0)
         # columns 0 (busiest group has 2 entries) and 2 (1 entry), width 2
-        assert sdmm_compute_cycles(a_blk, span=4, n_t=2) == (2 + 1) * 2
+        assert grid.compute_cycles == (2 + 1) * 2

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iohp.encoding import (decode_cp_csr, decode_rp_csc, dump_cp_csr,
-                           dump_rp_csc, encode_cp_csr, encode_rp_csc,
-                           make_geometry, validate_rp_csc)
+from iohp.encoding import (decode_block, dump_block, encode_cp_csr,
+                           encode_rp_csc, make_geometry, validate_block)
 from iohp.errors import (BoundsError, DegenerateInputError,
                          MalformedBlockError)
 from iohp.matrices import TripletMatrix, canonicalize, to_csc, to_csr, to_dense
@@ -92,7 +91,7 @@ class TestEncodeA:
         for br in range(geom.t_m):
             for bk in range(geom.t_k):
                 blk = encode_rp_csc(a, geom, br, bk)
-                validate_rp_csc(blk)
+                validate_block(blk)
                 total += blk.nnz
                 assert sum(int(np.sum(l)) for l in blk.col_len) == blk.nnz
                 # popcount of each bitmap == groups consuming a length entry
@@ -133,13 +132,13 @@ class TestRoundtrip:
     def test_worked_roundtrip(self):
         a, _, geom = worked_instance()
         blk = encode_rp_csc(a, geom, 0, 0)
-        back = decode_rp_csc(blk, geom)
+        back = decode_block(blk, geom)
         assert back.entries == [(0, 0, 5.0), (1, 2, 7.0), (2, 1, 3.0)]
 
     def test_empty_roundtrip(self):
         a = to_csc(TripletMatrix(4, 4, []))
         geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
-        assert decode_rp_csc(encode_rp_csc(a, geom, 0, 0), geom).entries == []
+        assert decode_block(encode_rp_csc(a, geom, 0, 0), geom).entries == []
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -172,7 +171,7 @@ class TestRoundtrip:
         bc = data.draw(st.integers(0, geom.t_n - 1), label="bc")
 
         blk_a = encode_rp_csc(to_csc(ta), geom, br, bk)
-        back = to_dense(decode_rp_csc(blk_a, geom)).data
+        back = to_dense(decode_block(blk_a, geom)).data
         r0, r1 = geom.block_rows(br)
         k0, k1 = geom.k_span(bk)
         mask = np.zeros_like(da)
@@ -180,7 +179,7 @@ class TestRoundtrip:
         assert np.array_equal(back, mask)
 
         blk_b = encode_cp_csr(to_csr(tb), geom, bk, bc)
-        back_b = to_dense(decode_cp_csr(blk_b, geom)).data
+        back_b = to_dense(decode_block(blk_b, geom)).data
         c0, c1 = geom.block_cols(bc)
         mask_b = np.zeros_like(db)
         mask_b[k0:k1, c0:c1] = db[k0:k1, c0:c1]
@@ -192,7 +191,7 @@ class TestRoundtrip:
         blk = encode_rp_csc(a, geom, 0, 0)
         bad = dataclasses.replace(blk, col_all_len=5)
         with pytest.raises(MalformedBlockError):
-            decode_rp_csc(bad, geom)
+            decode_block(bad, geom)
 
     def test_ordering_column_major_within_group(self):
         rng = np.random.default_rng(11)
@@ -202,7 +201,7 @@ class TestRoundtrip:
         a = to_csc(t)
         geom = make_geometry(plan_of(3, 9, 9), (9, 9, 9), (3, 1))
         blk = encode_rp_csc(a, geom, 0, 0)
-        validate_rp_csc(blk)
+        validate_block(blk)
         for g in range(3):
             # reconstruct (col, row) order of the stream; must be sorted
             order = []
@@ -220,7 +219,7 @@ class TestRoundtrip:
 class TestDump:
     def test_golden_dump(self):
         a, b, geom = worked_instance()
-        assert dump_rp_csc(encode_rp_csc(a, geom, 0, 0)) == (
+        assert dump_block(encode_rp_csc(a, geom, 0, 0)) == (
             "kind=rp_csc\n"
             "block=(0,0)\n"
             "col_all_len=3\n"
@@ -228,7 +227,7 @@ class TestDump:
             "group_bitmap=1,2,1\n"
             "group=0 col_len=1,1 row_idx=0,1 value=5.0,7.0\n"
             "group=1 col_len=1 row_idx=0 value=3.0\n")
-        assert dump_cp_csr(encode_cp_csr(b, geom, 0, 0)) == (
+        assert dump_block(encode_cp_csr(b, geom, 0, 0)) == (
             "kind=cp_csr\n"
             "block=(0,0)\n"
             "row_all_len=3\n"

@@ -5,7 +5,7 @@ from iohp.costmodel import Workload, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import (OutputBlock, address_map, assemble_output,
                          compute_psums, dump_psum_store, fill_grid,
-                         gather_dense_rows, merge_output_blocks, sdmm_compute,
+                         merge_output_blocks, sdmm_compute,
                          validate_psum_store)
 from iohp.errors import (DimensionError, GatherError, MalformedBlockError,
                          PsumOverflowError)
@@ -298,18 +298,19 @@ class TestSdmm:
         a = to_csc(TripletMatrix(2, 1, [(0, 0, 2.0)]))
         geom = make_geometry(plan_of(2, 1, 2), (2, 1, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
-        b_rows = DenseMatrix.from_rows([[3.0, 4.0]])
-        grid = sdmm_compute(a_blk, b_rows)
+        b = DenseMatrix.from_rows([[3.0, 4.0]])
+        grid = sdmm_compute(a_blk, b, geom, 0)
         assert grid.strip.tolist() == [[6.0, 8.0], [0.0, 0.0]]
         assert grid.macs == 2
+        assert grid.compute_cycles == 1 * 2
 
     def test_empty_a(self):
         a = to_csc(TripletMatrix(2, 2, []))
         geom = make_geometry(plan_of(2, 2, 2), (2, 2, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
-        grid = sdmm_compute(a_blk, DenseMatrix.zeros(0, 2))
+        grid = sdmm_compute(a_blk, DenseMatrix.zeros(2, 2), geom, 0)
         assert not grid.strip.any()
-        assert grid.macs == 0
+        assert grid.macs == 0 and grid.compute_cycles == 0
 
     def test_repeated_cell_accumulation(self):
         # three non-empty A columns, 2x2 output, one cell hit twice
@@ -318,24 +319,17 @@ class TestSdmm:
         geom = make_geometry(plan_of(2, 4, 2), (2, 4, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
         assert a_blk.col_all_len == 3
-        rows = b.data[[0, 1, 3]]
-        grid = sdmm_compute(a_blk, DenseMatrix(3, 2, rows))
+        grid = sdmm_compute(a_blk, b, geom, 0)
         oracle = dense_matmul(to_dense(a), b).data
         assert np.allclose(grid.strip, oracle, rtol=1e-12, atol=0)
 
-    def test_missing_rows_rejected(self):
-        a = to_csc(TripletMatrix(2, 2, [(0, 0, 1.0), (0, 1, 1.0)]))
-        geom = make_geometry(plan_of(2, 2, 2), (2, 2, 2), (1, 1))
-        a_blk = encode_rp_csc(a, geom, 0, 0)
-        with pytest.raises(GatherError):
-            sdmm_compute(a_blk, DenseMatrix.zeros(1, 2))
-
-    def test_gather_dense_rows_bounds(self):
+    def test_dense_rows_bounds(self):
+        # A names inner index 2, which a two-row dense operand lacks
         a = to_csc(TripletMatrix(2, 3, [(0, 2, 1.0)]))
         geom = make_geometry(plan_of(2, 3, 2), (2, 3, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
-        with pytest.raises(GatherError):
-            gather_dense_rows(DenseMatrix.zeros(2, 2), a_blk, geom, 0)
+        with pytest.raises(GatherError, match="has 2 rows; column index 2"):
+            sdmm_compute(a_blk, DenseMatrix.zeros(2, 2), geom, 0)
 
 
 class TestSpmm:

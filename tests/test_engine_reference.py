@@ -14,8 +14,8 @@ import pytest
 from iohp.costmodel import Workload, _passes, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import (OutputBlock, address_map, compute_psums,
-                         dump_psum_store, fill_grid, gather_dense_rows,
-                         merge_join, merge_output_blocks, sdmm_compute,
+                         dump_psum_store, fill_grid, merge_join,
+                         merge_output_blocks, sdmm_compute,
                          validate_psum_store)
 from iohp.errors import MalformedBlockError, PsumOverflowError
 from iohp.matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc, to_csr
@@ -44,12 +44,13 @@ def group_slices(blk):
 
 
 def sdmm_banks_reference(a_blk, b_rows, g_nb, n_t):
-    """Per-(position, group, PE-column) accumulation into (g, h) banks."""
+    """Per-(position, group, PE-column) accumulation into (g, h) banks;
+    ``b_rows[p]`` is shared position p's dense row."""
     banks = np.zeros((a_blk.g_na, g_nb, a_blk.m_t, n_t))
     macs = 0
-    width = b_rows.n_cols
+    width = b_rows.shape[1]
     for p, members in enumerate(group_slices(a_blk)):
-        brow = b_rows.data[p]
+        brow = b_rows[p]
         nnz_brow = int(np.count_nonzero(brow))
         for g, rows_a, vals_a in members:
             macs += len(vals_a) * nnz_brow
@@ -214,18 +215,24 @@ def test_sdmm_strip_equals_bank_loop(case, values):
     for bm in range(geom.t_m):
         for bk in range(geom.t_k):
             a_blk = encode_rp_csc(a, geom, bm, bk)
+            k_lo = geom.k_span(bk)[0]
+            # each position's busiest member slice, one cycle per PE column
+            busiest = sum(max(len(vals) for _, _, vals in members)
+                          for members in group_slices(a_blk))
             for bn in range(geom.t_n):
-                b_rows = gather_dense_rows(b, a_blk, geom, bn)
-                grid = sdmm_compute(a_blk, b_rows)
+                c_lo, c_hi = geom.block_cols(bn)
+                b_rows = b.data[k_lo + a_blk.col_idx][:, c_lo:c_hi]
+                grid = sdmm_compute(a_blk, b, geom, bn)
                 banks, macs = sdmm_banks_reference(a_blk, b_rows, geom.g_nb,
                                                    geom.n_t)
-                width = b_rows.n_cols
+                width = c_hi - c_lo
                 g_na, g_nb, m_t, n_t = banks.shape
                 flat = banks.transpose(0, 2, 1, 3).reshape(g_na * m_t,
                                                            g_nb * n_t)
                 assert not flat[:, width:].any()
                 assert_same_array(grid.strip, np.ascontiguousarray(flat[:, :width]))
                 assert grid.macs == macs
+                assert grid.compute_cycles == busiest * min(geom.n_t, width)
 
 
 @pytest.mark.parametrize("values", ["int", "float"])
