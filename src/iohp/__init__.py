@@ -2,8 +2,7 @@
 and a deterministic cycle/DRAM cost model."""
 
 from .costmodel import (BaselineCounters, DramCounter, SimStats, StageTrace,
-                        Workload, addrmap_cycles, baseline_counters, run,
-                        simulate)
+                        Workload, baseline_counters, run, simulate)
 from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, decode_block,
                        encode_cp_csr, encode_rp_csc, make_geometry)
 from .engine import (OutputBlock, PsumGrid, PsumStore, address_map,

@@ -124,12 +124,17 @@ def _write(path: str | None, content: str) -> None:
 
 
 def _operand_files(args):
-    """A and B read from ``--a``/``--b``; None if the dims flags stand in."""
+    """A and B from ``--a``/``--b``, checked to conform; None if dims stand in."""
     if args.a:
         a_trip = _load(load_matrix_market, args.a)
         if not args.b:
             raise CommandError("parse", "--a requires --b")
-        return a_trip, _load(load_matrix_market, args.b)
+        b_trip = _load(load_matrix_market, args.b)
+        if a_trip.n_cols != b_trip.n_rows:
+            raise CommandError("parse", "dimension mismatch: "
+                               f"A is {a_trip.n_rows}x{a_trip.n_cols}, "
+                               f"B is {b_trip.n_rows}x{b_trip.n_cols}")
+        return a_trip, b_trip
     if None in (args.m, args.k, args.n, args.da, args.db):
         raise CommandError("parse",
                            "need --a/--b files or all of --m --k --n --da --db")
@@ -228,12 +233,7 @@ def _check_plan_record(plan: PartitionPlan, spec: WorkloadSpec,
 def cmd_spmm(args) -> int:
     """``spmm`` and ``sim``: ``sim`` is ``spmm`` without ``--out``."""
     cfg = replace(load_config(args.config), overflow_policy=args.policy)
-    a_trip = _load(load_matrix_market, args.a)
-    b_trip = _load(load_matrix_market, args.b)
-    if a_trip.n_cols != b_trip.n_rows:
-        raise CommandError("parse", "dimension mismatch: "
-                           f"A is {a_trip.n_rows}x{a_trip.n_cols}, "
-                           f"B is {b_trip.n_rows}x{b_trip.n_cols}")
+    a_trip, b_trip = _operand_files(args)
     mode = _resolve_mode(args.mode, b_trip, args.sdmm_threshold)
     result, stats, plan = _run_one(a_trip, b_trip, mode, cfg, args.a, args.plan)
     if args.out:

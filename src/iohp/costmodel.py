@@ -6,11 +6,8 @@ blocks from block-pair to global coordinates, and merges the run's once.
 
 The three stages (encode, psum compute, address map) run as a pipeline over
 tile passes: total cycles are the sum over passes of the slowest stage, plus
-the first pass's encode and the last pass's address map as fill/drain.
-
-Address mapping costs one setup cycle per non-empty row plus two cycles per
-stored psum (index insert during sorting, value fetch-accumulate), with
-concurrent per-PE units.
+the first pass's encode and the last pass's address map as fill/drain.  A
+pass encodes the entries it loads; the grid the engine returns prices the rest.
 
 DRAM reads follow the chosen reuse strategy's reload pattern: entry streams
 are counted per tile-load event and pointer streams once per full pass over
@@ -28,7 +25,7 @@ import numpy as np
 from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, encode_cp_csr,
                        encode_rp_csc, make_geometry)
 from .errors import DimensionError
-from .engine import (OutputBlock, PsumGrid, assemble_output, compute_psums,
+from .engine import (OutputBlock, assemble_output, compute_psums,
                      merge_output_blocks, sdmm_compute)
 from .matrices import CscMatrix, CsrMatrix, DenseMatrix
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
@@ -37,9 +34,8 @@ from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
 MODE_SSMM = "ssmm"
 MODE_SDMM = "sdmm"
 
-# Widths of the group-partitioned on-chip streams (value keeps full width).
+# Index width of the group-partitioned on-chip streams (value keeps full width).
 REDUCED_BITS_INDEX = 16
-REDUCED_BITS_LEN = 8
 
 
 @dataclass(frozen=True)
@@ -137,12 +133,6 @@ def _bytes(bits: int):
     return bits // 8 if bits % 8 == 0 else bits / 8
 
 
-def addrmap_cycles(grid: PsumGrid) -> int:
-    """Concurrent per-PE sort/accumulate: 2 cycles per psum + 1 per row."""
-    lens = grid.row_len
-    return int((2 * lens.sum(axis=1) + np.count_nonzero(lens, axis=1)).max())
-
-
 @dataclass(frozen=True)
 class BaselineCounters:
     """Dense-inner / private-outer reference counters for one product."""
@@ -218,14 +208,11 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
     A is CSC; B is CSR under SSMM (CSC result) or dense under SDMM.
     """
     a, b = workload.a, workload.b
-    if mode == MODE_SSMM:
-        if not isinstance(b, CsrMatrix):
-            raise DimensionError("ssmm needs a sparse right operand")
-    elif mode == MODE_SDMM:
-        if not isinstance(b, DenseMatrix):
-            raise DimensionError("sdmm needs a dense right operand")
-    else:
+    operands = {MODE_SSMM: (CsrMatrix, "sparse"), MODE_SDMM: (DenseMatrix, "dense")}
+    if mode not in operands:
         raise ValueError(f"unknown mode {mode!r}")
+    if not isinstance(b, operands[mode][0]):
+        raise DimensionError(f"{mode} needs a {operands[mode][1]} right operand")
     if a.n_cols != b.n_rows:
         raise DimensionError(
             f"dimension mismatch: {a.n_rows}x{a.n_cols} @ {b.n_rows}x{b.n_cols}")
@@ -236,12 +223,11 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
     bits_a = bits_b = bits_spill = 0
     util_a, util_b, util_psum = [], [], []
     traces: list[StageTrace] = []
-    macs = spills = 0
+    macs = 0
     a_blocks: dict[tuple[int, int], RpCscBlock] = {}
     b_blocks: dict[tuple[int, int], CpCsrBlock] = {}
     outputs: list[OutputBlock] = []  # every pass's outputs, global coordinates
     dense_result = np.zeros((geom.m, geom.n)) if mode == MODE_SDMM else None
-    psum_cap = cfg.c_psum if mode == MODE_SSMM else cfg.sdmm_variant().c_psum
 
     for m, n, k, a_loaded, b_loaded in _passes(plan.strategy, geom):
         a_blk = a_blocks.get((m, k))
@@ -251,6 +237,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
             bits_a += a_blk.nnz * entry_bits
         encode = a_blk.nnz if a_loaded else 0
         util_a.append(min(1.0, a_blk.nnz / cfg.c_a))
+        (r_lo, r_hi), (c_lo, c_hi) = geom.block_rows(m), geom.block_cols(n)
 
         if mode == MODE_SSMM:
             b_blk = b_blocks.get((k, n))
@@ -260,32 +247,24 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
                 bits_b += b_blk.nnz * entry_bits
                 encode += b_blk.nnz
             util_b.append(min(1.0, b_blk.nnz / cfg.c_b))
-            grid = compute_psums(a_blk, b_blk, cfg, tile=(m, n, k))
-            comp = grid.compute_cycles
-            addr = addrmap_cycles(grid)
-            pass_spills = grid.spill_events
+            grid = compute_psums(a_blk, b_blk, cfg)
             macs += grid.appended_products
-            util_psum.append(min(1.0, int(grid.peak.max()) / psum_cap))
+            util_psum.append(min(1.0, int(grid.peak.max()) / grid.capacity))
             bits_spill += grid.spilled.nnz * (cfg.bits_value + REDUCED_BITS_INDEX)
-            r_lo, c_lo = geom.block_rows(m)[0], geom.block_cols(n)[0]
             outputs += [grid.spilled.shifted(r_lo, c_lo),
                         grid.held.shifted(r_lo, c_lo)]
         else:
             k_lo, k_hi = geom.k_span(k)
-            c_lo, c_hi = geom.block_cols(n)
             if b_loaded:
                 bits_b += (k_hi - k_lo) * (c_hi - c_lo) * cfg.bits_value
             util_b.append(min(1.0, a_blk.col_all_len * (c_hi - c_lo) / cfg.c_b))
-            dense_grid = sdmm_compute(a_blk, b, geom, n)
-            comp = dense_grid.compute_cycles
-            addr = 0
-            pass_spills = 0
-            macs += dense_grid.macs
-            util_psum.append(min(1.0, geom.m_t * geom.n_t / psum_cap))
-            r_lo, r_hi = geom.block_rows(m)
-            dense_result[r_lo:r_hi, c_lo:c_hi] += dense_grid.strip[:r_hi - r_lo]
-        spills += pass_spills
-        traces.append(StageTrace(encode, comp, addr, pass_spills))
+            grid = sdmm_compute(a_blk, b, geom, n)
+            macs += grid.macs
+            util_psum.append(min(1.0, geom.m_t * geom.n_t
+                                 / cfg.sdmm_variant().c_psum))
+            dense_result[r_lo:r_hi, c_lo:c_hi] += grid.strip[:r_hi - r_lo]
+        traces.append(StageTrace(encode, grid.compute_cycles,
+                                 grid.addrmap_cycles, grid.spill_events))
 
     # pointer streams are read once per full traversal of each matrix
     passes_a = 1 if plan.strategy == STRATEGY_RAF else geom.t_n
@@ -318,7 +297,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
         achieved_macs=macs,
         peak_macs_per_cycle=cfg.g_na * cfg.g_nb,
         peak_macs_per_sec=cfg.g_na * cfg.g_nb * cfg.freq_hz,
-        spill_events=spills,
+        spill_events=sum(t.spill_events for t in traces),
         predicted_dram_bits=plan.predicted_dram,
         traces=traces,
     )

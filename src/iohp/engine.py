@@ -32,10 +32,13 @@ products, flushes), which is all the cost model reads; the per-store
 store.  A pass maps its held psums and its flushes with one sort each, into
 one block each in block-pair coordinates.
 
-Compute is modeled lockstep per inner index: the grid shares one pair of
-index cursors, so a matched index costs the busiest PE's product count and
-every other index consumed costs one cycle.  A sparse-dense pass costs, per
-A column, its busiest group's entries times the PE width.
+The grid a pass returns carries the pass's costs.  Compute is modeled
+lockstep per inner index: the grid shares one pair of index cursors, so a
+matched index costs the busiest PE's product count and every other index
+consumed costs one cycle.  A sparse-dense pass costs, per A column, its
+busiest group's entries times the PE width.  Address mapping costs one setup
+cycle per non-empty row plus two per stored psum (index insert during
+sorting, value fetch-accumulate), with concurrent per-PE units.
 """
 
 from __future__ import annotations
@@ -153,6 +156,12 @@ class PsumGrid:
     def spill_events(self) -> int:
         return int(self.spills.sum())
 
+    @property
+    def addrmap_cycles(self) -> int:
+        """Concurrent per-PE sort/accumulate: 2 cycles per psum + 1 per row."""
+        lens = self.row_len
+        return int((2 * lens.sum(axis=1) + np.count_nonzero(lens, axis=1)).max())
+
 
 @dataclass(eq=False)
 class DensePsumGrid:
@@ -161,6 +170,7 @@ class DensePsumGrid:
     strip: np.ndarray  # (g_na * m_t, width); row g * m_t + r is group g's row r
     macs: int
     compute_cycles: int  # lockstep: each column's busiest group x PE width
+    addrmap_cycles = spill_events = 0  # a dense bank maps and spills nothing
 
 
 def merge_join(a_blk: RpCscBlock,
@@ -177,13 +187,14 @@ def merge_join(a_blk: RpCscBlock,
 
 
 def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
-                  cfg: HardwareConfig | None = None, tile: tuple = ()) -> PsumGrid:
+                  cfg: HardwareConfig | None = None) -> PsumGrid:
     """Merge-join the block pair's shared index streams and fill the grid.
 
     At every inner index both blocks hold, in ascending order, each (g,h)
     with both bitmap bits set appends the full outer product of its slices,
     all built at once and filled PE-major, (k, A entry, B entry) within a PE.
-    Under ``fail`` the overflow raised is the first in (k, g, h) order.
+    Under ``fail`` the first overflow in (k, g, h) order raises, naming the
+    blocks' tile (block row, block column, block k).
     Store limits come from ``cfg``, the grid's shape from the blocks.
     """
     if a_blk.block_k != b_blk.block_k:
@@ -214,6 +225,7 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     over = np.flatnonzero(pe[starts[1:]] == pe[starts[:-1]]) + 1
     if cfg.overflow_policy == OVERFLOW_FAIL and len(over):
         i = over[np.lexsort((pe[starts[over]], pair[starts[over]]))[0]]
+        tile = (a_blk.block_row, b_blk.block_col, a_blk.block_k)
         raise PsumOverflowError(
             f"psum overflow at tile {tile}: id_psum={starts[i] - starts[i - 1]}, "
             f"capacity={cfg.c_psum}, segment size={s}")

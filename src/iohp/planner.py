@@ -160,21 +160,30 @@ class PartitionPlan:
 
     @classmethod
     def from_text(cls, text: str) -> "PartitionPlan":
-        """Parse a ``to_text`` record; ValueError names a missing field."""
+        """Parse a ``to_text`` record; ValueError names a missing field, or
+        the line and field of one that is not ``field=value`` or not an int."""
         fields = {}
-        for line in text.splitlines():
+        for i, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
+            key, sep, val = (part.strip() for part in line.partition("="))
+            where = f"plan record line {i}"
+            if not sep:
+                raise ValueError(f"{where}: expected field=value")
+            if key not in _PLAN_FIELDS:
+                raise ValueError(f"{where}: {key}: unknown field")
+            try:
+                fields[key] = val if key == "strategy" else int(val)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: {key}: expected an integer, got {val!r}") from None
         missing = [name for name in _PLAN_FIELDS if name not in fields]
         if missing:
             raise ValueError(f"plan record is missing {', '.join(missing)}")
         if fields["strategy"] not in _STRATEGY_RANK:
             raise ValueError(f"plan record: unknown strategy {fields['strategy']!r}")
-        return cls(**{name: fields[name] if name == "strategy"
-                      else int(fields[name]) for name in _PLAN_FIELDS})
+        return cls(**fields)
 
 
 def storage_size(rows: int, cols: int, density: float, cfg: HardwareConfig,

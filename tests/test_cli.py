@@ -154,6 +154,23 @@ class TestPlanCommand:
             "or block counts up to 12211744576795723190592, past int64\n")
 
 
+class TestNonConformableFiles:
+    """Every command that reads ``--a``/``--b`` files rejects A 4x5 with
+    B 7x3 at ``parse``, before planning or writing anything."""
+
+    @pytest.mark.parametrize("command", ["plan", "sweep", "spmm", "sim"])
+    def test_fails_at_parse(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(2)
+        a = write_mtx(tmp_path / "a.mtx", random_triplets(4, 5, 0.5, rng))
+        b = write_mtx(tmp_path / "b.mtx", random_triplets(7, 3, 0.5, rng))
+        report = tmp_path / "report.txt"
+        assert main([command, "--a", a, "--b", b,
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: parse: dimension mismatch: A is 4x5, B is 7x3\n")
+        assert not report.exists()
+
+
 class TestGcnCommand:
     def test_identity_adjacency(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from iohp.cli import main
 from iohp.matrices import (TripletMatrix, dense_matmul, load_matrix_market,
@@ -116,3 +117,25 @@ def test_sdmm_plan_record_from_the_planner_runs(tmp_path):
                  "sdmm", "--report", str(plan_path)]) == 0
     assert main(["sim", "--a", str(a_path), "--b", str(b_path), "--mode",
                  "sdmm", "--plan", str(plan_path)]) == 0
+
+
+@pytest.mark.parametrize("extra, err", [
+    ("this line means nothing\n",
+     "plan record line 9: expected field=value"),
+    ("t_mm=99\n", "plan record line 9: t_mm: unknown field"),
+])
+def test_plan_record_stray_line_is_named(tmp_path, capsys, extra, err):
+    assert _plan_run(tmp_path, FITTING + extra) == 1
+    assert capsys.readouterr().err == f"error: plan: {err}\n"
+
+
+@pytest.mark.parametrize("line, field, bad", [
+    (2, "t_k", "one"), (4, "m_t", "1.5"), (8, "predicted_dram", "")])
+def test_plan_record_non_integer_is_named(tmp_path, capsys, line, field, bad):
+    lines = FITTING.splitlines()
+    assert lines[line - 1].startswith(f"{field}=")
+    lines[line - 1] = f"{field}={bad}"
+    assert _plan_run(tmp_path, "\n".join(lines) + "\n") == 1
+    assert capsys.readouterr().err == (
+        f"error: plan: plan record line {line}: {field}: expected an integer, "
+        f"got {bad!r}\n")

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iohp.costmodel import (CSV_COLUMNS, Workload, addrmap_cycles,
-                            baseline_counters, run, simulate)
+import iohp.costmodel
+from iohp.costmodel import (CSV_COLUMNS, Workload, baseline_counters, run,
+                            simulate)
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import compute_psums, fill_grid, sdmm_compute
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
@@ -83,17 +84,17 @@ class TestAddrmapCycles:
 
     def test_empty_grid(self):
         grid = self.grid_with_rows([[0]])
-        assert addrmap_cycles(grid) == 0
+        assert grid.addrmap_cycles == 0
 
     def test_single_row_of_three(self):
         # one insert per index, one fetch per value, one row setup: 2*3 + 1
-        assert addrmap_cycles(self.grid_with_rows([[3]])) == 7
+        assert self.grid_with_rows([[3]]).addrmap_cycles == 7
 
     def test_concurrent_pes_take_max(self):
-        assert addrmap_cycles(self.grid_with_rows([[3], [1]])) == 7
+        assert self.grid_with_rows([[3], [1]]).addrmap_cycles == 7
 
     def test_multi_row_sum_within_pe(self):
-        assert addrmap_cycles(self.grid_with_rows([[2, 1]])) == (5 + 3)
+        assert self.grid_with_rows([[2, 1]]).addrmap_cycles == (5 + 3)
 
 
 class TestSimulate:
@@ -229,6 +230,52 @@ class TestSimulate:
         for key in ("total_cycles", "bytes_A", "util_psum", "macs",
                     "peak_macs_per_cycle"):
             assert f"{key}=" in text
+
+
+class TestStageTraces:
+    """Every pass's trace is its engine grid's costs, recorded once."""
+
+    def traced(self, monkeypatch, wl, plan, cfg, mode):
+        grids = []
+
+        def recording(engine_fn):
+            def call(*args, **kwargs):
+                grids.append(engine_fn(*args, **kwargs))
+                return grids[-1]
+            return call
+        for name in ("compute_psums", "sdmm_compute"):
+            monkeypatch.setattr(iohp.costmodel, name,
+                                recording(getattr(iohp.costmodel, name)))
+        return run(wl, plan, cfg, mode)[1], grids
+
+    def test_ssmm_traces_equal_their_grids(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        ta = random_triplets(12, 10, 0.4, rng)
+        tb = random_triplets(10, 9, 0.4, rng)
+        cfg = HardwareConfig(c_psum=3, s=2, g_na=2, g_nb=2)
+        stats, grids = self.traced(monkeypatch, Workload(to_csc(ta), to_csr(tb)),
+                                   plan_of(3, 4, 2), cfg, "ssmm")
+        assert len(stats.traces) == len(grids) > 1
+        assert sum(g.spill_events > 0 for g in grids) > 1
+        for trace, grid in zip(stats.traces, grids, strict=True):
+            assert (trace.compute_cycles, trace.addrmap_cycles,
+                    trace.spill_events) == (grid.compute_cycles,
+                                            grid.addrmap_cycles,
+                                            grid.spill_events)
+        assert stats.spill_events == sum(g.spill_events for g in grids)
+
+    def test_sdmm_traces_equal_their_grids(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        ta = random_triplets(12, 10, 0.3, rng)
+        cfg = HardwareConfig(g_na=2, g_nb=2)
+        stats, grids = self.traced(monkeypatch,
+                                   Workload(to_csc(ta), random_dense(10, 7, rng)),
+                                   plan_of(3, 4, 2), cfg, "sdmm")
+        assert len(stats.traces) == len(grids) > 1
+        for trace, grid in zip(stats.traces, grids, strict=True):
+            assert (trace.compute_cycles, trace.addrmap_cycles,
+                    trace.spill_events) == (grid.compute_cycles, 0, 0)
+            assert (grid.addrmap_cycles, grid.spill_events) == (0, 0)
 
 
 class TestBaselineCounters:

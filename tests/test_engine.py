@@ -421,6 +421,17 @@ class TestSpillPath:
             run(Workload(to_csc(ta), to_csr(tb)), plan_of(2, 12, 3), cfg,
                 "ssmm")
 
+    def test_fail_names_the_blocks_own_tile(self):
+        ones = TripletMatrix(2, 2, [(r, c, 1.0) for r in range(2)
+                                    for c in range(2)])
+        geom = make_geometry(plan_of(1, 2, 1), (2, 2, 2), (1, 1))
+        cfg = HardwareConfig(c_psum=1, overflow_policy="fail", g_na=1, g_nb=1)
+        with pytest.raises(PsumOverflowError) as err:
+            compute_psums(encode_rp_csc(to_csc(ones), geom, 1, 0),
+                          encode_cp_csr(to_csr(ones), geom, 0, 1), cfg)
+        assert str(err.value) == ("psum overflow at tile (1, 1, 0): "
+                                  "id_psum=1, capacity=1, segment size=1")
+
     def test_segment_overflow_spills(self):
         # row segment tighter than total capacity
         ta, tb = self.adversarial()

@@ -150,8 +150,7 @@ def run_output_reference(workload, plan, cfg):
     parts = {}
     for m, n, k, _, _ in _passes(plan.strategy, geom):
         grid = compute_psums(encode_rp_csc(a, geom, m, k),
-                             encode_cp_csr(b, geom, k, n), cfg,
-                             tile=(m, n, k))
+                             encode_cp_csr(b, geom, k, n), cfg)
         for g, row in enumerate(grid.stores):
             for h, st in enumerate(row):
                 blks = st.spilled + [address_map(st)]
@@ -479,10 +478,10 @@ def test_compute_psums_equals_product_loop(case, values, limits, policy):
                     ref = compute_psums_reference(a_blk, b_blk, cfg, tile)
                 except PsumOverflowError as err:
                     with pytest.raises(PsumOverflowError) as got:
-                        compute_psums(a_blk, b_blk, cfg, tile)
+                        compute_psums(a_blk, b_blk, cfg)
                     assert str(got.value) == str(err)
                     continue
-                grid = compute_psums(a_blk, b_blk, cfg, tile)
+                grid = compute_psums(a_blk, b_blk, cfg)
                 for st, ref_st in zip(grid, ref, strict=True):
                     assert_same_store(st, ref_st)
 
@@ -494,7 +493,7 @@ def test_fail_names_the_first_overflow_in_k_g_h_order():
     cfg = HardwareConfig(c_psum=4, s=2, overflow_policy="fail")
     with pytest.raises(PsumOverflowError) as err:
         compute_psums(encode_rp_csc(a, geom, 0, 0), encode_cp_csr(b, geom, 0, 0),
-                      cfg, (0, 0, 0))
+                      cfg)
     assert str(err.value) == ("psum overflow at tile (0, 0, 0): id_psum=3, "
                               "capacity=4, segment size=2")
 

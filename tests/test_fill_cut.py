@@ -243,7 +243,7 @@ def test_compute_psums_fails_at_the_same_overflow(data):
     for bm in range(geom.t_m):
         for bn in range(geom.t_n):
             blocks = (encode_rp_csc(csc, geom, bm, 0),
-                      encode_cp_csr(csr, geom, 0, bn), cfg, (bm, bn, 0))
+                      encode_cp_csr(csr, geom, 0, bn), cfg)
             outcomes = []
             for cut in (fill_grid, fill_grid_reference):
                 with pytest.MonkeyPatch.context() as patch:

@@ -55,7 +55,7 @@ def test_compute_cycles_equal_the_two_join_formula(case, values, limits):
             for bn in range(geom.t_n):
                 a_blk = encode_rp_csc(a, geom, bm, bk)
                 b_blk = encode_cp_csr(b, geom, bk, bn)
-                grid = compute_psums(a_blk, b_blk, cfg, (bm, bn, bk))
+                grid = compute_psums(a_blk, b_blk, cfg)
                 assert type(grid.compute_cycles) is int
                 assert grid.compute_cycles == two_join_compute_cycles(a_blk,
                                                                       b_blk)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import iohp.engine
-from iohp.costmodel import Workload, addrmap_cycles, run
+from iohp.costmodel import Workload, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc
 from iohp.planner import HardwareConfig, PartitionPlan
 from test_engine_reference import CASES, psum_operands
@@ -67,7 +67,7 @@ def test_grid_arrays_match_records(case, values, limits):
                     st.appended_total for st in stores)
                 assert grid.spill_events == sum(
                     st.spill_events for st in stores)
-                assert addrmap_cycles(grid) == stacked_addrmap_cycles(grid)
+                assert grid.addrmap_cycles == stacked_addrmap_cycles(grid)
 
 
 def test_records_are_built_once_and_share_no_row_lengths():
@@ -76,7 +76,7 @@ def test_records_are_built_once_and_share_no_row_lengths():
                                      encode_cp_csr(b, geom, 0, 0),
                                      HardwareConfig(c_psum=4, s=2))
     assert grid.stores is grid.stores
-    cycles = addrmap_cycles(grid)
+    cycles = grid.addrmap_cycles
     for st in grid:
         st.row_len[:] = 0  # editing a record leaves the grid's state alone
-    assert addrmap_cycles(grid) == cycles > 0
+    assert grid.addrmap_cycles == cycles > 0
