@@ -210,10 +210,18 @@ def _check_plan_record(plan: PartitionPlan, spec: WorkloadSpec,
                        cfg: HardwareConfig) -> None:
     """Reject a plan record made for other dims or with a wrong cost.
 
-    The tile counts must be ``make_geometry``'s, and the record's strategy
-    must be one ``dram_access`` offers here, at the cost it predicts.
+    No tile may exceed the largest the planner offers (``ceil(m / g_na)``,
+    ``k``, ``ceil(n / g_nb)``), the tile counts must be ``make_geometry``'s,
+    and the record's strategy must be one ``dram_access`` offers here, at
+    the cost it predicts.
     """
     geom = make_geometry(plan, (spec.m, spec.k, spec.n), (cfg.g_na, cfg.g_nb))
+    for name, largest in (("m_t", -(-spec.m // cfg.g_na)), ("k_t", spec.k),
+                          ("n_t", -(-spec.n // cfg.g_nb))):
+        if getattr(plan, name) > largest:
+            raise ValueError(
+                f"plan record: {name}={getattr(plan, name)} exceeds the "
+                f"largest tile of this workload, {name}={largest}")
     for name in ("t_m", "t_k", "t_n"):
         if getattr(plan, name) != getattr(geom, name):
             raise ValueError(

@@ -25,12 +25,10 @@ two flushes).  One stable sort by (PE, row) gives every product the
 ``s``-th earlier product of its row; a fill ends before the first product
 whose running maximum of these lies inside it, or at ``c_psum`` products.
 So each round (one per overflow of the busiest store) is one search over the
-stores with products left, and the same sort ranks each psum's slot in its
-row.  The grid keeps that fill as per-PE arrays (row lengths, peaks,
-products, flushes), which is all the cost model reads; the per-store
-``PsumStore`` records are built from them only when something inspects a
-store.  A pass maps its held psums and its flushes with one sort each, into
-one block each in block-pair coordinates.
+stores with products left.  The grid keeps that fill as per-PE arrays (row
+lengths, peaks, products, flushes), which is all the cost model reads.  A
+pass maps its held psums and its flushes with one sort each, into one block
+each in block-pair coordinates.
 
 The grid a pass returns carries the pass's costs.  Compute is modeled
 lockstep per inner index: the grid shares one pair of index cursors, so a
@@ -46,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -84,35 +82,10 @@ class OutputBlock:
 
 
 @dataclass(eq=False)
-class PsumStore:
-    """One PE's psum store at the end of a pass, a record of the grid fill.
-
-    ``value_psum``/``col_idx_psum`` hold its last fill (``id_psum`` psums) in
-    address order; ``vc_addr[r, :row_len[r]]`` lists row r's addresses in
-    insertion order (slots in use only: as wide as the grid's longest held
-    row).  ``spilled`` keeps each earlier fill's flush, mapped, in order;
-    ``peak_id`` is the longest fill, ``appended_total`` all its products.
-    """
-
-    m_t: int
-    s: int
-    capacity: int
-    value_psum: np.ndarray
-    col_idx_psum: np.ndarray
-    vc_addr: np.ndarray
-    row_len: np.ndarray
-    id_psum: int
-    peak_id: int
-    appended_total: int
-    spill_events: int
-    spilled: list[OutputBlock]
-
-
-@dataclass(eq=False)
 class PsumGrid:
     """A pass's psum state, as arrays over its PEs (PE ``g * g_nb + h``).
     ``held`` maps the held psums and ``spilled`` lists every flush, PE-major,
-    flush by flush; ``stores[g][h]`` records are built on first use."""
+    flush by flush."""
 
     shape: tuple  # (g_na, g_nb, m_t, n_t)
     s: int
@@ -123,30 +96,14 @@ class PsumGrid:
     spills: np.ndarray  # per PE: its flushes
     held: OutputBlock  # mapped, at (g * m_t + row, h * n_t + column)
     spilled: OutputBlock  # every flush, mapped, at the same coordinates
-    stored: tuple  # held psums' (pe, row, slot, column, value), address order
-    flushed: tuple  # ``spilled`` as (row, column, value) in store coordinates
-    flush_at: np.ndarray  # each flush's start in ``spilled``/``flushed``
     compute_cycles: int = 0  # lockstep cost of ``compute_psums``' join
 
-    @cached_property
-    def stores(self) -> list[list[PsumStore]]:
-        g_na, g_nb, m_t, _ = self.shape
-        pe, rows, slot, cols, vals = self.stored
-        first = np.searchsorted(pe, np.arange(g_na * g_nb))
-        vc_addr = np.zeros((*self.row_len.shape, self.row_len.max()), np.int64)
-        vc_addr[pe, rows, slot] = np.arange(len(pe)) - first[pe]
-        blocks = map(OutputBlock, *(np.split(a, self.flush_at)[1:]
-                                    for a in self.flushed))
-        records = [PsumStore(m_t, self.s, self.capacity, v, c, addr, lens,
-                             len(v), p, t, n, [next(blocks) for _ in range(n)])
-                   for v, c, addr, lens, p, t, n in zip(
-                       np.split(vals, first[1:]), np.split(cols, first[1:]),
-                       vc_addr, self.row_len.copy(), *(a.tolist() for a in (
-                           self.peak, self.appended, self.spills)))]
-        return [records[g * g_nb:(g + 1) * g_nb] for g in range(g_na)]
-
     def __iter__(self):
-        return (st for row in self.stores for st in row)
+        """Each PE's ``peak_id`` and ``capacity``, which is all that
+        ``perfbench/tracer.py``'s peak-occupancy loop reads; ROADMAP item 1
+        has it read ``peak`` and deletes this."""
+        return (SimpleNamespace(peak_id=p, capacity=self.capacity)
+                for p in self.peak.tolist())
 
     @property
     def appended_products(self) -> int:
@@ -245,20 +202,19 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
     gives each product its ``s``-th earlier product in its row, and ``reach``
     their running maximum: a fill from ``lo`` overflows at the first product
     whose ``reach`` is ``lo`` or more, so each round cuts the next fill of
-    every PE with products left by one search, and a product's slot is its
-    rank within (PE, row, fill) in the same sort.  A PE's last fill is what
-    its store holds; the others are flushed, keyed by fill.  Returns the
-    grid and each fill's start.
+    every PE with products left by one search.  A PE's last fill is what its
+    store holds; the others are flushed, keyed by fill.  Returns the grid and
+    each fill's start.
     """
     g_na, g_nb, m_t, _ = shape
     n_pe = g_na * g_nb
     bounds = np.searchsorted(pe, np.arange(n_pe + 1))
     key = pe * m_t + rows
     order = stable_order(key, n_pe * m_t)  # each row's products in stream order
-    key = key[order]
-    back = np.flatnonzero(_ranks(key) >= s)
+    back = np.flatnonzero(_ranks(key[order]) >= s)
     reach = np.full(len(pe), -1)
     reach[order[back]] = order[back - s]  # the s-th earlier product in the row
+    del key, order
     np.maximum.accumulate(reach, out=reach)
     lo, hi, starts = bounds[:-1], bounds[1:], [bounds[:0]]
     while (open_ := lo < hi).any():
@@ -270,9 +226,6 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
     starts = np.sort(np.concatenate(starts))
     lengths = np.diff(starts, append=len(pe))
     fill, fill_pe = np.repeat(np.arange(len(starts)), lengths), pe[starts]
-    slot = np.empty(len(pe), dtype=np.int64)  # its rank in (PE, row, fill)
-    slot[order] = _ranks(key, fill[order])
-    del key, order
     last = np.diff(fill_pe, append=n_pe) > 0  # a PE's last fill
     held = last[fill]
     h_pe, h_rows = pe[held], rows[held]
@@ -287,63 +240,19 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
         peak, np.diff(bounds), np.bincount(fill_pe[~last], minlength=n_pe),
         _accumulate(*_at_pe(h_pe, h_rows, cols[held], shape), vals[held]),
         OutputBlock(*_at_pe(fill_pe[f], f_rows, flushes.col, shape),
-                    flushes.value),
-        (h_pe, h_rows, slot[held], cols[held], vals[held]),
-        (f_rows, flushes.col, flushes.value),
-        np.searchsorted(f, np.flatnonzero(~last))), starts
+                    flushes.value)), starts
 
 
-def _ranks(*keys) -> np.ndarray:
-    """Each element's rank in its run of equal keys, in arrays sorted by the
-    keys together."""
-    at = np.arange(len(keys[0]))
-    return at - np.maximum.accumulate(np.where(run_starts(*keys), at, 0))
+def _ranks(key) -> np.ndarray:
+    """Each element's rank in its run of equal keys, in a sorted array."""
+    at = np.arange(len(key))
+    return at - np.maximum.accumulate(np.where(run_starts(key), at, 0))
 
 
 def _at_pe(pe, rows, cols, shape: tuple):
     """Block-pair coordinates of PE ``pe = g * g_nb + h``'s local (row, col)."""
     _, g_nb, m_t, n_t = shape
     return pe // g_nb * m_t + rows, pe % g_nb * n_t + cols
-
-
-def _directory(ps: PsumStore) -> tuple[np.ndarray, np.ndarray]:
-    """Every directory entry in use: its row and address, row-major.
-
-    Each row's addresses keep insertion order.  Only the ``row_len`` slots in
-    use are read, never the whole ``m_t x s`` directory.
-    """
-    rows = np.repeat(np.arange(ps.m_t, dtype=np.int64), ps.row_len)
-    row_start = np.cumsum(ps.row_len) - ps.row_len
-    slots = np.arange(len(rows), dtype=np.int64) - row_start[rows]
-    return rows, ps.vc_addr[rows, slots]
-
-
-def validate_psum_store(ps: PsumStore) -> None:
-    """Check the store's directory invariants; raise MalformedBlockError."""
-    if ps.id_psum != len(ps.value_psum) or ps.id_psum != len(ps.col_idx_psum):
-        raise MalformedBlockError("id_psum disagrees with stream lengths")
-    if int(ps.row_len.sum()) != ps.id_psum:
-        raise MalformedBlockError("row_len sum != id_psum")
-    if np.any(ps.row_len < 0) or np.any(ps.row_len > ps.s):
-        raise MalformedBlockError(f"row_len outside 0..{ps.s}")
-    wide = np.flatnonzero(ps.row_len > ps.vc_addr.shape[1])
-    if len(wide):
-        raise MalformedBlockError(
-            f"row {int(wide[0])}: row_len {int(ps.row_len[wide[0]])} exceeds "
-            f"the directory's {ps.vc_addr.shape[1]} slots")
-    rows, addrs = _directory(ps)
-    bad = (addrs < 0) | (addrs >= ps.id_psum)
-    if bad.any():
-        raise MalformedBlockError(
-            f"row {int(rows[np.argmax(bad)])}: address out of range")
-    if len(np.unique(addrs)) != ps.id_psum:
-        raise MalformedBlockError("addresses not a permutation of 0..id_psum-1")
-
-
-def address_map(ps: PsumStore) -> OutputBlock:
-    """Accumulate one store's psums, fetched row by row in insertion order."""
-    rows, addrs = _directory(ps)
-    return _accumulate(rows, ps.col_idx_psum[addrs], ps.value_psum[addrs])
 
 
 def _accumulate(rows, cols, vals) -> OutputBlock:
@@ -367,8 +276,10 @@ def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
     parts = [p for p in parts if p.nnz]
     if not parts:
         return OutputBlock.empty()
-    if len(parts) == 1:
-        return parts[0]
+    if len(parts) == 1:  # already merged if its (row, col) pairs strictly rise
+        r, c = parts[0].row, parts[0].col
+        if np.all((r[1:] > r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] > c[:-1]))):
+            return parts[0]
     rows, cols, vals, starts = coordinate_runs(
         np.concatenate([p.row for p in parts]),
         np.concatenate([p.col for p in parts]),
@@ -442,18 +353,3 @@ def sdmm_compute(a_blk: RpCscBlock, b: DenseMatrix, geom: TilingGeometry,
     np.add.at(strip, group * a_blk.m_t + rows, vals[:, None] * dense)
     return DensePsumGrid(strip, int(np.count_nonzero(dense)),
                          int(a_blk.busiest.sum()) * min(geom.n_t, c_hi - c_lo))
-
-
-def dump_psum_store(ps: PsumStore) -> str:
-    """Structured text dump of a store for golden tests."""
-    lines = [
-        "kind=psum_store",
-        f"id_psum={ps.id_psum}",
-        "value_psum=" + ",".join(repr(float(v)) for v in ps.value_psum),
-        "col_idx_psum=" + ",".join(str(int(c)) for c in ps.col_idx_psum),
-        "row_len_psum=" + ",".join(str(int(x)) for x in ps.row_len),
-    ]
-    for r in range(ps.m_t):
-        seg = ps.vc_addr[r, :ps.row_len[r]]
-        lines.append(f"vc_addr[{r}]=" + ",".join(str(int(x)) for x in seg))
-    return "\n".join(lines) + "\n"

@@ -97,9 +97,8 @@ class HardwareConfig:
 class WorkloadSpec:
     """Dims, densities, and total encoded storage (bits) of both operands.
 
-    ``nnz_*`` are the stored-entry counts the storage sizes were derived
-    from; for a dense right operand every element is stored (``d_b`` = 1,
-    no index/pointer streams).
+    For a dense right operand every element is stored (``d_b`` = 1, no
+    index/pointer streams).
     """
 
     m: int
@@ -109,8 +108,6 @@ class WorkloadSpec:
     d_b: float
     m_a: int
     m_b: int
-    nnz_a: int
-    nnz_b: int
     b_dense: bool = False
 
     @classmethod
@@ -133,8 +130,7 @@ class WorkloadSpec:
         return cls(m, k, n, nnz_a / (m * k), nnz_b / (k * n),
                    m_a=_sparse_bits(nnz_a, k, cfg),
                    m_b=nnz_b * cfg.bits_value if b_dense
-                   else _sparse_bits(nnz_b, k, cfg),
-                   nnz_a=nnz_a, nnz_b=nnz_b, b_dense=b_dense)
+                   else _sparse_bits(nnz_b, k, cfg), b_dense=b_dense)
 
 
 def _sparse_bits(nnz: int, ptr_len: int, cfg: HardwareConfig) -> int:
@@ -161,8 +157,9 @@ class PartitionPlan:
     @classmethod
     def from_text(cls, text: str) -> "PartitionPlan":
         """Parse a ``to_text`` record; ValueError names a missing field, or
-        the line and field of one that is not ``field=value`` or not an int."""
-        fields = {}
+        the line and field of one that is not ``field=value``, not an int or
+        given twice (with both lines)."""
+        fields, line_of = {}, {}
         for i, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -173,6 +170,10 @@ class PartitionPlan:
                 raise ValueError(f"{where}: expected field=value")
             if key not in _PLAN_FIELDS:
                 raise ValueError(f"{where}: {key}: unknown field")
+            if key in line_of:
+                raise ValueError(f"{where}: {key}: already given on line "
+                                 f"{line_of[key]}")
+            line_of[key] = i
             try:
                 fields[key] = val if key == "strategy" else int(val)
             except ValueError:

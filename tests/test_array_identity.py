@@ -27,7 +27,7 @@ def instances():
     return {
         "CscMatrix": a, "CsrMatrix": b, "DenseMatrix": dense,
         "RpCscBlock": a_blk, "CpCsrBlock": b_blk, "PsumGrid": grid,
-        "OutputBlock": grid.spilled, "PsumStore": grid.stores[0][0],
+        "OutputBlock": grid.spilled,
         "DensePsumGrid": sdmm_compute(a_blk, dense, geom, 0),
     }
 

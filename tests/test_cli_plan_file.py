@@ -139,3 +139,29 @@ def test_plan_record_non_integer_is_named(tmp_path, capsys, line, field, bad):
     assert capsys.readouterr().err == (
         f"error: plan: plan record line {line}: {field}: expected an integer, "
         f"got {bad!r}\n")
+
+
+@pytest.mark.parametrize("extra, first", [("m_t=1\n", 4), ("m_t=2\n", 4),
+                                          ("strategy=RAF\n", 7)])
+def test_plan_record_repeated_field_names_both_lines(tmp_path, capsys, extra,
+                                                     first):
+    # the same value or another: neither copy may win silently
+    field = extra.partition("=")[0]
+    assert _plan_run(tmp_path, FITTING + extra) == 1
+    assert capsys.readouterr().err == (
+        f"error: plan: plan record line 9: {field}: already given on line "
+        f"{first}\n")
+
+
+@pytest.mark.parametrize("field, largest", [("m_t", 1), ("k_t", 3),
+                                            ("n_t", 1)])
+def test_plan_record_tile_past_its_dimension_rejected(tmp_path, capsys, field,
+                                                      largest):
+    # the tile counts still fit (one tile each), but no row, inner index or
+    # column lies past ceil(3 / 8), 3 and ceil(3 / 8)
+    record = FITTING.replace(f"{field}={largest}\n", f"{field}=1000000\n")
+    assert record != FITTING
+    assert _plan_run(tmp_path, record) == 1
+    assert capsys.readouterr().err == (
+        f"error: plan: plan record: {field}=1000000 exceeds the largest tile "
+        f"of this workload, {field}={largest}\n")

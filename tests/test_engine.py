@@ -3,16 +3,16 @@ import pytest
 
 from iohp.costmodel import Workload, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import (OutputBlock, address_map, assemble_output,
-                         compute_psums, dump_psum_store, fill_grid,
-                         merge_output_blocks, sdmm_compute,
-                         validate_psum_store)
+from iohp.engine import (OutputBlock, assemble_output, compute_psums,
+                         merge_output_blocks, sdmm_compute)
 from iohp.errors import (DimensionError, GatherError, MalformedBlockError,
                          PsumOverflowError)
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, to_csc, to_csr, to_dense)
 from iohp.planner import HardwareConfig, PartitionPlan
 from iohp.synthetic import random_dense, random_triplets
+from test_engine_reference import (address_map, dump_psum_store, lone_store,
+                                   psums_with_records, validate_psum_store)
 
 
 def plan_of(m_t, k_t, n_t):
@@ -25,16 +25,6 @@ def worked_blocks():
                                     (2, 1, 6.0)]))
     geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
     return encode_rp_csc(a, geom, 0, 0), encode_cp_csr(b, geom, 0, 0), geom
-
-
-def lone_store(m_t, s, capacity, rows, cols, vals):
-    """One store filled by ``fill_grid`` from a one-PE product stream."""
-    grid, _ = fill_grid(np.zeros(len(rows), dtype=np.int64),
-                        np.array(rows, dtype=np.int64),
-                        np.array(cols, dtype=np.int64),
-                        np.array(vals, dtype=np.float64),
-                        (1, 1, m_t, 1), s, capacity)  # one PE: no offsets
-    return grid.stores[0][0]
 
 
 def random_instance(rng, m=None, k=None, n=None, density=None, values="float"):
@@ -50,33 +40,33 @@ def random_instance(rng, m=None, k=None, n=None, density=None, values="float"):
 class TestComputePsums:
     def test_worked_instance_per_pe(self):
         a_blk, b_blk, _ = worked_blocks()
-        grid = compute_psums(a_blk, b_blk)
-        st = grid.stores[0][0]
+        grid, stores = psums_with_records(a_blk, b_blk)
+        st = stores[0][0]
         assert st.value_psum.tolist() == [5.0, 10.0, 42.0]
         assert st.col_idx_psum.tolist() == [0, 1, 1]
         assert st.row_len.tolist() == [2, 1]
         assert st.vc_addr[0, :2].tolist() == [0, 1]
         assert st.vc_addr[1, :1].tolist() == [2]
-        assert grid.stores[1][1].value_psum.tolist() == [12.0]
-        assert grid.stores[0][1].id_psum == 0
-        assert grid.stores[1][0].id_psum == 0
+        assert stores[1][1].value_psum.tolist() == [12.0]
+        assert stores[0][1].id_psum == 0
+        assert stores[1][0].id_psum == 0
         assert grid.appended_products == 4
 
     def test_empty_a_block(self):
         a = to_csc(TripletMatrix(4, 4, []))
         b = to_csr(TripletMatrix(4, 4, [(0, 0, 1.0)]))
         geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
-        grid = compute_psums(encode_rp_csc(a, geom, 0, 0),
-                             encode_cp_csr(b, geom, 0, 0))
-        assert all(st.id_psum == 0 for st in grid)
+        _, stores = psums_with_records(encode_rp_csc(a, geom, 0, 0),
+                                       encode_cp_csr(b, geom, 0, 0))
+        assert all(st.id_psum == 0 for row in stores for st in row)
 
     def test_one_by_one(self):
         a = to_csc(TripletMatrix(1, 1, [(0, 0, 2.0)]))
         b = to_csr(TripletMatrix(1, 1, [(0, 0, 3.0)]))
         geom = make_geometry(plan_of(1, 1, 1), (1, 1, 1), (1, 1))
-        grid = compute_psums(encode_rp_csc(a, geom, 0, 0),
-                             encode_cp_csr(b, geom, 0, 0))
-        st = grid.stores[0][0]
+        _, stores = psums_with_records(encode_rp_csc(a, geom, 0, 0),
+                                       encode_cp_csr(b, geom, 0, 0))
+        st = stores[0][0]
         assert st.value_psum.tolist() == [6.0]
         assert st.row_len.tolist() == [1]
 
@@ -99,11 +89,11 @@ class TestComputePsums:
             for bk in range(geom.t_k):
                 a_blk = encode_rp_csc(to_csc(ta), geom, 0, bk)
                 b_blk = encode_cp_csr(to_csr(tb), geom, bk, 0)
-                grid = compute_psums(a_blk, b_blk,
-                                     HardwareConfig(c_psum=10 ** 9,
-                                                    s=10 ** 6))
-                for st in grid:
-                    validate_psum_store(st)
+                _, stores = psums_with_records(
+                    a_blk, b_blk, HardwareConfig(c_psum=10 ** 9, s=10 ** 6))
+                for row in stores:
+                    for st in row:
+                        validate_psum_store(st)
 
 
 class TestAddressMap:
@@ -123,8 +113,8 @@ class TestAddressMap:
 
     def test_worked_instance(self):
         a_blk, b_blk, _ = worked_blocks()
-        grid = compute_psums(a_blk, b_blk)
-        out = address_map(grid.stores[0][0])
+        _, stores = psums_with_records(a_blk, b_blk)
+        out = address_map(stores[0][0])
         assert list(zip(out.row.tolist(), out.col.tolist(),
                         out.value.tolist())) == [(0, 0, 5.0), (0, 1, 10.0),
                                                  (1, 1, 42.0)]
@@ -139,10 +129,11 @@ class TestAddressMap:
             ta, tb = random_instance(rng)
             geom = make_geometry(plan_of(ta.n_rows, ta.n_cols, tb.n_cols),
                                  (ta.n_rows, ta.n_cols, tb.n_cols), (1, 1))
-            grid = compute_psums(encode_rp_csc(to_csc(ta), geom, 0, 0),
-                                 encode_cp_csr(to_csr(tb), geom, 0, 0),
-                                 HardwareConfig(c_psum=10 ** 9, s=10 ** 6))
-            st = grid.stores[0][0]
+            _, stores = psums_with_records(
+                encode_rp_csc(to_csc(ta), geom, 0, 0),
+                encode_cp_csr(to_csr(tb), geom, 0, 0),
+                HardwareConfig(c_psum=10 ** 9, s=10 ** 6))
+            st = stores[0][0]
             out = address_map(st)
             for r in np.unique(out.row):
                 cols = out.col[out.row == r]
@@ -153,8 +144,8 @@ class TestAddressMap:
 
     def test_dump_store_golden(self):
         a_blk, b_blk, _ = worked_blocks()
-        grid = compute_psums(a_blk, b_blk)
-        assert dump_psum_store(grid.stores[0][0]) == (
+        _, stores = psums_with_records(a_blk, b_blk)
+        assert dump_psum_store(stores[0][0]) == (
             "kind=psum_store\n"
             "id_psum=3\n"
             "value_psum=5.0,10.0,42.0\n"
@@ -192,11 +183,11 @@ class TestMerge:
             geom = make_geometry(plan_of(m, k_t, n), (m, k, n), (1, 1))
             parts = []
             for bk in range(geom.t_k):
-                grid = compute_psums(
+                _, stores = psums_with_records(
                     encode_rp_csc(to_csc(ta), geom, 0, bk),
                     encode_cp_csr(to_csr(tb), geom, bk, 0),
                     HardwareConfig(c_psum=10 ** 9, s=10 ** 6))
-                st = grid.stores[0][0]
+                st = stores[0][0]
                 out = address_map(st)
                 if out.nnz:
                     parts.append(out)

@@ -3,20 +3,22 @@ per-store loops they replaced, kept here as references.
 
 Each reference adds the same products in the same order, so results must be
 bit-identical (compared as bytes, which also tells -0.0 from 0.0) and carry
-the same dtypes.
+the same dtypes.  The per-store ``PsumStore`` records, with their address
+directories, are rebuilt here from a pass's product stream and fill starts;
+the engine keeps only the grid's arrays.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import iohp.engine
 from iohp.costmodel import Workload, _passes, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
-from iohp.engine import (OutputBlock, address_map, compute_psums,
-                         dump_psum_store, fill_grid, merge_join,
-                         merge_output_blocks, sdmm_compute,
-                         validate_psum_store)
+from iohp.engine import (OutputBlock, _accumulate, compute_psums, fill_grid,
+                         merge_join, merge_output_blocks, sdmm_compute)
 from iohp.errors import MalformedBlockError, PsumOverflowError
 from iohp.matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc, to_csr
 from iohp.planner import HardwareConfig, PartitionPlan
@@ -64,6 +66,161 @@ def sdmm_banks_reference(a_blk, b_rows, g_nb, n_t):
     return banks, macs
 
 
+@dataclass(eq=False)
+class PsumStore:
+    """One PE's psum store at the end of a pass, rebuilt by ``store_records``.
+
+    ``value_psum``/``col_idx_psum`` hold its last fill (``id_psum`` psums) in
+    address order; ``vc_addr[r, :row_len[r]]`` lists row r's addresses in
+    insertion order (slots in use only: as wide as the grid's longest held
+    row).  ``spilled`` keeps each earlier fill's flush, mapped, in order;
+    ``peak_id`` is the longest fill, ``appended_total`` all its products.
+    """
+
+    m_t: int
+    s: int
+    capacity: int
+    value_psum: np.ndarray
+    col_idx_psum: np.ndarray
+    vc_addr: np.ndarray
+    row_len: np.ndarray
+    id_psum: int
+    peak_id: int
+    appended_total: int
+    spill_events: int
+    spilled: list
+
+
+def fill_slots(rows, m_t, starts):
+    """Each product's slot: its rank among its (fill, row) products, in
+    stream order (a fill lies within one PE)."""
+    fill = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows)))
+    key = fill * m_t + rows
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    slot = np.empty(len(rows), dtype=np.int64)
+    slot[order] = np.arange(len(rows)) - np.repeat(
+        first, np.diff(first, append=len(rows)))
+    return slot
+
+
+def store_records(pe, rows, cols, vals, shape, s, capacity, starts):
+    """Every PE's ``PsumStore`` record, ``records[g][h]``, from
+    ``fill_grid``'s arguments and the fill starts it returned.
+
+    A fill's psums take addresses in stream order and slots by
+    ``fill_slots``; a PE's last fill is what its store holds, and every
+    earlier one is flushed through ``address_map``."""
+    g_na, g_nb, m_t, _ = shape
+    ends = np.append(starts[1:], len(pe)).tolist()
+    slot = fill_slots(rows, m_t, starts)
+    fills = [[] for _ in range(g_na * g_nb)]
+    for lo, hi in zip(starts.tolist(), ends):
+        fills[pe[lo]].append((lo, hi))
+
+    def record(lo, hi, width=None):
+        row_len = np.bincount(rows[lo:hi], minlength=m_t)
+        vc_addr = np.zeros((m_t, row_len.max() if width is None else width),
+                           dtype=np.int64)
+        vc_addr[rows[lo:hi], slot[lo:hi]] = np.arange(hi - lo)
+        return PsumStore(m_t, s, capacity, vals[lo:hi], cols[lo:hi], vc_addr,
+                         row_len, hi - lo, 0, 0, 0, [])
+
+    held = [f[-1] if f else (0, 0) for f in fills]
+    width = max(np.bincount(rows[lo:hi], minlength=m_t).max()
+                for lo, hi in held)
+    records = []
+    for (lo, hi), flushed in zip(held, fills):
+        st = record(lo, hi, width)
+        st.peak_id = max((b - a for a, b in flushed), default=0)
+        st.appended_total = sum(b - a for a, b in flushed)
+        st.spill_events = max(len(flushed) - 1, 0)
+        st.spilled = [address_map(record(a, b)) for a, b in flushed[:-1]]
+        records.append(st)
+    return [records[g * g_nb:(g + 1) * g_nb] for g in range(g_na)]
+
+
+def psums_with_records(a_blk, b_blk, cfg=None):
+    """``compute_psums``' grid and its stores' records, rebuilt from the
+    ``fill_grid`` call it makes."""
+    calls = []
+
+    def recorded(*args):
+        grid, starts = fill_grid(*args)
+        calls.append(args + (starts,))
+        return grid, starts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iohp.engine, "fill_grid", recorded)
+        grid = compute_psums(a_blk, b_blk, cfg)
+    (args,) = calls
+    return grid, store_records(*args)
+
+
+def lone_store(m_t, s, capacity, rows, cols, vals):
+    """One store filled by ``fill_grid`` from a one-PE product stream."""
+    args = (np.zeros(len(rows), dtype=np.int64),
+            np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+            np.asarray(vals, dtype=np.float64), (1, 1, m_t, 1), s, capacity)
+    _, starts = fill_grid(*args)  # one PE: no offsets
+    return store_records(*args, starts)[0][0]
+
+
+def _directory(ps):
+    """Every directory entry in use: its row and address, row-major.
+
+    Each row's addresses keep insertion order.  Only the ``row_len`` slots in
+    use are read, never the whole ``m_t x s`` directory.
+    """
+    rows = np.repeat(np.arange(ps.m_t, dtype=np.int64), ps.row_len)
+    row_start = np.cumsum(ps.row_len) - ps.row_len
+    slots = np.arange(len(rows), dtype=np.int64) - row_start[rows]
+    return rows, ps.vc_addr[rows, slots]
+
+
+def validate_psum_store(ps):
+    """Check the store's directory invariants; raise MalformedBlockError."""
+    if ps.id_psum != len(ps.value_psum) or ps.id_psum != len(ps.col_idx_psum):
+        raise MalformedBlockError("id_psum disagrees with stream lengths")
+    if int(ps.row_len.sum()) != ps.id_psum:
+        raise MalformedBlockError("row_len sum != id_psum")
+    if np.any(ps.row_len < 0) or np.any(ps.row_len > ps.s):
+        raise MalformedBlockError(f"row_len outside 0..{ps.s}")
+    wide = np.flatnonzero(ps.row_len > ps.vc_addr.shape[1])
+    if len(wide):
+        raise MalformedBlockError(
+            f"row {int(wide[0])}: row_len {int(ps.row_len[wide[0]])} exceeds "
+            f"the directory's {ps.vc_addr.shape[1]} slots")
+    rows, addrs = _directory(ps)
+    bad = (addrs < 0) | (addrs >= ps.id_psum)
+    if bad.any():
+        raise MalformedBlockError(
+            f"row {int(rows[np.argmax(bad)])}: address out of range")
+    if len(np.unique(addrs)) != ps.id_psum:
+        raise MalformedBlockError("addresses not a permutation of 0..id_psum-1")
+
+
+def address_map(ps):
+    """Accumulate one store's psums, fetched row by row in insertion order."""
+    rows, addrs = _directory(ps)
+    return _accumulate(rows, ps.col_idx_psum[addrs], ps.value_psum[addrs])
+
+
+def dump_psum_store(ps):
+    """Structured text dump of a store for golden tests."""
+    lines = [
+        "kind=psum_store",
+        f"id_psum={ps.id_psum}",
+        "value_psum=" + ",".join(repr(float(v)) for v in ps.value_psum),
+        "col_idx_psum=" + ",".join(str(int(c)) for c in ps.col_idx_psum),
+        "row_len_psum=" + ",".join(str(int(x)) for x in ps.row_len),
+    ]
+    for r in range(ps.m_t):
+        seg = ps.vc_addr[r, :ps.row_len[r]]
+        lines.append(f"vc_addr[{r}]=" + ",".join(str(int(x)) for x in seg))
+    return "\n".join(lines) + "\n"
+
+
 def address_map_reference(ps):
     """Per-row stable argsort of the columns, then a run-wise reduceat."""
     value = ps.value_psum
@@ -93,8 +250,6 @@ def merge_reference(parts):
     parts = [p for p in parts if p.nnz]
     if not parts:
         return OutputBlock.empty()
-    if len(parts) == 1:
-        return parts[0]
     rows = np.concatenate([p.row for p in parts])
     cols = np.concatenate([p.col for p in parts])
     vals = np.concatenate([p.value for p in parts])
@@ -149,9 +304,9 @@ def run_output_reference(workload, plan, cfg):
                          (cfg.g_na, cfg.g_nb))
     parts = {}
     for m, n, k, _, _ in _passes(plan.strategy, geom):
-        grid = compute_psums(encode_rp_csc(a, geom, m, k),
-                             encode_cp_csr(b, geom, k, n), cfg)
-        for g, row in enumerate(grid.stores):
+        _, stores = psums_with_records(encode_rp_csc(a, geom, m, k),
+                                       encode_cp_csr(b, geom, k, n), cfg)
+        for g, row in enumerate(stores):
             for h, st in enumerate(row):
                 blks = st.spilled + [address_map(st)]
                 if any(blk.nnz for blk in blks):
@@ -249,9 +404,11 @@ def test_address_map_equals_row_loop(case, values, limits):
     for bm in range(geom.t_m):
         for bk in range(geom.t_k):
             for bn in range(geom.t_n):
-                grid = compute_psums(encode_rp_csc(a, geom, bm, bk),
-                                     encode_cp_csr(b, geom, bk, bn), cfg)
-                for st in grid:
+                grid, stores = psums_with_records(
+                    encode_rp_csc(a, geom, bm, bk),
+                    encode_cp_csr(b, geom, bk, bn), cfg)
+                stores = [st for row in stores for st in row]
+                for st in stores:
                     validate_psum_store(st)
                     assert_same_block(address_map(st),
                                       address_map_reference(st))
@@ -259,7 +416,7 @@ def test_address_map_equals_row_loop(case, values, limits):
                 per_store = [shifted(address_map_reference(st),
                                      i // geom.g_nb * geom.m_t,
                                      i % geom.g_nb * geom.n_t)
-                             for i, st in enumerate(grid)]
+                             for i, st in enumerate(stores)]
                 assert_same_block(grid.held, merge_reference(per_store))
                 spilled += grid.spilled.nnz
     if capacity == 4 and case[-1] != (1, 1):
@@ -294,12 +451,13 @@ def test_spilled_block_is_every_flush_at_its_pe(case):
     for bm in range(geom.t_m):
         for bk in range(geom.t_k):
             for bn in range(geom.t_n):
-                grid = compute_psums(encode_rp_csc(a, geom, bm, bk),
-                                     encode_cp_csr(b, geom, bk, bn), cfg)
+                grid, stores = psums_with_records(
+                    encode_rp_csc(a, geom, bm, bk),
+                    encode_cp_csr(b, geom, bk, bn), cfg)
                 parts = [OutputBlock.empty()] + [
-                    shifted(blk, i // geom.g_nb * geom.m_t,
-                            i % geom.g_nb * geom.n_t)
-                    for i, st in enumerate(grid) for blk in st.spilled]
+                    shifted(blk, g * geom.m_t, h * geom.n_t)
+                    for g, row in enumerate(stores)
+                    for h, st in enumerate(row) for blk in st.spilled]
                 want = OutputBlock(*(np.concatenate([getattr(p, f) for p in parts])
                                      for f in ("row", "col", "value")))
                 assert_same_block(grid.spilled, want)
@@ -338,11 +496,22 @@ def test_merge_equals_coordinate_loop():
         assert_same_block(merge_output_blocks(parts), merge_reference(parts))
 
 
-def lone_store(m_t, s, capacity, rows, cols, vals):
-    """One store filled by ``fill_grid`` from a one-PE product stream."""
-    grid, _ = fill_grid(np.zeros(len(rows), dtype=np.int64), rows, cols, vals,
-                        (1, 1, m_t, 1), s, capacity)  # one PE: no offsets
-    return grid.stores[0][0]
+def test_lone_spilled_block_is_merged():
+    # a 1x4 by 4x1 product of ones in one store of one psum: three flushes
+    # of (0, 0) side by side in one part, and the held fourth product
+    geom = make_geometry(PartitionPlan(1, 1, 1, 1, 4, 1, "RABE", 0),
+                         (1, 4, 1), (1, 1))
+    a = to_csc(TripletMatrix(1, 4, [(0, k, 1.0) for k in range(4)]))
+    b = to_csr(TripletMatrix(4, 1, [(k, 0, 1.0) for k in range(4)]))
+    grid = compute_psums(encode_rp_csc(a, geom, 0, 0),
+                         encode_cp_csr(b, geom, 0, 0),
+                         HardwareConfig(c_psum=1, s=1, g_na=1, g_nb=1))
+    assert grid.spilled.row.tolist() == grid.spilled.col.tolist() == [0] * 3
+    merged = merge_output_blocks([grid.spilled])
+    assert list(zip(merged.row.tolist(), merged.col.tolist(),
+                    merged.value.tolist())) == [(0, 0, 3.0)]
+    assert_same_block(merged, merge_reference([grid.spilled]))
+    assert merge_output_blocks([grid.held]) is grid.held  # already merged
 
 
 def test_validate_names_the_bad_directory_entry():
@@ -481,8 +650,9 @@ def test_compute_psums_equals_product_loop(case, values, limits, policy):
                         compute_psums(a_blk, b_blk, cfg)
                     assert str(got.value) == str(err)
                     continue
-                grid = compute_psums(a_blk, b_blk, cfg)
-                for st, ref_st in zip(grid, ref, strict=True):
+                _, stores = psums_with_records(a_blk, b_blk, cfg)
+                got = [st for row in stores for st in row]
+                for st, ref_st in zip(got, ref, strict=True):
                     assert_same_store(st, ref_st)
 
 

@@ -2,9 +2,10 @@
 round-based cutter it replaced, which re-sorted a capacity-wide window of
 every open store in each overflow round, is kept here as the reference.
 
-Both cut the same PE-major stream, so fill starts, slots and every
-``PsumGrid`` array must be bit-identical, and under policy ``fail`` the same
-(k, g, h) overflow must be raised.
+Both cut the same PE-major stream, so fill starts, slots (those of
+``test_engine_reference``'s record builder) and every ``PsumGrid`` array
+must be bit-identical, and under policy ``fail`` the same (k, g, h) overflow
+must be raised.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from iohp.engine import (OutputBlock, PsumGrid, _accumulate, _at_pe,
 from iohp.errors import PsumOverflowError
 from iohp.matrices import CscMatrix, CsrMatrix
 from iohp.planner import HardwareConfig, PartitionPlan
+from test_engine_reference import fill_slots
 
 
 def fill_cuts_reference(pe, rows, shape, s, capacity):
@@ -56,7 +58,7 @@ def fill_grid_reference(pe, rows, cols, vals, shape, s, capacity):
     """The former ``fill_grid``: the reference cuts, then the grid's arrays."""
     g_na, g_nb, m_t, _ = shape
     n_pe = g_na * g_nb
-    starts, slot = fill_cuts_reference(pe, rows, shape, s, capacity)
+    starts, _ = fill_cuts_reference(pe, rows, shape, s, capacity)
     lengths = np.diff(starts, append=len(pe))
     fill, fill_pe = np.repeat(np.arange(len(starts)), lengths), pe[starts]
     last = np.diff(fill_pe, append=n_pe) > 0
@@ -74,10 +76,7 @@ def fill_grid_reference(pe, rows, cols, vals, shape, s, capacity):
         np.bincount(fill_pe[~last], minlength=n_pe),
         _accumulate(*_at_pe(h_pe, h_rows, cols[held], shape), vals[held]),
         OutputBlock(*_at_pe(fill_pe[f], f_rows, flushes.col, shape),
-                    flushes.value),
-        (h_pe, h_rows, slot[held], cols[held], vals[held]),
-        (f_rows, flushes.col, flushes.value),
-        np.searchsorted(f, np.flatnonzero(~last))), starts
+                    flushes.value)), starts
 
 
 def assert_same_array(got, ref):
@@ -91,10 +90,7 @@ def assert_same_grid(got, ref):
     for field in dataclasses.fields(PsumGrid):
         a, b = getattr(got, field.name), getattr(ref, field.name)
         if isinstance(a, OutputBlock):
-            a, b = (a.row, a.col, a.value), (b.row, b.col, b.value)
-        if isinstance(a, tuple) and field.name != "shape":
-            assert len(a) == len(b)
-            for x, y in zip(a, b):
+            for x, y in zip((a.row, a.col, a.value), (b.row, b.col, b.value)):
                 assert_same_array(x, y)
         elif isinstance(a, np.ndarray):
             assert_same_array(a, b)
@@ -125,10 +121,13 @@ def pe_major_streams(draw):
 
 
 def check_against_reference(case):
-    """Fill starts, held slots (``stored[2]``) and every grid array."""
+    """Fill starts, every product's slot and every grid array."""
     grid, starts = fill_grid(*case)
     ref, ref_starts = fill_grid_reference(*case)
     assert_same_array(starts, ref_starts)
+    pe, rows, _, _, shape, s, capacity = case
+    assert_same_array(fill_slots(rows, shape[2], starts),
+                      fill_cuts_reference(pe, rows, shape, s, capacity)[1])
     assert_same_grid(grid, ref)
 
 
