@@ -9,6 +9,7 @@ buffers, 256-entry psum store, r_x 0.75).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -370,6 +371,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iohp",

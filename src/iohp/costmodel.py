@@ -227,7 +227,9 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
     a_blocks: dict[tuple[int, int], RpCscBlock] = {}
     b_blocks: dict[tuple[int, int], CpCsrBlock] = {}
     outputs: list[OutputBlock] = []  # every pass's outputs, global coordinates
-    dense_result = np.zeros((geom.m, geom.n)) if mode == MODE_SDMM else None
+    if mode == MODE_SDMM:
+        dense_result = np.zeros((geom.m, geom.n))
+        strip_util = min(1.0, geom.m_t * geom.n_t / cfg.sdmm_variant().c_psum)
 
     for m, n, k, a_loaded, b_loaded in _passes(plan.strategy, geom):
         a_blk = a_blocks.get((m, k))
@@ -260,8 +262,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
             util_b.append(min(1.0, a_blk.col_all_len * (c_hi - c_lo) / cfg.c_b))
             grid = sdmm_compute(a_blk, b, geom, n)
             macs += grid.macs
-            util_psum.append(min(1.0, geom.m_t * geom.n_t
-                                 / cfg.sdmm_variant().c_psum))
+            util_psum.append(strip_util)
             dense_result[r_lo:r_hi, c_lo:c_hi] += grid.strip[:r_hi - r_lo]
         traces.append(StageTrace(encode, grid.compute_cycles,
                                  grid.addrmap_cycles, grid.spill_events))

@@ -335,9 +335,11 @@ def sdmm_compute(a_blk: RpCscBlock, b: DenseMatrix, geom: TilingGeometry,
 
     Every A entry reads its column's dense B row, restricted to the block's
     column span, straight from ``b`` and adds its value times that row into
-    its strip row; a strip row receives its products in ascending inner
-    index.  The MAC counter only counts products whose dense operand is
-    nonzero, matching the nonzero-product optimum.
+    its strip row.  The strip is one weighted ``np.bincount`` over the
+    products' cells, which adds ``out[cell] += product`` in input order from
+    +0.0, so a strip cell receives its products in table (ascending inner
+    index) order.  The MAC counter only counts products whose dense operand
+    is nonzero, matching the nonzero-product optimum.
     """
     k_lo, _ = geom.k_span(a_blk.block_k)
     c_lo, c_hi = geom.block_cols(block_col)
@@ -348,8 +350,11 @@ def sdmm_compute(a_blk: RpCscBlock, b: DenseMatrix, geom: TilingGeometry,
             f"dense operand has {b.n_rows} rows; column index {int(k.max())} "
             "has no matching row")
     dense = b.data[k, c_lo:c_hi]
-    strip = np.zeros((a_blk.g_na * a_blk.m_t, c_hi - c_lo))
-    # unbuffered: a repeated strip row takes its products in table (k) order
-    np.add.at(strip, group * a_blk.m_t + rows, vals[:, None] * dense)
+    n_rows, width = a_blk.g_na * a_blk.m_t, c_hi - c_lo
+    cell = ((group * a_blk.m_t + rows) * width)[:, None] + np.arange(width)
+    strip = np.bincount(cell.ravel(), (vals[:, None] * dense).ravel(),
+                        minlength=n_rows * width)
+    # an empty block's bincount is int64
+    strip = strip.astype(np.float64, copy=False).reshape(n_rows, width)
     return DensePsumGrid(strip, int(np.count_nonzero(dense)),
-                         int(a_blk.busiest.sum()) * min(geom.n_t, c_hi - c_lo))
+                         int(a_blk.busiest.sum()) * min(geom.n_t, width))

@@ -81,7 +81,9 @@ class TripletMatrix:
 def coordinate_order(major, minor) -> np.ndarray:
     """Stable order by (major, minor): one :func:`stable_order` of the int64
     key ``major * (max(minor) + 1) + minor`` for ``KEY_SORT_MIN`` or more pairs
-    of integers >= 0 whose largest key is below 2**63, else ``np.lexsort``."""
+    of integers >= 0 whose largest key is below 2**63, else ``np.lexsort``.
+    A key below 2**32 (a matrix of up to 2**32 cells) sorts in two 16-bit
+    radix passes."""
     if (len(major) >= KEY_SORT_MIN and major.dtype.kind in "iu"
             and minor.dtype.kind in "iu" and min(major.min(), minor.min()) >= 0):
         width = int(minor.max()) + 1
@@ -93,11 +95,20 @@ def coordinate_order(major, minor) -> np.ndarray:
 
 
 def stable_order(keys, bound: int) -> np.ndarray:
-    """Stable argsort of integer keys in ``[0, bound)``.  Below ``2**16`` they
-    sort as uint16, numpy's radix path; a stable sort's permutation does not
-    depend on the keys' width."""
-    return np.argsort(keys.astype(np.uint16) if bound <= 2 ** 16 else keys,
-                      kind="stable")
+    """Stable argsort of integer keys in ``[0, bound)``.  Up to ``2**16`` they
+    sort as uint16, numpy's radix path; up to ``2**32`` in two such passes,
+    the low 16 bits and then the high 16 (a least-significant-digit radix
+    sort); wider keys sort as they are.  A stable sort's permutation is
+    unique, so every path returns ``np.argsort(keys, kind="stable")``.  Wide
+    keys already in order (a canonical matrix's CSR key) are their own order."""
+    if bound <= 2 ** 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound > 2 ** 32:
+        return np.argsort(keys, kind="stable")
+    if np.all(keys[1:] >= keys[:-1]):
+        return np.arange(len(keys))
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # the low 16 bits
+    return order[np.argsort((keys[order] >> 16).astype(np.uint16), kind="stable")]
 
 
 def run_starts(*keys) -> np.ndarray:
@@ -253,10 +264,15 @@ def load_matrix_market(source) -> TripletMatrix:
     return _parse_mm(_read_text(source))
 
 
+def _end_line(text: str) -> int:
+    """The line number past the text's last line, where a missing line is
+    named."""
+    return text.count("\n") + 1 + (not text.endswith("\n"))
+
+
 def _parse_mm(text: str) -> TripletMatrix:
-    lines = text.split("\n")  # lines[i] is line i + 1
-    eof = len(lines) + (lines[-1] != "")  # the line number at the end of text
-    parts = lines[0].split()
+    banner = text.partition("\n")[0]
+    parts = banner.split()
     if len(parts) < 5 or parts[0] != "%%MatrixMarket" or parts[1].lower() != "matrix":
         raise MatrixFormatError("line 1: bad MatrixMarket banner")
     layout, fieldkind, symmetry = (p.lower() for p in parts[2:5])
@@ -267,11 +283,15 @@ def _parse_mm(text: str) -> TripletMatrix:
     if symmetry not in ("general", "symmetric"):
         raise MatrixFormatError(f"line 1: unsupported symmetry '{symmetry}'")
 
-    data = ((i, tokens) for i, line in enumerate(lines[1:], 2)
-            if (tokens := line.split()) and tokens[0][0] != "%")
-    lineno, tokens = next(data, (eof, None))  # the size header
+    lineno, start, tokens = 2, len(banner) + 1, None  # find the size header
+    while start <= len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        if (tokens := text[start:end].split()) and tokens[0][0] != "%":
+            break
+        lineno, start, tokens = lineno + 1, end + 1, None
     if tokens is None:
-        raise MatrixFormatError(f"line {lineno}: missing size header")
+        raise MatrixFormatError(f"line {_end_line(text)}: missing size header")
     if len(tokens) != 3:
         raise MatrixFormatError(f"line {lineno}: size header needs 'rows cols nnz'")
     try:
@@ -283,11 +303,14 @@ def _parse_mm(text: str) -> TripletMatrix:
     if max(n_rows, n_cols, nnz) > np.iinfo(np.int64).max:
         raise MatrixFormatError(f"line {lineno}: size header exceeds int64")
 
-    body = text[sum(map(len, lines[:lineno])) + lineno:]  # past the size header
+    body = text[end + 1:]  # past the size header
     pattern = fieldkind == "pattern"
     entries = _bulk_entries(body, pattern, nnz, n_rows, n_cols)
     if entries is None:
-        entries = _line_entries(data, pattern, nnz, n_rows, n_cols, eof)
+        data = ((i, tokens) for i, line in enumerate(body.split("\n"), lineno + 1)
+                if (tokens := line.split()) and tokens[0][0] != "%")
+        entries = _line_entries(data, pattern, nnz, n_rows, n_cols,
+                                _end_line(text))
     if symmetry == "symmetric":
         entries = _mirror(*entries)
     return canonicalize(n_rows, n_cols, arrays=entries)
@@ -441,8 +464,8 @@ def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 def write_dense_csv(m: DenseMatrix, path) -> None:
     """One row per line, comma-separated, exact decimal text."""
     with open(path, "w", encoding="ascii") as f:
-        for row in m.data.astype(np.float64, copy=False).tolist():
-            f.write(",".join(map(repr, row)) + "\n")
+        f.write("".join([",".join(map(repr, row)) + "\n" for row in
+                         m.data.astype(np.float64, copy=False).tolist()]))
 
 
 def load_dense_csv(source) -> DenseMatrix:

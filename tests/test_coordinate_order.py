@@ -3,7 +3,8 @@ with one argsort of an int64 key where that key is exact and lexicographic,
 and with ``np.lexsort`` everywhere else; either way the order is
 ``np.lexsort((minor, major))``'s.  Checked directly and through
 ``coordinate_runs``, ``_compress`` and ``canonicalize``, whose error names the
-first bad entry in that order."""
+first bad entry in that order.  ``stable_order``'s radix paths equal
+``np.argsort(keys, kind="stable")`` at each width's edges."""
 
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from iohp import matrices
 from iohp.errors import BoundsError, CoordinateError
 from iohp.matrices import (KEY_SORT_MIN, canonicalize, coordinate_order,
-                           coordinate_runs)
+                           coordinate_runs, stable_order)
 
 INT64_MAX = 2 ** 63 - 1
 
@@ -174,3 +175,26 @@ def test_canonicalize_names_the_first_bad_entry_in_sorted_order(
                                        np.resize(np.array(cols), size),
                                        np.ones(size)))
         assert type(raised.value) is error and str(raised.value) == text
+
+
+def edge_keys(bound: int, dtype, rng) -> np.ndarray:
+    """Keys in ``[0, bound)`` that ``dtype`` holds: both ends, repeats of
+    each, values around each 16-bit digit's carry, and random fill."""
+    top = min(bound - 1, int(np.iinfo(dtype).max))
+    edges = [0, top, 0, top, 1, top - 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1]
+    fill = rng.integers(0, top, 300, endpoint=True, dtype=np.uint64)
+    keys = np.concatenate([np.array([e for e in edges if e <= top], np.uint64),
+                           fill, fill[:40], np.full(25, top, np.uint64)])
+    return rng.permutation(keys).astype(dtype)
+
+
+@pytest.mark.parametrize("bound", [2 ** 16, 2 ** 16 + 1, 2 ** 32, 2 ** 32 + 1])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+def test_stable_order_is_the_stable_argsort(bound, dtype):
+    rng = np.random.default_rng(bound % 1000 + np.dtype(dtype).itemsize)
+    keys = edge_keys(bound, dtype, rng)
+    for case in (keys, np.sort(keys, kind="stable"), keys[::-1].copy(),
+                 keys[:1], np.empty(0, dtype)):
+        got = stable_order(case, bound)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(case, kind="stable"))

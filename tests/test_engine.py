@@ -303,6 +303,20 @@ class TestSdmm:
         assert not grid.strip.any()
         assert grid.macs == 0 and grid.compute_cycles == 0
 
+    @pytest.mark.parametrize("triplets, block_col, width", [
+        ([], 0, 2),  # an empty A block
+        ([(0, 0, 2.0), (1, 1, -3.0)], 1, 0),  # a column span past B's edge
+        ([], 1, 0),
+    ])
+    def test_strip_is_float64_when_nothing_lands(self, triplets, block_col, width):
+        a = to_csc(TripletMatrix(2, 2, triplets))
+        geom = make_geometry(plan_of(2, 2, 2), (2, 2, 2), (1, 1))
+        a_blk = encode_rp_csc(a, geom, 0, 0)
+        grid = sdmm_compute(a_blk, DenseMatrix.zeros(2, 2), geom, block_col)
+        assert grid.strip.dtype == np.float64
+        assert grid.strip.shape == (2, width) and not grid.strip.any()
+        assert not np.signbit(grid.strip).any()
+
     def test_repeated_cell_accumulation(self):
         # three non-empty A columns, 2x2 output, one cell hit twice
         a = to_csc(canonicalize(2, 4, [(0, 0, 1.0), (0, 3, 2.0), (1, 1, 3.0)]))
