@@ -133,44 +133,6 @@ def _bytes(bits: int):
     return bits // 8 if bits % 8 == 0 else bits / 8
 
 
-@dataclass(frozen=True)
-class BaselineCounters:
-    """Dense-inner / private-outer reference counters for one product."""
-
-    inner_macs: int
-    inner_zero_macs: int
-    outer_input_loads: int
-    iohp_macs: int
-    iohp_input_loads: int
-
-
-def baseline_counters(a: CscMatrix, b, g_na: int = 8,
-                      g_nb: int = 8) -> BaselineCounters:
-    """Count MACs and element loads for the baseline dataflows.
-
-    The nonzero-product optimum pairs each column of A with the matching row
-    of B; grouped sharing loads every stream once per PE row/column, private
-    outer product loads each operand per PE.
-    """
-    if isinstance(b, DenseMatrix):
-        row_nnz = np.count_nonzero(b.data, axis=1).astype(np.int64)
-    else:
-        row_nnz = b.nnz_per_row()
-    nnz_b = int(row_nnz.sum())
-    if a.n_cols != len(row_nnz):
-        raise DimensionError("inner dimensions disagree")
-    col_nnz = a.nnz_per_column()
-    iohp = int(col_nnz @ row_nnz)
-    inner = a.n_rows * a.n_cols * b.n_cols
-    return BaselineCounters(
-        inner_macs=inner,
-        inner_zero_macs=inner - iohp,
-        outer_input_loads=g_nb * a.nnz + g_na * nnz_b,
-        iohp_macs=iohp,
-        iohp_input_loads=a.nnz + nnz_b,
-    )
-
-
 @dataclass
 class Workload:
     """A concrete operand pair to run and account."""
@@ -304,8 +266,3 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
     )
     return result, stats
 
-
-def simulate(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig,
-             mode: str) -> SimStats:
-    """Run the pipeline for its statistics only."""
-    return run(workload, plan, cfg, mode)[1]

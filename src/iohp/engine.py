@@ -137,8 +137,7 @@ def merge_join(a_blk: RpCscBlock,
     Returns ``(ia, ib)``: ``a_blk.col_idx[ia] == b_blk.row_idx[ib]``.  Every
     other shared position is consumed without products.
     """
-    _, ia, ib = np.intersect1d(a_blk.col_idx[:a_blk.col_all_len],
-                               b_blk.row_idx[:b_blk.row_all_len],
+    _, ia, ib = np.intersect1d(a_blk.col_idx, b_blk.row_idx,
                                assume_unique=True, return_indices=True)
     return ia, ib
 

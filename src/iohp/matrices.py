@@ -199,10 +199,6 @@ class DenseMatrix:
                 f"data shape {self.data.shape} != ({self.n_rows},{self.n_cols})")
 
     @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "DenseMatrix":
-        return cls(n_rows, n_cols, np.zeros((n_rows, n_cols)))
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "DenseMatrix":
         data = np.asarray(rows, dtype=np.float64)
         if data.ndim != 2:

@@ -187,16 +187,6 @@ class PartitionPlan:
         return cls(**fields)
 
 
-def storage_size(rows: int, cols: int, density: float, cfg: HardwareConfig,
-                 orientation: str = "csc") -> float:
-    """Encoded storage in bits: entry streams plus the pointer stream.
-
-    CSC orientation carries one pointer per column; CSR mirrors with rows.
-    """
-    ptr = cols if orientation == "csc" else rows
-    return _sparse_bits(rows * cols * density, ptr, cfg)
-
-
 _BUFFER_LABELS = ("buffer A constraint (1) m_t*k_t*d_a < c_a*r_x",
                   "buffer B constraint (2) k_t*n_t*d_b < c_b*r_x",
                   "psum constraint (3) m_t*d_a*n_t*d_b*k_t < c_psum*r_x")
@@ -210,14 +200,6 @@ def _buffer_loads(m_t, k_t, n_t, cfg: HardwareConfig, wl: WorkloadSpec):
     return ((m_t * k_t * wl.d_a, cfg.c_a * cfg.r_x),
             (k_t * n_t * wl.d_b, cfg.c_b * cfg.r_x),
             (m_t * wl.d_a * n_t * wl.d_b * k_t, cfg.c_psum * cfg.r_x))
-
-
-def feasible(plan: PartitionPlan, cfg: HardwareConfig, wl: WorkloadSpec) -> bool:
-    """Strict buffer-capacity constraints on one tile's expected contents."""
-    if min(plan.m_t, plan.k_t, plan.n_t) <= 0:
-        return False
-    return all(load < bound for load, bound in
-               _buffer_loads(plan.m_t, plan.k_t, plan.n_t, cfg, wl))
 
 
 def _strategies(m_t, n_t, t_m, t_n, cfg: HardwareConfig, wl: WorkloadSpec):

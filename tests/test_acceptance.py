@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 from iohp.cli import main
-from iohp.costmodel import Workload, run, simulate
-from iohp.encoding import (decode_block, encode_cp_csr, encode_rp_csc,
-                           make_geometry)
+from iohp.costmodel import Workload, run
+from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import compute_psums
 from iohp.errors import PsumOverflowError
 from iohp.matrices import (canonicalize, dense_matmul, to_csc, to_csr,
                            to_dense, to_triplets)
 from iohp.planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
-                          feasible, plan_partition)
+                          plan_partition)
 from iohp.synthetic import random_dense, random_triplets
+from test_encoding_reference import decode
+from test_planner import feasible
 
 
 @contextmanager
@@ -124,7 +125,7 @@ def test_criterion_3_encoder_roundtrip():
             bc = int(rng.integers(0, geom.t_n))
 
             blk_a = encode_rp_csc(to_csc(ta), geom, br, bk)
-            back = to_dense(decode_block(blk_a, geom)).data
+            back = to_dense(decode(blk_a, geom)).data
             r0, r1 = geom.block_rows(br)
             k0, k1 = geom.k_span(bk)
             ref = np.zeros_like(da)
@@ -132,7 +133,7 @@ def test_criterion_3_encoder_roundtrip():
             assert np.array_equal(back, ref), f"A block {i}"
 
             blk_b = encode_cp_csr(to_csr(tb), geom, bk, bc)
-            back_b = to_dense(decode_block(blk_b, geom)).data
+            back_b = to_dense(decode(blk_b, geom)).data
             c0, c1 = geom.block_cols(bc)
             ref_b = np.zeros_like(db)
             ref_b[k0:k1, c0:c1] = db[k0:k1, c0:c1]
@@ -224,8 +225,8 @@ def test_criterion_6_dram_identity():
                 plan = plan_for(wl, cfg)
             except Exception:
                 continue
-            stats = simulate(wl, plan, replace(cfg, c_psum=10 ** 9, s=10 ** 6),
-                             "ssmm")
+            stats = run(wl, plan, replace(cfg, c_psum=10 ** 9, s=10 ** 6),
+                        "ssmm")[1]
             assert stats.spill_events == 0
             # independent re-derivation of the strategy formulas
             m_a = wl.a.nnz * (64 + 32) + k * 16
@@ -247,7 +248,7 @@ def test_criterion_7_peak_throughput():
         ta = random_triplets(8, 8, 0.2, np.random.default_rng(1))
         tb = random_triplets(8, 8, 0.2, np.random.default_rng(2))
         wl = Workload(to_csc(ta), to_csr(tb))
-        stats = simulate(wl, plan_for(wl, cfg), cfg, "ssmm")
+        stats = run(wl, plan_for(wl, cfg), cfg, "ssmm")[1]
         assert stats.peak_macs_per_cycle == 64
         assert stats.peak_macs_per_sec == 51.2e9  # exact
 

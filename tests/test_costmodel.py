@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import iohp.costmodel
-from iohp.costmodel import (CSV_COLUMNS, Workload, baseline_counters, run,
-                            simulate)
+from iohp.costmodel import CSV_COLUMNS, Workload, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import compute_psums, fill_grid, sdmm_compute
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
@@ -17,6 +16,13 @@ from iohp.synthetic import random_dense, random_triplets
 
 def plan_of(m_t, k_t, n_t, strategy="RABE"):
     return PartitionPlan(1, 1, 1, m_t, k_t, n_t, strategy, 0)
+
+
+def mac_law(a, b):
+    """Nonzero products: each column of A meets the same row of B."""
+    row_nnz = (np.count_nonzero(b.data, axis=1) if isinstance(b, DenseMatrix)
+               else b.nnz_per_row())
+    return int(a.nnz_per_column() @ row_nnz)
 
 
 def worked_blocks():
@@ -112,7 +118,7 @@ class TestSimulate:
         spec = wl.spec(cfg)
         plan = plan_partition(cfg, spec)
         assert (plan.t_m, plan.t_k, plan.t_n) == (1, 1, 1)
-        stats = simulate(wl, plan, cfg, "ssmm")
+        stats = run(wl, plan, cfg, "ssmm")[1]
         assert stats.dram.bits_input_read == spec.m_a + spec.m_b
         assert stats.dram.bits_input_read == plan.predicted_dram
 
@@ -130,8 +136,8 @@ class TestSimulate:
                 plan = plan_partition(cfg, spec)
             except Exception:
                 continue
-            stats = simulate(wl, plan, replace(cfg, c_psum=10 ** 9, s=10 ** 6),
-                             "ssmm")
+            stats = run(wl, plan, replace(cfg, c_psum=10 ** 9, s=10 ** 6),
+                        "ssmm")[1]
             assert stats.spill_events == 0
             formula = {
                 "RAF": spec.m_b * plan.t_m + spec.m_a,
@@ -146,12 +152,12 @@ class TestSimulate:
         for _ in range(8):
             cfg = HardwareConfig(c_a=40, c_b=40, c_psum=30, g_na=2, g_nb=2)
             wl = self.small_workload(rng)
-            law = baseline_counters(wl.a, wl.b).iohp_macs
+            law = mac_law(wl.a, wl.b)
             try:
                 plan = plan_partition(cfg, wl.spec(cfg))
             except Exception:
                 continue
-            stats = simulate(wl, plan, cfg, "ssmm")
+            stats = run(wl, plan, cfg, "ssmm")[1]
             assert stats.achieved_macs == law
 
     def test_sdmm_stats(self):
@@ -167,7 +173,7 @@ class TestSimulate:
         assert stats.dram.bits_psum_spill == 0
         oracle = dense_matmul(to_dense(ta), b).data
         assert np.allclose(result.data, oracle, rtol=1e-9, atol=1e-12)
-        assert stats.achieved_macs == baseline_counters(wl.a, b).iohp_macs
+        assert stats.achieved_macs == mac_law(wl.a, b)
 
     def test_sdmm_never_slower_than_ssmm_on_same_structure(self):
         rng = np.random.default_rng(11)
@@ -177,11 +183,10 @@ class TestSimulate:
             cfg = HardwareConfig(c_a=10 ** 6, c_b=10 ** 6, c_psum=10 ** 6,
                                  g_na=2, g_nb=2)
             plan = plan_of(5, 8, 3)
-            sdmm_stats = simulate(Workload(to_csc(ta), b), plan, cfg, "sdmm")
+            sdmm_stats = run(Workload(to_csc(ta), b), plan, cfg, "sdmm")[1]
             sparse_b = to_csr(to_triplets(b))
-            ssmm_stats = simulate(Workload(to_csc(ta), sparse_b), plan,
-                                  replace(cfg, c_psum=10 ** 9, s=10 ** 6),
-                                  "ssmm")
+            ssmm_stats = run(Workload(to_csc(ta), sparse_b), plan,
+                             replace(cfg, c_psum=10 ** 9, s=10 ** 6), "ssmm")[1]
             assert sdmm_stats.addrmap_cycles == 0
             assert sdmm_stats.total_cycles <= ssmm_stats.total_cycles
 
@@ -190,7 +195,7 @@ class TestSimulate:
         rng = np.random.default_rng(13)
         wl = self.small_workload(rng)
         plan = plan_partition(cfg, wl.spec(cfg))
-        stats = simulate(wl, plan, cfg, "ssmm")
+        stats = run(wl, plan, cfg, "ssmm")[1]
         assert stats.peak_macs_per_cycle == 64
         assert stats.peak_macs_per_sec == 51.2e9
 
@@ -202,7 +207,7 @@ class TestSimulate:
             plan = plan_partition(cfg, wl.spec(cfg))
         except Exception:
             pytest.skip("infeasible draw")
-        stats = simulate(wl, plan, cfg, "ssmm")
+        stats = run(wl, plan, cfg, "ssmm")[1]
         for u in (stats.buffer_utilization_a, stats.buffer_utilization_b,
                   stats.buffer_utilization_psum):
             assert 0.0 <= u <= 1.0
@@ -212,7 +217,7 @@ class TestSimulate:
         cfg = HardwareConfig(c_a=30, c_b=30, c_psum=20, g_na=2, g_nb=2)
         wl = self.small_workload(rng)
         plan = plan_partition(cfg, wl.spec(cfg))
-        stats = simulate(wl, plan, cfg, "ssmm")
+        stats = run(wl, plan, cfg, "ssmm")[1]
         expect = sum(t.bottleneck for t in stats.traces)
         expect += stats.traces[0].encode_cycles + stats.traces[-1].addrmap_cycles
         assert stats.total_cycles == expect
@@ -222,7 +227,7 @@ class TestSimulate:
         rng = np.random.default_rng(23)
         wl = self.small_workload(rng)
         plan = plan_partition(cfg, wl.spec(cfg))
-        stats = simulate(wl, plan, cfg, "ssmm")
+        stats = run(wl, plan, cfg, "ssmm")[1]
         row = stats.csv_row("wl").split(",")
         assert len(row) == len(CSV_COLUMNS)
         assert row[0] == "wl" and row[1] == "ssmm"
@@ -278,48 +283,12 @@ class TestStageTraces:
             assert (grid.addrmap_cycles, grid.spill_events) == (0, 0)
 
 
-class TestBaselineCounters:
-    def test_dense_two_cubed(self):
-        t = canonicalize(2, 2, [(i, j, 1.0) for i in range(2) for j in range(2)])
-        c = baseline_counters(to_csc(t), to_csr(t))
-        assert c.inner_macs == 8
-        assert c.iohp_macs == 8
-        assert c.inner_zero_macs == 0
-
-    def test_diagonal_against_dense(self):
-        n = 6
-        diag = canonicalize(n, n, [(i, i, 2.0) for i in range(n)])
-        dense = canonicalize(n, n, [(i, j, 1.0) for i in range(n)
-                                    for j in range(n)])
-        c = baseline_counters(to_csc(diag), to_csr(dense))
-        assert c.iohp_macs == n * n
-        assert c.inner_macs == n ** 3
-
-    def test_empty_a(self):
-        a = to_csc(TripletMatrix(3, 4, []))
-        b = to_csr(canonicalize(4, 5, [(0, 0, 1.0)]))
-        c = baseline_counters(a, b)
-        assert c.iohp_macs == 0
-        assert c.inner_macs == 3 * 4 * 5
-
-    def test_group_shared_loads(self):
-        t = canonicalize(4, 4, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)])
-        c = baseline_counters(to_csc(t), to_csr(t), g_na=2, g_nb=2)
-        assert c.iohp_input_loads == 6
-        assert c.outer_input_loads == 2 * 3 + 2 * 3  # 2x the shared loads
-
-    def test_dense_b_counts_nonzeros(self):
-        a = to_csc(canonicalize(2, 2, [(0, 0, 1.0), (1, 1, 1.0)]))
-        b = DenseMatrix.from_rows([[1.0, 0.0], [2.0, 3.0]])
-        c = baseline_counters(a, b)
-        assert c.iohp_macs == 1 * 1 + 1 * 2
-
-
 class TestSdmmComputeCycles:
     def test_column_model(self):
         a = to_csc(canonicalize(4, 3, [(0, 0, 1.0), (1, 0, 1.0), (2, 2, 1.0)]))
         geom = make_geometry(plan_of(2, 3, 2), (4, 3, 4), (2, 2))
         a_blk = encode_rp_csc(a, geom, 0, 0)
-        grid = sdmm_compute(a_blk, DenseMatrix.zeros(3, 4), geom, 0)
+        zeros = DenseMatrix(3, 4, np.zeros((3, 4)))
+        grid = sdmm_compute(a_blk, zeros, geom, 0)
         # columns 0 (busiest group has 2 entries) and 2 (1 entry), width 2
         assert grid.compute_cycles == (2 + 1) * 2

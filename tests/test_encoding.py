@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iohp.encoding import (decode_block, dump_block, encode_cp_csr,
-                           encode_rp_csc, make_geometry, validate_block)
+from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.errors import (BoundsError, DegenerateInputError,
                          MalformedBlockError)
 from iohp.matrices import TripletMatrix, canonicalize, to_csc, to_csr, to_dense
 from iohp.planner import PartitionPlan
+from test_encoding_reference import decode, dump, row_span, streams, validate
 
 
 def plan_of(m_t, k_t, n_t):
@@ -37,7 +37,7 @@ class TestGeometry:
         g = make_geometry(plan_of(339, 2708, 1), (2708, 2708, 1433), (8, 8))
         assert (g.t_m, g.t_k) == (1, 1)
         assert g.t_m * g.g_na * g.m_t >= g.m
-        assert g.row_span(0, 7) == (7 * 339, 2708)  # last group ragged
+        assert row_span(g, 0, 7) == (7 * 339, 2708)  # last group ragged
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -48,14 +48,15 @@ class TestEncodeA:
     def test_worked_example(self):
         a, _, geom = worked_instance()
         blk = encode_rp_csc(a, geom, 0, 0)
-        assert blk.value[0].tolist() == [5.0, 7.0]
-        assert blk.row_idx[0].tolist() == [0, 1]
-        assert blk.col_len[0].tolist() == [1, 1]
-        assert blk.value[1].tolist() == [3.0]
-        assert blk.row_idx[1].tolist() == [0]
-        assert blk.col_len[1].tolist() == [1]
+        s = streams(blk)
+        assert s.value[0].tolist() == [5.0, 7.0]
+        assert s.local_idx[0].tolist() == [0, 1]
+        assert s.lengths[0].tolist() == [1, 1]
+        assert s.value[1].tolist() == [3.0]
+        assert s.local_idx[1].tolist() == [0]
+        assert s.lengths[1].tolist() == [1]
         assert blk.col_idx.tolist() == [0, 1, 2]
-        assert blk.group_bitmap.tolist() == [0b01, 0b10, 0b01]
+        assert s.bitmap.tolist() == [0b01, 0b10, 0b01]
         assert blk.col_all_len == 3
 
     def test_all_zero_block(self):
@@ -63,15 +64,15 @@ class TestEncodeA:
         geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
         blk = encode_rp_csc(a, geom, 0, 0)
         assert blk.col_all_len == 0
-        assert all(len(v) == 0 for v in blk.value)
+        assert all(len(v) == 0 for v in streams(blk).value)
 
     def test_dense_block_single_group(self):
         a = to_csc(canonicalize(2, 2, [(0, 0, 1.0), (0, 1, 2.0),
                                        (1, 0, 3.0), (1, 1, 4.0)]))
         geom = make_geometry(plan_of(2, 2, 2), (2, 2, 2), (1, 1))
         blk = encode_rp_csc(a, geom, 0, 0)
-        assert blk.col_len[0].tolist() == [2, 2]
-        assert blk.group_bitmap.tolist() == [1, 1]
+        assert streams(blk).lengths[0].tolist() == [2, 2]
+        assert streams(blk).bitmap.tolist() == [1, 1]
         assert blk.col_idx.tolist() == [0, 1]
 
     def test_block_coords_out_of_range(self):
@@ -91,13 +92,14 @@ class TestEncodeA:
         for br in range(geom.t_m):
             for bk in range(geom.t_k):
                 blk = encode_rp_csc(a, geom, br, bk)
-                validate_block(blk)
+                validate(blk)
                 total += blk.nnz
-                assert sum(int(np.sum(l)) for l in blk.col_len) == blk.nnz
+                s = streams(blk)
+                assert sum(int(np.sum(l)) for l in s.lengths) == blk.nnz
                 # popcount of each bitmap == groups consuming a length entry
-                pops = sum(bin(int(b)).count("1") for b in blk.group_bitmap)
-                assert pops == sum(len(l) for l in blk.col_len)
-                assert all(int(b) >= 1 for b in blk.group_bitmap)
+                pops = sum(bin(int(b)).count("1") for b in s.bitmap)
+                assert pops == sum(len(l) for l in s.lengths)
+                assert all(int(b) >= 1 for b in s.bitmap)
         assert total == t.nnz
 
 
@@ -105,14 +107,15 @@ class TestEncodeB:
     def test_worked_example(self):
         _, b, geom = worked_instance()
         blk = encode_cp_csr(b, geom, 0, 0)
-        assert blk.value[0].tolist() == [1.0, 2.0, 6.0]
-        assert blk.col_idx[0].tolist() == [0, 1, 1]
-        assert blk.row_len[0].tolist() == [2, 1]
-        assert blk.value[1].tolist() == [4.0]
-        assert blk.col_idx[1].tolist() == [0]
-        assert blk.row_len[1].tolist() == [1]
+        s = streams(blk)
+        assert s.value[0].tolist() == [1.0, 2.0, 6.0]
+        assert s.local_idx[0].tolist() == [0, 1, 1]
+        assert s.lengths[0].tolist() == [2, 1]
+        assert s.value[1].tolist() == [4.0]
+        assert s.local_idx[1].tolist() == [0]
+        assert s.lengths[1].tolist() == [1]
         assert blk.row_idx.tolist() == [0, 1, 2]
-        assert blk.group_bitmap.tolist() == [0b01, 0b10, 0b01]
+        assert s.bitmap.tolist() == [0b01, 0b10, 0b01]
         assert blk.row_all_len == 3
 
     def test_empty_block(self):
@@ -124,7 +127,7 @@ class TestEncodeB:
         b = to_csr(canonicalize(4, 4, [(1, j, float(j + 1)) for j in range(4)]))
         geom = make_geometry(plan_of(4, 4, 4), (4, 4, 4), (1, 1))
         blk = encode_cp_csr(b, geom, 0, 0)
-        assert blk.row_len[0].tolist() == [4]
+        assert streams(blk).lengths[0].tolist() == [4]
         assert blk.row_idx.tolist() == [1]
 
 
@@ -132,13 +135,13 @@ class TestRoundtrip:
     def test_worked_roundtrip(self):
         a, _, geom = worked_instance()
         blk = encode_rp_csc(a, geom, 0, 0)
-        back = decode_block(blk, geom)
+        back = decode(blk, geom)
         assert back.entries == [(0, 0, 5.0), (1, 2, 7.0), (2, 1, 3.0)]
 
     def test_empty_roundtrip(self):
         a = to_csc(TripletMatrix(4, 4, []))
         geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
-        assert decode_block(encode_rp_csc(a, geom, 0, 0), geom).entries == []
+        assert decode(encode_rp_csc(a, geom, 0, 0), geom).entries == []
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -171,7 +174,7 @@ class TestRoundtrip:
         bc = data.draw(st.integers(0, geom.t_n - 1), label="bc")
 
         blk_a = encode_rp_csc(to_csc(ta), geom, br, bk)
-        back = to_dense(decode_block(blk_a, geom)).data
+        back = to_dense(decode(blk_a, geom)).data
         r0, r1 = geom.block_rows(br)
         k0, k1 = geom.k_span(bk)
         mask = np.zeros_like(da)
@@ -179,7 +182,7 @@ class TestRoundtrip:
         assert np.array_equal(back, mask)
 
         blk_b = encode_cp_csr(to_csr(tb), geom, bk, bc)
-        back_b = to_dense(decode_block(blk_b, geom)).data
+        back_b = to_dense(decode(blk_b, geom)).data
         c0, c1 = geom.block_cols(bc)
         mask_b = np.zeros_like(db)
         mask_b[k0:k1, c0:c1] = db[k0:k1, c0:c1]
@@ -189,9 +192,9 @@ class TestRoundtrip:
         import dataclasses
         a, _, geom = worked_instance()
         blk = encode_rp_csc(a, geom, 0, 0)
-        bad = dataclasses.replace(blk, col_all_len=5)
+        bad = dataclasses.replace(blk, col_idx=blk.col_idx[::-1])
         with pytest.raises(MalformedBlockError):
-            decode_block(bad, geom)
+            decode(bad, geom)
 
     def test_ordering_column_major_within_group(self):
         rng = np.random.default_rng(11)
@@ -201,17 +204,18 @@ class TestRoundtrip:
         a = to_csc(t)
         geom = make_geometry(plan_of(3, 9, 9), (9, 9, 9), (3, 1))
         blk = encode_rp_csc(a, geom, 0, 0)
-        validate_block(blk)
+        validate(blk)
+        s = streams(blk)
         for g in range(3):
             # reconstruct (col, row) order of the stream; must be sorted
             order = []
             pos = 0
             for p in range(blk.col_all_len):
-                if int(blk.group_bitmap[p]) >> g & 1:
-                    ln = int(blk.col_len[g][pos])
+                if int(s.bitmap[p]) >> g & 1:
+                    ln = int(s.lengths[g][pos])
                     pos += 1
                     start = len(order)
-                    rows = blk.row_idx[g][start:start + ln]
+                    rows = s.local_idx[g][start:start + ln]
                     order.extend((int(blk.col_idx[p]), int(r)) for r in rows)
             assert order == sorted(order)
 
@@ -219,7 +223,7 @@ class TestRoundtrip:
 class TestDump:
     def test_golden_dump(self):
         a, b, geom = worked_instance()
-        assert dump_block(encode_rp_csc(a, geom, 0, 0)) == (
+        assert dump(encode_rp_csc(a, geom, 0, 0)) == (
             "kind=rp_csc\n"
             "block=(0,0)\n"
             "col_all_len=3\n"
@@ -227,7 +231,7 @@ class TestDump:
             "group_bitmap=1,2,1\n"
             "group=0 col_len=1,1 row_idx=0,1 value=5.0,7.0\n"
             "group=1 col_len=1 row_idx=0 value=3.0\n")
-        assert dump_block(encode_cp_csr(b, geom, 0, 0)) == (
+        assert dump(encode_cp_csr(b, geom, 0, 0)) == (
             "kind=cp_csr\n"
             "block=(0,0)\n"
             "row_all_len=3\n"

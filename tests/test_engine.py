@@ -299,7 +299,8 @@ class TestSdmm:
         a = to_csc(TripletMatrix(2, 2, []))
         geom = make_geometry(plan_of(2, 2, 2), (2, 2, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
-        grid = sdmm_compute(a_blk, DenseMatrix.zeros(2, 2), geom, 0)
+        zeros = DenseMatrix(2, 2, np.zeros((2, 2)))
+        grid = sdmm_compute(a_blk, zeros, geom, 0)
         assert not grid.strip.any()
         assert grid.macs == 0 and grid.compute_cycles == 0
 
@@ -312,7 +313,8 @@ class TestSdmm:
         a = to_csc(TripletMatrix(2, 2, triplets))
         geom = make_geometry(plan_of(2, 2, 2), (2, 2, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
-        grid = sdmm_compute(a_blk, DenseMatrix.zeros(2, 2), geom, block_col)
+        zeros = DenseMatrix(2, 2, np.zeros((2, 2)))
+        grid = sdmm_compute(a_blk, zeros, geom, block_col)
         assert grid.strip.dtype == np.float64
         assert grid.strip.shape == (2, width) and not grid.strip.any()
         assert not np.signbit(grid.strip).any()
@@ -334,7 +336,8 @@ class TestSdmm:
         geom = make_geometry(plan_of(2, 3, 2), (2, 3, 2), (1, 1))
         a_blk = encode_rp_csc(a, geom, 0, 0)
         with pytest.raises(GatherError, match="has 2 rows; column index 2"):
-            sdmm_compute(a_blk, DenseMatrix.zeros(2, 2), geom, 0)
+            sdmm_compute(a_blk, DenseMatrix(2, 2, np.zeros((2, 2))),
+                         geom, 0)
 
 
 class TestSpmm:

@@ -23,26 +23,7 @@ from iohp.errors import MalformedBlockError, PsumOverflowError
 from iohp.matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc, to_csr
 from iohp.planner import HardwareConfig, PartitionPlan
 from iohp.synthetic import random_dense, random_triplets
-
-
-def group_slices(blk):
-    """Each shared position's ``(group, local_idx, value)`` member slices.
-
-    Read off the block's raw streams: group g's entries fill its member
-    positions (set bitmap bits, ascending) run by run, one length each.
-    Slices are listed in ascending group order.
-    """
-    s = blk.streams
-    slices = [[] for _ in range(s.inner_len)]
-    for g in range(s.n_groups):
-        members = [p for p in range(s.inner_len) if int(s.bitmap[p]) >> g & 1]
-        lo = 0
-        for p, run in zip(members, s.lengths[g].tolist(), strict=True):
-            slices[p].append((g, s.local_idx[g][lo:lo + run],
-                              s.value[g][lo:lo + run]))
-            lo += run
-        assert lo == len(s.value[g])
-    return slices
+from test_encoding_reference import col_span, group_slices, row_span
 
 
 def sdmm_banks_reference(a_blk, b_rows, g_nb, n_t):
@@ -272,8 +253,8 @@ def assemble_reference(parts, geom):
         blk = parts[(m, g, n, h)]
         if not blk.nnz:
             continue
-        row_lo, row_hi = geom.row_span(m, g)
-        col_lo, col_hi = geom.col_span(n, h)
+        row_lo, row_hi = row_span(geom, m, g)
+        col_lo, col_hi = col_span(geom, n, h)
         if (blk.row.max() >= row_hi - row_lo) or (blk.col.max() >= col_hi - col_lo):
             raise MalformedBlockError(
                 f"output block ({m},{g},{n},{h}) exceeds its tile span")

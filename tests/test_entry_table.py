@@ -1,31 +1,26 @@
 """A block stores its entry table; the paper's streams are read off it.
 
-Every case is checked three ways: the encoder's shared stream, table and
+Every case is checked two ways: the encoder's shared stream, table and
 busiest runs equal those built by a plain loop over the strip of the input
 arrays, including for CSC columns or CSR rows whose minor indices are
-unsorted, which the constructors allow; walking the bitmap of the derived
-``streams`` view gives the table back; and ``costmodel.run`` builds no
-``streams`` view for any block it encodes.  ``validate_block`` checks the
+unsorted, which the constructors allow; and walking the bitmap of the
+streams read off the table gives the table back.  ``validate`` checks the
 stored table itself.
 """
 
-import contextlib
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import iohp.encoding
-from iohp.costmodel import Workload, run
-from iohp.encoding import (dump_block, encode_cp_csr, encode_rp_csc,
-                           make_geometry, validate_block)
+from iohp.encoding import (RpCscBlock, encode_cp_csr, encode_rp_csc,
+                           make_geometry)
 from iohp.errors import MalformedBlockError
-from iohp.matrices import (CscMatrix, CsrMatrix, TripletMatrix, to_csc,
-                           to_csr, to_dense)
-from iohp.planner import HardwareConfig, PartitionPlan
+from iohp.matrices import CscMatrix, CsrMatrix, TripletMatrix, to_csc, to_csr
+from iohp.planner import PartitionPlan
+from test_encoding_reference import group_slices, streams, validate
 
 
 def plan_of(m_t, k_t, n_t):
@@ -55,21 +50,12 @@ def strip_reference(ptr, idx, val, k_span, outer_span, n_groups, tile):
 
 
 def walked_table(blk):
-    """The table read back from the streams view, group by group through
+    """The table read back from the block's streams, group by group through
     its bitmap: group g's entries fill its member positions run by run."""
-    s = blk.streams
-    rows = []
-    for g in range(s.n_groups):
-        members = [p for p in range(s.inner_len) if int(s.bitmap[p]) >> g & 1]
-        lo = 0
-        for p, run_len in zip(members, s.lengths[g].tolist(), strict=True):
-            rows += [(p, g, int(i), float(v)) for i, v in
-                     zip(s.local_idx[g][lo:lo + run_len],
-                         s.value[g][lo:lo + run_len])]
-            lo += run_len
-        assert lo == len(s.value[g]) == len(s.local_idx[g])
-    rows.sort(key=lambda row: row[:2])
-    return rows
+    return [(p, g, int(i), float(v))
+            for p, members in enumerate(group_slices(blk))
+            for g, local, value in members
+            for i, v in zip(local.tolist(), value.tolist(), strict=True)]
 
 
 def table_rows(blk):
@@ -80,8 +66,7 @@ def assert_block_matches(blk, strip):
     """The encoder's fields equal the loop reference, and so does the
     table walked back from the derived streams."""
     inner, rows, busiest = strip_reference(*strip)
-    shared = blk.col_idx if isinstance(blk, iohp.encoding.RpCscBlock) \
-        else blk.row_idx
+    shared = blk.col_idx if isinstance(blk, RpCscBlock) else blk.row_idx
     assert shared.tolist() == inner
     assert [col.dtype for col in blk.entry_table] == [np.int64] * 3 + [
         np.float64]
@@ -89,9 +74,9 @@ def assert_block_matches(blk, strip):
     assert blk.busiest.dtype == np.int64
     assert blk.busiest.tolist() == busiest
     assert blk.nnz == len(rows)
-    validate_block(blk)
+    validate(blk)
     assert walked_table(blk) == rows
-    assert blk.streams.inner_idx is shared
+    assert streams(blk).inner_idx is shared
 
 
 def a_strip(a, geom, bm, bk):
@@ -113,38 +98,6 @@ def assert_every_block(a, b, geom):
         for bn in range(geom.t_n):
             assert_block_matches(encode_cp_csr(b, geom, bk, bn),
                                  b_strip(b, geom, bk, bn))
-
-
-@contextlib.contextmanager
-def counted_streams():
-    """Yield the list of blocks whose ``streams`` view gets built."""
-    built = []
-    real = iohp.encoding._GroupBlock.streams.func
-
-    def counted(blk):
-        built.append(blk)
-        return real(blk)
-
-    view = functools.cached_property(counted)
-    view.__set_name__(iohp.encoding._GroupBlock, "streams")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(iohp.encoding._GroupBlock, "streams", view)
-        yield built
-
-
-def assert_run_builds_no_streams(a, b, geom):
-    """Both modes of ``costmodel.run``, spilling, never build the view."""
-    plan = plan_of(geom.m_t, geom.k_t, geom.n_t)
-    cfg = HardwareConfig(c_psum=2, s=1, g_na=geom.g_na, g_nb=geom.g_nb)
-    with counted_streams() as built:
-        run(Workload(a, b), plan, cfg, "ssmm")
-        run(Workload(a, to_dense(b)), plan, cfg, "sdmm")
-    assert built == []
-
-
-def check_case(a, b, geom):
-    assert_every_block(a, b, geom)
-    assert_run_builds_no_streams(a, b, geom)
 
 
 def shuffled_minor(ptr, idx, val, rng):
@@ -169,7 +122,7 @@ def test_unsorted_column_reads_by_position_then_group():
     assert local.tolist() == [0, 1, 1]
     assert value.tolist() == [2., 1., 3.]
     assert blk.busiest.tolist() == [1, 1]
-    check_case(a, b, geom)
+    assert_every_block(a, b, geom)
 
 
 def test_unsorted_row_of_b():
@@ -180,7 +133,7 @@ def test_unsorted_row_of_b():
     blk = encode_cp_csr(b, geom, 0, 0)
     assert blk.entry_table[1].tolist() == [0, 1, 3, 0]
     assert blk.busiest.tolist() == [1, 1]
-    check_case(a, b, geom)
+    assert_every_block(a, b, geom)
 
 
 @pytest.mark.parametrize("dims, tiles, groups", [
@@ -200,11 +153,11 @@ def test_ragged_and_empty_blocks(dims, tiles, groups):
                               for r in range(k - 1) for c in range(n)
                               if rng.random() < 0.3])
     geom = make_geometry(plan_of(*tiles), dims, groups)
-    check_case(to_csc(ta), to_csr(tb), geom)
+    assert_every_block(to_csc(ta), to_csr(tb), geom)
     a, b = to_csc(TripletMatrix(m, k, [])), to_csr(TripletMatrix(k, n, []))
     empty = encode_rp_csc(a, geom, 0, 0)
     assert [len(x) for x in empty.entry_table] == [0, 0, 0, 0]
-    check_case(a, b, geom)
+    assert_every_block(a, b, geom)
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,21 +180,8 @@ def test_drawn_blocks_with_unsorted_minor_indices(data):
                                             rng)[::-1], a.col_ptr)
         b = CsrMatrix(k, n, *shuffled_minor(b.row_ptr, b.col_idx, b.value,
                                             rng)[::-1], b.row_ptr)
-    check_case(a, b, make_geometry(plan_of(*tiles), (m, k, n), (g_na, g_nb)))
-
-
-def test_streams_are_built_once_on_inspection():
-    rng = np.random.default_rng(3)
-    ta = TripletMatrix(20, 12, [(r, c, 1.0) for r in range(20)
-                                for c in range(12) if rng.random() < 0.3])
-    geom = make_geometry(plan_of(3, 4, 2), (20, 12, 15), (4, 3))
-    with counted_streams() as built:
-        blk = encode_rp_csc(to_csc(ta), geom, 0, 1)
-        assert blk.nnz and len(blk.busiest) and built == []
-        dump_block(blk)
-        validate_block(blk)
-        assert blk.col_len is blk.streams.lengths
-        assert built == [blk]
+    assert_every_block(a, b, make_geometry(plan_of(*tiles), (m, k, n),
+                                           (g_na, g_nb)))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -258,8 +198,8 @@ def test_validate_checks_the_stored_table(edit, message):
     a = to_csc(TripletMatrix(4, 4, [(0, 0, 1.0), (3, 2, 2.0)]))
     geom = make_geometry(plan_of(2, 4, 2), (4, 4, 4), (2, 2))
     blk = encode_rp_csc(a, geom, 0, 0)
-    validate_block(blk)
+    validate(blk)
     bad = dataclasses.replace(blk, entry_table=edit(*blk.entry_table))
     with pytest.raises(MalformedBlockError, match=message):
-        validate_block(bad)
+        validate(bad)
 

@@ -3,13 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from iohp.encoding import decode_block, encode_rp_csc, make_geometry
+from iohp.encoding import encode_rp_csc, make_geometry
 from iohp.errors import BoundsError, DimensionError, MatrixFormatError
 from iohp.matrices import (CscMatrix, DenseMatrix, TripletMatrix, canonicalize,
                            dense_matmul, load_dense_csv, load_matrix_market,
                            to_csc, to_csr, to_dense, to_triplets,
                            write_dense_csv, write_matrix_market)
 from iohp.planner import PartitionPlan
+from test_encoding_reference import decode
 
 
 def mm(text: str):
@@ -157,7 +158,7 @@ class TestConversions:
         geom = make_geometry(PartitionPlan(1, 1, 1, 1, 2, 2, "RABE", 0),
                              (2, 2, 2), (2, 1))
         for back in (to_triplets(to_csc(t)),
-                     decode_block(encode_rp_csc(to_csc(t), geom, 0, 0), geom)):
+                     decode(encode_rp_csc(to_csc(t), geom, 0, 0), geom)):
             assert [(r, c) for r, c, _ in back.entries] == [(0, 0), (1, 1)]
             assert (np.array([v for _, _, v in back.entries]).tobytes()
                     == np.array([-0.0, 2.0]).tobytes())
@@ -199,12 +200,12 @@ class TestDense:
 
     def test_matmul_zeros(self):
         a = DenseMatrix(2, 3, np.arange(6, dtype=float).reshape(2, 3))
-        z = DenseMatrix.zeros(3, 4)
+        z = DenseMatrix(3, 4, np.zeros((3, 4)))
         assert np.array_equal(dense_matmul(a, z).data, np.zeros((2, 4)))
 
     def test_matmul_dim_mismatch(self):
-        a = DenseMatrix.zeros(2, 3)
-        b = DenseMatrix.zeros(4, 2)
+        a = DenseMatrix(2, 3, np.zeros((2, 3)))
+        b = DenseMatrix(4, 2, np.zeros((4, 2)))
         with pytest.raises(DimensionError):
             dense_matmul(a, b)
 

@@ -8,8 +8,8 @@ import pytest
 from iohp import planner
 from iohp.errors import DegenerateInputError, InfeasibleError
 from iohp.planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
-                          _name_violation, _tile_candidates, dram_access,
-                          feasible, plan_partition, storage_size)
+                          _buffer_loads, _name_violation, _tile_candidates,
+                          dram_access, plan_partition)
 
 
 def brute_force_min_cost(cfg: HardwareConfig, wl: WorkloadSpec):
@@ -76,6 +76,14 @@ class TestTileCandidates:
     @pytest.mark.parametrize("group", [1, 8, 64])
     def test_huge_dims(self, dim, group):
         assert self.as_pairs(dim, group) == tile_candidates_reference(dim, group)
+
+
+def feasible(plan: PartitionPlan, cfg: HardwareConfig, wl: WorkloadSpec) -> bool:
+    """Strict buffer-capacity constraints on one tile's expected contents."""
+    if min(plan.m_t, plan.k_t, plan.n_t) <= 0:
+        return False
+    return all(load < bound for load, bound in
+               _buffer_loads(plan.m_t, plan.k_t, plan.n_t, cfg, wl))
 
 
 def plan_partition_reference(cfg: HardwareConfig, wl: WorkloadSpec):
@@ -155,22 +163,6 @@ class TestHardwareConfig:
         assert (cfg.s, cfg.overflow_policy) == (1, "fail")
         assert (HardwareConfig().s, HardwareConfig().overflow_policy) == (
             None, "spill")
-
-
-class TestStorageSize:
-    def test_zero_density_pointer_only(self):
-        cfg = HardwareConfig()
-        assert storage_size(8, 5, 0.0, cfg) == 5 * cfg.bits_len
-        assert storage_size(8, 5, 0.0, cfg, orientation="csr") == 8 * cfg.bits_len
-
-    def test_formula_instantiation(self):
-        cfg = HardwareConfig()  # 64/32/16-bit streams
-        assert storage_size(4, 4, 0.25, cfg) == 4 * 96 + 4 * 16 == 448
-
-    def test_adjacency_scale(self):
-        cfg = HardwareConfig()
-        got = storage_size(2708, 2708, 0.0014, cfg)
-        assert got == pytest.approx(10262 * 96 + 2708 * 16, rel=2e-3)
 
 
 class TestFeasible:
