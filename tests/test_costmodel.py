@@ -283,6 +283,51 @@ class TestStageTraces:
             assert (grid.addrmap_cycles, grid.spill_events) == (0, 0)
 
 
+def one_tile_stats(a, b, mode="ssmm", g=2):
+    """Stats of a run whose single tile holds the whole product."""
+    cfg = HardwareConfig(c_a=10 ** 6, c_b=10 ** 6, c_psum=10 ** 9, s=10 ** 6,
+                         g_na=g, g_nb=g)
+    plan = plan_of(-(-a.n_rows // g), a.n_cols, -(-b.n_cols // g))
+    return run(Workload(a, b), plan, cfg, mode)[1]
+
+
+class TestBaselineCounters:
+    """The hybrid product's MAC and load counts against the dense and
+    private-outer baselines."""
+
+    def test_dense_two_cubed(self):
+        t = canonicalize(2, 2, [(i, j, 1.0) for i in range(2) for j in range(2)])
+        assert one_tile_stats(to_csc(t), to_csr(t)).achieved_macs == 2 ** 3
+
+    def test_diagonal_against_dense(self):
+        n = 6
+        diag = canonicalize(n, n, [(i, i, 2.0) for i in range(n)])
+        dense = canonicalize(n, n, [(i, j, 1.0) for i in range(n)
+                                    for j in range(n)])
+        macs = one_tile_stats(to_csc(diag), to_csr(dense)).achieved_macs
+        assert macs == n * n < n ** 3
+
+    def test_empty_a(self):
+        a = to_csc(TripletMatrix(3, 4, []))
+        b = to_csr(canonicalize(4, 5, [(0, 0, 1.0)]))
+        assert one_tile_stats(a, b).achieved_macs == 0
+
+    def test_group_shared_loads(self):
+        # every stream is loaded once whatever the grid: a private outer
+        # product would load A g_nb times and B g_na times
+        t = canonicalize(4, 4, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)])
+        cfg = HardwareConfig()
+        once = 6 * (cfg.bits_value + cfg.bits_index) + 2 * 4 * cfg.bits_len
+        for g in (1, 2, 4):
+            stats = one_tile_stats(to_csc(t), to_csr(t), g=g)
+            assert stats.dram.bits_input_read == once
+
+    def test_dense_b_counts_nonzeros(self):
+        a = to_csc(canonicalize(2, 2, [(0, 0, 1.0), (1, 1, 1.0)]))
+        b = DenseMatrix.from_rows([[1.0, 0.0], [2.0, 3.0]])
+        assert one_tile_stats(a, b, "sdmm").achieved_macs == 1 * 1 + 1 * 2
+
+
 class TestSdmmComputeCycles:
     def test_column_model(self):
         a = to_csc(canonicalize(4, 3, [(0, 0, 1.0), (1, 0, 1.0), (2, 2, 1.0)]))

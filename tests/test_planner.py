@@ -165,6 +165,29 @@ class TestHardwareConfig:
             None, "spill")
 
 
+def sparse_bits(m, k, n, d_a, d_b):
+    spec = WorkloadSpec.from_dims(m, k, n, d_a, d_b, HardwareConfig())
+    return spec.m_a, spec.m_b
+
+
+class TestStorageSize:
+    """Encoded bits of a sparse operand: entry streams plus one pointer per
+    column of A (CSC) or row of B (CSR)."""
+
+    def test_zero_density_pointer_only(self):
+        bits_len = HardwareConfig().bits_len
+        assert sparse_bits(8, 5, 1, 0.0, 0.0)[0] == 5 * bits_len
+        assert sparse_bits(1, 8, 5, 0.0, 0.0)[1] == 8 * bits_len
+
+    def test_formula_instantiation(self):
+        # 64/32/16-bit value, index and pointer streams
+        assert sparse_bits(4, 4, 1, 0.25, 0.0)[0] == 4 * 96 + 4 * 16 == 448
+
+    def test_adjacency_scale(self):
+        got = sparse_bits(2708, 2708, 1, 0.0014, 0.0)[0]
+        assert got == pytest.approx(10262 * 96 + 2708 * 16, rel=2e-3)
+
+
 class TestFeasible:
     def test_zero_density_always_feasible(self):
         cfg = small_cfg()
