@@ -24,7 +24,8 @@ from .matrices import (DenseMatrix, TripletMatrix, dense_matmul,
                        to_dense, to_triplets, write_dense_csv,
                        write_matrix_market)
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
-                      check_density, dram_access, plan_partition)
+                      check_density, dram_access, plan_partition,
+                      record_fields)
 from .synthetic import random_dense, random_triplets
 
 DEFAULT_SDMM_THRESHOLD = 0.25
@@ -50,36 +51,32 @@ def _check_chain(a: TripletMatrix, x: TripletMatrix, w1: DenseMatrix,
 
 
 def load_config(path: str | None) -> HardwareConfig:
-    """Parse the flat key=value hardware config file."""
+    """Parse the flat key=value hardware config file (``record_fields``)."""
     if path is None:
         return HardwareConfig()
-    int_keys = {"c_a", "c_b", "c_psum", "g_na", "g_nb",
-                "bits_value", "bits_index", "bits_len"}
-    float_keys = {"r_x", "freq_hz"}
-    kwargs = {}
+    kinds = dict.fromkeys(("c_a", "c_b", "c_psum", "g_na", "g_nb", "bits_value",
+                           "bits_index", "bits_len"), int)
+    kinds.update(r_x=float, freq_hz=float)
     try:
         with open(path, "r", encoding="ascii") as f:
-            lines = f.readlines()
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise CommandError("config", f"cannot read {path}: {e}") from e
-    for i, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        key, sep, val = text.partition("=")
-        key = key.strip().lower()
-        where = f"{path} line {i}"
-        if not sep:
-            raise CommandError("config", f"{where}: expected key=value")
-        if key not in int_keys | float_keys:
-            raise CommandError("config", f"{where}: {key}: unknown config key")
-        try:
-            kwargs[key] = (int if key in int_keys else float)(val.strip())
-            HardwareConfig(**kwargs)  # name the line that breaks a bound
-            if key in ("g_na", "g_nb"):
-                check_group_limit(**{key: kwargs[key]})
-        except ValueError as e:
-            raise CommandError("config", f"{where}: {key}: {e}") from e
+    kwargs = {}
+    try:
+        for i, key, val in record_fields(text, path, "key"):
+            where = f"{path} line {i}: {key}"
+            if key not in kinds:
+                raise CommandError("config", f"{where}: unknown config key")
+            try:
+                kwargs[key] = kinds[key](val)
+                HardwareConfig(**kwargs)  # name the line that breaks a bound
+                if key in ("g_na", "g_nb"):
+                    check_group_limit(**{key: kwargs[key]})
+            except ValueError as e:
+                raise CommandError("config", f"{where}: {e}") from e
+    except ValueError as e:  # a line record_fields rejects
+        raise CommandError("config", str(e)) from e
     return HardwareConfig(**kwargs)
 
 

@@ -19,7 +19,6 @@ fewer entries, and the geometry carries the full dimensions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +90,9 @@ def make_geometry(plan, dims: tuple[int, int, int],
     check_group_limit(g_na=g_na, g_nb=g_nb)
     if plan.m_t <= 0 or plan.k_t <= 0 or plan.n_t <= 0:
         raise DegenerateInputError("tile dimensions must be positive")
-    t_m = math.ceil(m / (g_na * plan.m_t))
-    t_k = math.ceil(k / plan.k_t)
-    t_n = math.ceil(n / (g_nb * plan.n_t))
+    t_m = -(-m // (g_na * plan.m_t))
+    t_k = -(-k // plan.k_t)
+    t_n = -(-n // (g_nb * plan.n_t))
     return TilingGeometry(m=m, k=k, n=n, m_t=plan.m_t, k_t=plan.k_t,
                           n_t=plan.n_t, t_m=t_m, t_k=t_k, t_n=t_n,
                           g_na=g_na, g_nb=g_nb)

@@ -3,8 +3,7 @@
 A PE grid of ``g_na x g_nb`` stores runs one outer product per group pair:
 the block's shared column/row index streams are merge-joined, and for every
 matched inner index each active PE multiplies its A-group slice against its
-B-group slice.  Products land in an append-only psum store whose per-row
-address directory makes the later sort/accumulate pass regular.
+B-group slice.  Products land in an append-only psum store.
 
 Accumulation order is fixed by the traversal: a block pair's products are
 built at once and each store takes its own in (inner index, A entry,

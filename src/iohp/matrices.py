@@ -201,8 +201,6 @@ class DenseMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "DenseMatrix":
         data = np.asarray(rows, dtype=np.float64)
-        if data.ndim != 2:
-            data = data.reshape(len(rows), -1)
         return cls(data.shape[0], data.shape[1], data)
 
 
@@ -437,10 +435,8 @@ def to_triplets(m: Union[CscMatrix, CsrMatrix, DenseMatrix]) -> TripletMatrix:
     return TripletMatrix(m.n_rows, m.n_cols, arrays=(rr, cc, m.data[rr, cc]))
 
 
-def to_dense(m: Union[AnySparse, DenseMatrix]) -> DenseMatrix:
+def to_dense(m: AnySparse) -> DenseMatrix:
     """Scatter stored entries onto a zero matrix; the last write wins."""
-    if isinstance(m, DenseMatrix):
-        return m
     rows, cols, vals = _coords(m)
     _, last = np.unique((rows * m.n_cols + cols)[::-1], return_index=True)
     keep = len(rows) - 1 - last

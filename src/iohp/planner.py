@@ -156,35 +156,43 @@ class PartitionPlan:
 
     @classmethod
     def from_text(cls, text: str) -> "PartitionPlan":
-        """Parse a ``to_text`` record; ValueError names a missing field, or
-        the line and field of one that is not ``field=value``, not an int or
-        given twice (with both lines)."""
-        fields, line_of = {}, {}
-        for i, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = (part.strip() for part in line.partition("="))
-            where = f"plan record line {i}"
-            if not sep:
-                raise ValueError(f"{where}: expected field=value")
+        """Parse a ``to_text`` record (``record_fields``); ValueError names a
+        missing field, or the line and field of one unknown or not an int."""
+        fields = {}
+        for i, key, val in record_fields(text, "plan record", "field"):
             if key not in _PLAN_FIELDS:
-                raise ValueError(f"{where}: {key}: unknown field")
-            if key in line_of:
-                raise ValueError(f"{where}: {key}: already given on line "
-                                 f"{line_of[key]}")
-            line_of[key] = i
+                raise ValueError(f"plan record line {i}: {key}: unknown field")
             try:
                 fields[key] = val if key == "strategy" else int(val)
             except ValueError:
-                raise ValueError(
-                    f"{where}: {key}: expected an integer, got {val!r}") from None
+                raise ValueError(f"plan record line {i}: {key}: expected an "
+                                 f"integer, got {val!r}") from None
         missing = [name for name in _PLAN_FIELDS if name not in fields]
         if missing:
             raise ValueError(f"plan record is missing {', '.join(missing)}")
         if fields["strategy"] not in _STRATEGY_RANK:
             raise ValueError(f"plan record: unknown strategy {fields['strategy']!r}")
         return cls(**fields)
+
+
+def record_fields(text: str, where: str, noun: str):
+    """Yield (line number, name, value), both stripped, of each line of a
+    config file or plan record; text after ``#`` is a comment.  ValueError
+    names the line (``<where> line N``) with no ``=`` or a repeated name; the
+    caller checks each line before the next is read, so the first fault wins."""
+    first = {}
+    for i, line in enumerate(text.splitlines(), start=1):
+        line = line.partition("#")[0].strip()
+        if not line:
+            continue
+        name, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ValueError(f"{where} line {i}: expected {noun}=value")
+        if name in first:
+            raise ValueError(f"{where} line {i}: {name}: already given on "
+                             f"line {first[name]}")
+        first[name] = i
+        yield i, name, value
 
 
 _BUFFER_LABELS = ("buffer A constraint (1) m_t*k_t*d_a < c_a*r_x",

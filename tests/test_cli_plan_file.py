@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from iohp.cli import main
+from iohp.cli import _check_plan_record, main
+from iohp.encoding import make_geometry
 from iohp.matrices import (TripletMatrix, dense_matmul, load_matrix_market,
                            to_dense, write_matrix_market)
+from iohp.planner import HardwareConfig, PartitionPlan, WorkloadSpec, dram_access
 
 
 def test_spmm_consumes_plan_record(tmp_path):
@@ -165,3 +167,18 @@ def test_plan_record_tile_past_its_dimension_rejected(tmp_path, capsys, field,
     assert capsys.readouterr().err == (
         f"error: plan: plan record: {field}=1000000 exceeds the largest tile "
         f"of this workload, {field}={largest}\n")
+
+
+def test_tile_counts_are_exact_past_float_precision():
+    # float division rounds (2**53 + 1) / 2**53 to 1: one strip would end at
+    # row 2**53 and leave the last row outside every block
+    m, cfg = 2 ** 53 + 1, HardwareConfig()
+    wide = PartitionPlan(2, 2, 2, 2 ** 50, 2 ** 53, 2 ** 50, "RABE", 0)
+    geom = make_geometry(wide, (m, m, m), (cfg.g_na, cfg.g_nb))
+    assert (geom.t_m, geom.t_k, geom.t_n) == (2, 2, 2)
+    assert geom.g_na * geom.m_t * (geom.t_m - 1) < m
+    plan = PartitionPlan(2, 1, 1, 2 ** 50, 1, 1, "RABE", 0)
+    spec = WorkloadSpec.from_counts(m, 1, 1, 1, 1, cfg)
+    cost = dict(dram_access(plan, cfg, spec))["RABE"]
+    _check_plan_record(PartitionPlan(2, 1, 1, 2 ** 50, 1, 1, "RABE", cost),
+                       spec, cfg)
