@@ -7,8 +7,8 @@ from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, encode_cp_csr,
 from .engine import (OutputBlock, PsumGrid, assemble_output, compute_psums,
                      merge_output_blocks, sdmm_compute)
 from .matrices import (CscMatrix, CsrMatrix, DenseMatrix, TripletMatrix,
-                       dense_matmul, load_matrix_market, to_csc, to_csr,
-                       to_dense, to_triplets, write_matrix_market)
+                       load_matrix_market, to_csc, to_csr, to_dense,
+                       to_triplets, write_matrix_market)
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
                       dram_access, plan_partition)
 

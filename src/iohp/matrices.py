@@ -4,10 +4,11 @@ Triplets keep int64 ``rows``/``cols`` and float64 ``vals`` arrays; CSC keeps
 (value, row_idx, col_ptr); CSR keeps (value, col_idx, row_ptr).  A Matrix
 Market body or a dense CSV file is parsed in one numpy pass; a line loop
 reads it again wherever that pass cannot vouch for the result, and only the
-loop raises, naming the faulty line.  ``dense_matmul`` is the brute-force
-reference product every sparse path is verified against.  A stored entry
-counts as nonzero even when its value is exactly 0.0 (duplicates that cancel
-stay stored, which keeps nnz conservation checks exact).
+loop raises, naming the faulty line.  No product is computed here: the
+brute-force dense product that every sparse path is checked against is a
+test reference.  A stored entry counts as nonzero even when its value is
+exactly 0.0 (duplicates that cancel stay stored, which keeps nnz conservation
+checks exact).
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ class CsrMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
-    """Row-major float64 matrix; the oracle-side representation."""
+    """Row-major float64 matrix: a sparse-dense product's B or result."""
 
     n_rows: int
     n_cols: int
@@ -443,14 +444,6 @@ def to_dense(m: AnySparse) -> DenseMatrix:
     out = np.zeros((m.n_rows, m.n_cols))
     out[rows[keep], cols[keep]] = vals[keep]
     return DenseMatrix(m.n_rows, m.n_cols, out)
-
-
-def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Ground-truth dense product C[i,j] = sum_x a[i,x]*b[x,j]."""
-    if a.n_cols != b.n_rows:
-        raise DimensionError(
-            f"dimension mismatch: {a.n_rows}x{a.n_cols} @ {b.n_rows}x{b.n_cols}")
-    return DenseMatrix(a.n_rows, b.n_cols, a.data @ b.data)
 
 
 def write_dense_csv(m: DenseMatrix, path) -> None:

@@ -17,12 +17,12 @@ from iohp.costmodel import Workload, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import compute_psums
 from iohp.errors import PsumOverflowError
-from iohp.matrices import (canonicalize, dense_matmul, to_csc, to_csr,
-                           to_dense, to_triplets)
+from iohp.matrices import canonicalize, to_csc, to_csr, to_dense, to_triplets
 from iohp.planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
                           plan_partition)
 from iohp.synthetic import random_dense, random_triplets
 from test_encoding_reference import decode
+from test_matrices_reference import dense_matmul
 from test_planner import feasible
 
 

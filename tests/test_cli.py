@@ -4,9 +4,10 @@ import pytest
 from iohp import cli
 from iohp.cli import load_config, main
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
-                           dense_matmul, load_dense_csv, load_matrix_market,
-                           to_dense, write_dense_csv, write_matrix_market)
+                           load_dense_csv, load_matrix_market, to_dense,
+                           write_dense_csv, write_matrix_market)
 from iohp.synthetic import random_dense, random_triplets
+from test_matrices_reference import dense_matmul
 
 
 def write_mtx(path, t):

@@ -3,9 +3,10 @@ import pytest
 
 from iohp.cli import _check_plan_record, main
 from iohp.encoding import make_geometry
-from iohp.matrices import (TripletMatrix, dense_matmul, load_matrix_market,
-                           to_dense, write_matrix_market)
+from iohp.matrices import (TripletMatrix, load_matrix_market, to_dense,
+                           write_matrix_market)
 from iohp.planner import HardwareConfig, PartitionPlan, WorkloadSpec, dram_access
+from test_matrices_reference import dense_matmul
 
 
 def test_spmm_consumes_plan_record(tmp_path):

@@ -8,10 +8,11 @@ import iohp.costmodel
 from iohp.costmodel import CSV_COLUMNS, Workload, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import compute_psums, fill_grid, sdmm_compute
-from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
-                           dense_matmul, to_csc, to_csr, to_dense, to_triplets)
+from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize, to_csc,
+                           to_csr, to_dense, to_triplets)
 from iohp.planner import HardwareConfig, PartitionPlan, plan_partition
 from iohp.synthetic import random_dense, random_triplets
+from test_matrices_reference import dense_matmul
 
 
 def plan_of(m_t, k_t, n_t, strategy="RABE"):

@@ -7,12 +7,13 @@ from iohp.engine import (OutputBlock, assemble_output, compute_psums,
                          merge_output_blocks, sdmm_compute)
 from iohp.errors import (DimensionError, GatherError, MalformedBlockError,
                          PsumOverflowError)
-from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
-                           dense_matmul, to_csc, to_csr, to_dense)
+from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize, to_csc,
+                           to_csr, to_dense)
 from iohp.planner import HardwareConfig, PartitionPlan
 from iohp.synthetic import random_dense, random_triplets
 from test_engine_reference import (address_map, dump_psum_store, lone_store,
                                    psums_with_records, validate_psum_store)
+from test_matrices_reference import dense_matmul
 
 
 def plan_of(m_t, k_t, n_t):

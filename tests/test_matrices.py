@@ -6,11 +6,12 @@ import pytest
 from iohp.encoding import encode_rp_csc, make_geometry
 from iohp.errors import BoundsError, DimensionError, MatrixFormatError
 from iohp.matrices import (CscMatrix, DenseMatrix, TripletMatrix, canonicalize,
-                           dense_matmul, load_dense_csv, load_matrix_market,
-                           to_csc, to_csr, to_dense, to_triplets,
-                           write_dense_csv, write_matrix_market)
+                           load_dense_csv, load_matrix_market, to_csc, to_csr,
+                           to_dense, to_triplets, write_dense_csv,
+                           write_matrix_market)
 from iohp.planner import PartitionPlan
 from test_encoding_reference import decode
+from test_matrices_reference import dense_matmul
 
 
 def mm(text: str):

@@ -2,7 +2,9 @@
 
 The references below are the earlier list-based ``canonicalize``, Matrix
 Market parser, ``to_triplets``, ``to_dense``, ``write_matrix_market``,
-``to_csc``/``to_csr`` and ``random_triplets``, kept verbatim in logic.  Every
+``to_csc``/``to_csr`` and ``random_triplets``, kept verbatim in logic, and
+``dense_matmul``, the brute-force dense product that the other test modules
+check every sparse path against.  Every
 comparison is bit for bit: coordinates and their Python types, value bits
 (so ``-0.0`` differs from ``0.0``), array dtypes, file bytes and error
 messages.  The bulk numpy passes over a Matrix Market body and a dense CSV
@@ -23,8 +25,8 @@ from hypothesis import strategies as st
 from iohp import matrices
 from iohp.costmodel import Workload
 from iohp.errors import (BoundsError, CoordinateError, DegenerateInputError,
-                         MatrixFormatError)
-from iohp.matrices import (CscMatrix, CsrMatrix, TripletMatrix,
+                         DimensionError, MatrixFormatError)
+from iohp.matrices import (CscMatrix, CsrMatrix, DenseMatrix, TripletMatrix,
                            canonicalize, load_dense_csv, load_matrix_market,
                            to_csc, to_csr, to_dense, to_triplets,
                            write_matrix_market)
@@ -33,6 +35,14 @@ from iohp.synthetic import random_triplets
 
 
 # --- references -------------------------------------------------------------
+
+def dense_matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """Ground-truth dense product C[i,j] = sum_x a[i,x]*b[x,j]."""
+    if a.n_cols != b.n_rows:
+        raise DimensionError(
+            f"dimension mismatch: {a.n_rows}x{a.n_cols} @ {b.n_rows}x{b.n_cols}")
+    return DenseMatrix(a.n_rows, b.n_cols, a.data @ b.data)
+
 
 @dataclass(frozen=True)
 class RefTriplets:
