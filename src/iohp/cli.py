@@ -207,19 +207,24 @@ def _plan(spec: WorkloadSpec, cfg: HardwareConfig,
     return plan
 
 
-def _run_one(a_trip, b_trip, mode: str, cfg: HardwareConfig, label: str,
-             plan_file: str | None = None):
-    """Plan (or load a plan record) and execute one product."""
+def _workload(a_trip, b_trip, mode: str) -> Workload:
+    """A as CSC; B as ``mode`` runs it, dense under SDMM, else CSR."""
     b = to_dense(b_trip) if mode == MODE_SDMM else to_csr(b_trip)
-    workload = Workload(to_csc(a_trip), b, label)
+    return Workload(to_csc(a_trip), b)
+
+
+def _run_one(workload: Workload, mode: str, cfg: HardwareConfig,
+             stage: str | None = None, plan_file: str | None = None):
+    """Plan (or load a plan record) and execute one product; a failure is
+    staged ``plan`` or ``compute``, or ``stage`` when one is given."""
     try:
         plan = _plan(workload.spec(cfg), cfg, plan_file)
     except (ValueError, OSError) as e:
-        raise CommandError("plan", str(e)) from e
+        raise CommandError(stage or "plan", str(e)) from e
     try:
         result, stats = run(workload, plan, cfg, mode)
     except Exception as e:
-        raise CommandError("compute", str(e)) from e
+        raise CommandError(stage or "compute", str(e)) from e
     return result, stats, plan
 
 
@@ -260,7 +265,8 @@ def cmd_spmm(args) -> int:
     cfg = replace(load_config(args.config), overflow_policy=args.policy)
     a_trip, b_trip = _operand_files(args)
     mode = _resolve_mode(args.mode, b_trip, args.sdmm_threshold)
-    result, stats, plan = _run_one(a_trip, b_trip, mode, cfg, args.a, args.plan)
+    result, stats, plan = _run_one(_workload(a_trip, b_trip, mode), mode, cfg,
+                                   plan_file=args.plan)
     if args.out:
         if mode == MODE_SSMM:
             write_matrix_market(result, args.out)
@@ -312,30 +318,24 @@ def cmd_gcn(args) -> int:
         w2 = _load(load_dense_csv, args.w2)
     _check_chain(a_trip, x_trip, w1, w2)
 
-    a_csc = to_csc(a_trip)
+    a_csc, p = to_csc(a_trip), None
     rows: list[tuple[str, SimStats]] = []
-
-    def sdmm_step(label: str, a_sparse, b_dense: DenseMatrix) -> DenseMatrix:
-        workload = Workload(a_sparse, b_dense, label)
-        try:
-            result, stats = run(workload, _plan(workload.spec(cfg), cfg), cfg,
-                                MODE_SDMM)
-        except Exception as e:
-            raise CommandError(label, str(e)) from e
-        rows.append((label, stats))
-        return result
-
-    p1 = sdmm_step("step1_xw1", to_csc(x_trip), w1)
-    p2 = sdmm_step("step2_a_xw1", a_csc, p1)
-    p3 = sdmm_step("step3_h1w2", to_csc(to_triplets(p2)), w2)
-    p4 = sdmm_step("step4_a_h1w2", a_csc, p3)
+    for stage, w in (("step1_xw1", w1), ("step2_a_xw1", None),
+                     ("step3_h1w2", w2), ("step4_a_h1w2", None)):
+        if w is None:  # the adjacency times the last product
+            workload = Workload(a_csc, p, stage)
+        else:  # the layer's input, sparse, times its weights
+            h = x_trip if p is None else to_triplets(p)
+            workload = Workload(to_csc(h), w, stage)
+        p, stats, _ = _run_one(workload, MODE_SDMM, cfg, stage)
+        rows.append((stage, stats))
 
     oracle = gcn_check(a_trip, x_trip, w1, w2)
-    ok = np.allclose(p4.data, oracle, rtol=1e-9, atol=1e-9)
-    max_err = float(np.max(np.abs(p4.data - oracle))) if p4.data.size else 0.0
+    ok = np.allclose(p.data, oracle, rtol=1e-9, atol=1e-9)
+    max_err = float(np.max(np.abs(p.data - oracle))) if p.data.size else 0.0
 
     if args.out:
-        write_dense_csv(p4, args.out)
+        write_dense_csv(p, args.out)
     info = {"command": "gcn", "oracle_check": "pass" if ok else "FAIL",
             "max_abs_error": f"{max_err:.6g}",
             "strategies": ",".join(s.strategy for _, s in rows)}
@@ -366,6 +366,7 @@ def cmd_sweep(args) -> int:
                  _draw(args.k, args.n, args.db, "--db", rng))
     a_trip, b_trip = files
     mode = _resolve_mode(args.mode, b_trip, args.sdmm_threshold)
+    workload = _workload(a_trip, b_trip, mode)
 
     lines = ["grid,buffer_scale,peak_macs_per_cycle,"
              + ",".join(CSV_COLUMNS) + ",status"]
@@ -374,7 +375,7 @@ def cmd_sweep(args) -> int:
             label = f"{g}x{g}_scale{s:g}"
             try:
                 cfg = _cell_config(base, g, s)
-                _, stats, _ = _run_one(a_trip, b_trip, mode, cfg, label)
+                _, stats, _ = _run_one(workload, mode, cfg)
                 lines.append(f"{g},{s:g},{stats.peak_macs_per_cycle},"
                              + stats.csv_row(label) + ",ok")
             except Exception as e:  # failed cells must not abort the sweep

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import (CpCsrBlock, RpCscBlock, TilingGeometry, encode_cp_csr,
-                       encode_rp_csc, make_geometry)
+from .encoding import (TilingGeometry, encode_cp_csr, encode_rp_csc,
+                       make_geometry)
 from .errors import DimensionError
 from .engine import (OutputBlock, assemble_output, compute_psums,
                      merge_output_blocks, sdmm_compute)
@@ -167,7 +167,8 @@ def _passes(strategy: str, geom: TilingGeometry):
 def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str):
     """Execute the tiled pipeline, returning (result matrix, SimStats).
 
-    A is CSC; B is CSR under SSMM (CSC result) or dense under SDMM.
+    A is CSC; B is CSR under SSMM (CSC result) or dense under SDMM.  Every
+    block a pass reads is encoded once, before the pass loop.
     """
     a, b = workload.a, workload.b
     operands = {MODE_SSMM: (CsrMatrix, "sparse"), MODE_SDMM: (DenseMatrix, "dense")}
@@ -186,17 +187,18 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
     util_a, util_b, util_psum = [], [], []
     traces: list[StageTrace] = []
     macs = 0
-    a_blocks: dict[tuple[int, int], RpCscBlock] = {}
-    b_blocks: dict[tuple[int, int], CpCsrBlock] = {}
     outputs: list[OutputBlock] = []  # every pass's outputs, global coordinates
-    if mode == MODE_SDMM:
+    a_blocks = {(m, k): encode_rp_csc(a, geom, m, k)
+                for m in range(geom.t_m) for k in range(geom.t_k)}
+    if mode == MODE_SSMM:
+        b_blocks = {(k, n): encode_cp_csr(b, geom, k, n)
+                    for k in range(geom.t_k) for n in range(geom.t_n)}
+    else:
         dense_result = np.zeros((geom.m, geom.n))
         strip_util = min(1.0, geom.m_t * geom.n_t / cfg.sdmm_variant().c_psum)
 
     for m, n, k, a_loaded, b_loaded in _passes(plan.strategy, geom):
-        a_blk = a_blocks.get((m, k))
-        if a_blk is None:
-            a_blk = a_blocks[(m, k)] = encode_rp_csc(a, geom, m, k)
+        a_blk = a_blocks[m, k]
         if a_loaded:
             bits_a += a_blk.nnz * entry_bits
         encode = a_blk.nnz if a_loaded else 0
@@ -204,9 +206,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
         (r_lo, r_hi), (c_lo, c_hi) = geom.block_rows(m), geom.block_cols(n)
 
         if mode == MODE_SSMM:
-            b_blk = b_blocks.get((k, n))
-            if b_blk is None:
-                b_blk = b_blocks[(k, n)] = encode_cp_csr(b, geom, k, n)
+            b_blk = b_blocks[k, n]
             if b_loaded:
                 bits_b += b_blk.nnz * entry_bits
                 encode += b_blk.nnz
@@ -241,9 +241,8 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
         result = DenseMatrix(geom.m, geom.n, dense_result)
         bits_c = geom.m * geom.n * cfg.bits_value
 
-    total = sum(t.bottleneck for t in traces)
-    if traces:
-        total += traces[0].encode_cycles + traces[-1].addrmap_cycles
+    total = (sum(t.bottleneck for t in traces) + traces[0].encode_cycles
+             + traces[-1].addrmap_cycles)
     stats = SimStats(
         mode=mode,
         strategy=plan.strategy,
@@ -254,9 +253,9 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
         addrmap_cycles=sum(t.addrmap_cycles for t in traces),
         dram=DramCounter(bits_a_read=bits_a, bits_b_read=bits_b,
                          bits_psum_spill=bits_spill, bits_c_write=bits_c),
-        buffer_utilization_a=float(np.mean(util_a)) if util_a else 0.0,
-        buffer_utilization_b=float(np.mean(util_b)) if util_b else 0.0,
-        buffer_utilization_psum=float(np.mean(util_psum)) if util_psum else 0.0,
+        buffer_utilization_a=float(np.mean(util_a)),
+        buffer_utilization_b=float(np.mean(util_b)),
+        buffer_utilization_psum=float(np.mean(util_psum)),
         achieved_macs=macs,
         peak_macs_per_cycle=cfg.g_na * cfg.g_nb,
         peak_macs_per_sec=cfg.g_na * cfg.g_nb * cfg.freq_hz,

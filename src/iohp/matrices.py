@@ -154,9 +154,6 @@ class CscMatrix:
     def nnz(self) -> int:
         return len(self.value)
 
-    def nnz_per_column(self) -> np.ndarray:
-        return np.diff(self.col_ptr)
-
 
 @dataclass(frozen=True, eq=False)
 class CsrMatrix:
@@ -181,9 +178,6 @@ class CsrMatrix:
     @property
     def nnz(self) -> int:
         return len(self.value)
-
-    def nnz_per_row(self) -> np.ndarray:
-        return np.diff(self.row_ptr)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,8 @@ def plan_of(m_t, k_t, n_t, strategy="RABE"):
 def mac_law(a, b):
     """Nonzero products: each column of A meets the same row of B."""
     row_nnz = (np.count_nonzero(b.data, axis=1) if isinstance(b, DenseMatrix)
-               else b.nnz_per_row())
-    return int(a.nnz_per_column() @ row_nnz)
+               else np.diff(b.row_ptr))
+    return int(np.diff(a.col_ptr) @ row_nnz)
 
 
 def worked_blocks():
@@ -68,7 +68,7 @@ class TestComputeCycles:
             a_blk = encode_rp_csc(to_csc(ta), geom, 0, 0)
             b_blk = encode_cp_csr(to_csr(tb), geom, 0, 0)
             cycles = compute_psums(a_blk, b_blk).compute_cycles
-            macs = int(to_csc(ta).nnz_per_column() @ to_csr(tb).nnz_per_row())
+            macs = int(np.diff(to_csc(ta).col_ptr) @ np.diff(to_csr(tb).row_ptr))
             matched = len(np.intersect1d(a_blk.col_idx, b_blk.row_idx))
             skipped = (a_blk.col_all_len - matched) + (b_blk.row_all_len - matched)
             width = geom.g_na * geom.g_nb

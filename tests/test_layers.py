@@ -5,7 +5,8 @@ Every ``src/iohp/*.py`` module is parsed with ``ast``, including imports made
 inside functions, and each import of another package module must point to a
 lower layer: errors -> matrices -> planner/synthetic -> encoding -> engine ->
 costmodel -> cli.  ``__init__`` re-exports the public names and sits on top.
-A module-level name that only tests read belongs in ``tests/``.
+A module-level name, method or property that only tests read belongs in
+``tests/``.
 """
 
 import ast
@@ -64,7 +65,9 @@ def test_function_level_and_absolute_imports_are_seen(tmp_path):
 
 
 def module_names(tree: ast.Module):
-    """(name, defining node) of every module-level def, class and assignment."""
+    """(name, defining node) of every module-level def, class and assignment,
+    and, as ``Class.member``, of every method and property a class defines;
+    dunders and class-level fields (dataclass fields) are left out."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -75,6 +78,13 @@ def module_names(tree: ast.Module):
             for target in targets:
                 yield from ((n.id, node) for n in ast.walk(target)
                             if isinstance(n, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{member.name}", member)
+                        for member in node.body
+                        if isinstance(member, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                        and not (member.name.startswith("__")
+                                 and member.name.endswith("__")))
 
 
 def names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -100,11 +110,15 @@ def unread_names(package: Path, readers: list[Path]) -> list[str]:
              for p in sorted(package.glob("*.py")) if p.stem != "__init__"}
     outside = set().union(*(names_read(ast.parse(p.read_text(encoding="utf-8")))
                             for p in readers))
-    return [f"{stem}.{name}" for stem, tree in trees.items()
-            for name, node in module_names(tree)
-            if name not in outside and not any(
-                name in names_read(other, node if other is tree else None)
-                for other in trees.values())]
+    unread = []
+    for stem, tree in trees.items():
+        for name, node in module_names(tree):
+            attr = name.rpartition(".")[2]  # a member is read as an attribute
+            if attr not in outside and not any(
+                    attr in names_read(other, node if other is tree else None)
+                    for other in trees.values()):
+                unread.append(f"{stem}.{name}")
+    return unread
 
 
 def test_every_module_name_is_read_outside_tests():
@@ -112,15 +126,23 @@ def test_every_module_name_is_read_outside_tests():
 
 
 def test_unread_names_are_found(tmp_path):
+    """A dunder and a class-level field are never reported; a member is
+    read as an attribute, and reading itself does not count."""
     (tmp_path / "a.py").write_text(
         "LIMIT = 3\n"
         "def used(x):\n    return x + LIMIT\n"
         "def recursive(x):\n    return recursive(x - 1)\n"
         "def quoted():\n    return 'only_in_b'\n"
-        "class Kept:\n    pass\n")
+        "class Kept:\n"
+        "    field: int = 0\n"
+        "    def __len__(self):\n        return self.sibling()\n"
+        "    def sibling(self):\n        return 0\n"
+        "    @property\n    def lonely(self):\n        return self.lonely\n"
+        "    def bench_reads(self):\n        pass\n")
     (tmp_path / "b.py").write_text("def only_in_b():\n    return 'quoted'\n")
     (tmp_path / "__init__.py").write_text("from .a import recursive\n")
     bench = tmp_path / "bench.py"
-    bench.write_text("from pkg import used\nused(1)\nprint(pkg.Kept)\n")
+    bench.write_text("from pkg import used\nused(1)\nprint(pkg.Kept)\n"
+                     "pkg.Kept().bench_reads()\n")
     assert unread_names(tmp_path, [bench]) == [
-        "a.recursive", "a.quoted", "b.only_in_b"]
+        "a.recursive", "a.quoted", "a.Kept.lonely", "b.only_in_b"]
