@@ -18,7 +18,7 @@ import numpy as np
 
 from .costmodel import (CSV_COLUMNS, MODE_SDMM, MODE_SSMM, SimStats, Workload,
                         run)
-from .encoding import check_group_limit, make_geometry
+from .encoding import make_geometry
 from .matrices import (DenseMatrix, TripletMatrix, load_dense_csv,
                        load_matrix_market, to_csc, to_csr, to_dense,
                        to_triplets, write_dense_csv, write_matrix_market)
@@ -90,8 +90,6 @@ def load_config(path: str | None) -> HardwareConfig:
             try:
                 kwargs[key] = kinds[key](val)
                 HardwareConfig(**kwargs)  # name the line that breaks a bound
-                if key in ("g_na", "g_nb"):
-                    check_group_limit(**{key: kwargs[key]})
             except ValueError as e:
                 raise CommandError("config", f"{where}: {e}") from e
     except ValueError as e:  # a line record_fields rejects
@@ -290,6 +288,9 @@ def cmd_plan(args) -> int:
                 a_trip.n_rows, a_trip.n_cols, b_trip.n_cols, a_trip.nnz,
                 b_trip.nnz, cfg, b_dense=args.mode == MODE_SDMM)
         else:
+            _check_dims(args, "--m", "--k", "--n")
+            _check_unit_interval("--da", args.da)
+            _check_unit_interval("--db", args.db)
             spec = WorkloadSpec.from_dims(args.m, args.k, args.n, args.da,
                                           args.db, cfg,
                                           b_dense=args.mode == MODE_SDMM)

@@ -18,7 +18,7 @@ class DegenerateInputError(ValueError):
 
 
 class GridLimitError(ValueError):
-    """A PE grid dimension exceeds what the block encoding can represent."""
+    """A PE grid side exceeds the paper format's 64-bit group bitmap."""
 
 
 class MalformedBlockError(ValueError):

@@ -17,11 +17,12 @@ the strip counts ``t_m`` and ``t_n``, and feasibility is monotone in tile size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, InfeasibleError
+from .errors import DegenerateInputError, GridLimitError, InfeasibleError
 from .matrices import check_density
 
 OVERFLOW_FAIL = "fail"
@@ -30,6 +31,7 @@ STRATEGY_RAF = "RAF"
 STRATEGY_RBF = "RBF"
 STRATEGY_RABE = "RABE"
 _STRATEGY_RANK = {STRATEGY_RAF: 0, STRATEGY_RBF: 1, STRATEGY_RABE: 2}
+MAX_GROUPS = 64  # the paper's group bitmaps are 64 bits wide
 _PLAN_FIELDS = ("t_m", "t_k", "t_n", "m_t", "k_t", "n_t", "strategy",
                 "predicted_dram")
 
@@ -61,10 +63,17 @@ class HardwareConfig:
     def __post_init__(self):
         if min(self.c_a, self.c_b, self.c_psum) < 1:
             raise ValueError("buffer capacities must be >= 1")
+        if max(self.c_a, self.c_b, self.c_psum) > sys.float_info.max:
+            raise ValueError("buffer capacities must not pass the largest float")
         if not 0 < self.r_x <= 1:
             raise ValueError("r_x must be in (0, 1]")
         if min(self.g_na, self.g_nb) < 1:
             raise ValueError("grid dims must be >= 1")
+        for name in ("g_na", "g_nb"):
+            if getattr(self, name) > MAX_GROUPS:
+                raise GridLimitError(
+                    f"{name}={getattr(self, name)} exceeds the {MAX_GROUPS}-group "
+                    "limit of the 64-bit group bitmap")
         if min(self.bits_value, self.bits_index, self.bits_len) < 1:
             raise ValueError("stream bit widths must be >= 1")
         if not 0 < self.freq_hz < math.inf:

@@ -136,16 +136,6 @@ class TestPlanCommand:
         assert rc != 0
         assert "constraint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("da, db, bad", [("-0.5", "0.1", "d_a=-0.5"),
-                                             ("0.1", "1.5", "d_b=1.5"),
-                                             ("nan", "0.1", "d_a=nan")])
-    def test_density_outside_unit_interval(self, capsys, da, db, bad):
-        rc = main(["plan", "--m", "4", "--k", "4", "--n", "4",
-                   "--da", da, "--db", db])
-        assert rc != 0
-        assert capsys.readouterr().err == (
-            f"error: plan: density {bad} outside [0, 1]\n")
-
     def test_costs_past_int64_fail_at_plan(self, capsys):
         rc = main(["plan", "--m", str(2 ** 62), "--k", "100", "--n", "100",
                    "--da", "0.01", "--db", "0.01"])
@@ -365,9 +355,10 @@ class TestSweepCommand:
 
 
 class TestBadSweepAndSyntheticInputs:
-    """Bad axis lists and synthetic densities fail at ``parse``, naming the
-    flag, before any product is planned or run."""
+    """Bad axis lists and synthetic dims and densities fail at ``parse``,
+    naming the flag, before any product is planned or run."""
 
+    PLAN = ["plan", "--m", "4", "--k", "4", "--n", "4"]
     SWEEP = ["sweep", "--m", "6", "--k", "6", "--n", "6", "--seed", "1"]
     GCN = ["gcn", "--synthetic", "--nodes", "6", "--features", "5",
            "--hidden", "3", "--classes", "2", "--seed", "1"]
@@ -390,7 +381,11 @@ class TestBadSweepAndSyntheticInputs:
         (SWEEP + ["--da", "nan", "--db", "0.3"], "--da=nan"),
         (GCN + ["--da", "-1"], "--da=-1.0"),
         (GCN + ["--dx", "2"], "--dx=2.0"),
-        (GCN + ["--dx", "nan"], "--dx=nan")])
+        (GCN + ["--dx", "nan"], "--dx=nan"),
+        (PLAN + ["--da", "-0.5", "--db", "0.1"], "--da=-0.5"),
+        (PLAN + ["--da", "2", "--db", "0.1"], "--da=2.0"),
+        (PLAN + ["--da", "0.1", "--db", "1.5"], "--db=1.5"),
+        (PLAN + ["--da", "nan", "--db", "0.1"], "--da=nan")])
     def test_synthetic_density_names_flag(self, tmp_path, capsys, argv, bad):
         rc = main(argv + ["--report", str(tmp_path / "r.csv")])
         assert rc == 1
@@ -406,7 +401,10 @@ class TestBadSweepAndSyntheticInputs:
         (GCN + ["--nodes", "0"], "--nodes=0"),
         (GCN + ["--features", "0"], "--features=0"),
         (GCN + ["--hidden", "-2"], "--hidden=-2"),
-        (GCN + ["--classes", "0"], "--classes=0")])
+        (GCN + ["--classes", "0"], "--classes=0"),
+        (PLAN + ["--m", "0", "--da", "0.1", "--db", "0.1"], "--m=0"),
+        (PLAN + ["--k", "-1", "--da", "0.1", "--db", "0.1"], "--k=-1"),
+        (PLAN + ["--n", "0", "--da", "2", "--db", "0.1"], "--n=0")])
     def test_synthetic_dims_name_flag(self, tmp_path, capsys, argv, bad):
         rc = main(argv + ["--report", str(tmp_path / "r.csv")])
         assert rc == 1

@@ -2,8 +2,9 @@
 
 A buffer capacity that large runs as an unbounded buffer; a stream width
 that large fails at ``plan``, whose cost lattice refuses a cost past int64;
-a frequency past the largest float is infinite and fails at ``config``.  No
-command reports ``internal``.
+a frequency past the largest float is infinite and fails at ``config``, and
+so does a capacity past it, which no float can cost.  No command reports
+``internal``.
 """
 
 import re
@@ -43,6 +44,11 @@ CASES += [(f"{key}={BIG}", "sweep", 0, "",  # a failed cell: commas become ;
 CASES += [("freq_hz=1e309", command, 1, r"error: config: \S+ line 1: "
            "freq_hz: freq_hz must be positive and finite\n", "")
           for command in ("sim", "sweep", "gcn")]
+CASES += [pytest.param(f"{key}=1{'0' * 400}", command, 1,
+                       r"error: config: \S+ line 1: " f"{key}: buffer "
+                       "capacities must not pass the largest float\n", "",
+                       id=f"{key}=1e400-{command}")
+          for key in ("c_a", "c_psum") for command in ("sim", "sweep", "gcn")]
 
 
 @pytest.mark.parametrize("line, command, code, err, cell", CASES)

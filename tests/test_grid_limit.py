@@ -5,15 +5,25 @@ import pytest
 from iohp.cli import main
 from iohp.encoding import make_geometry
 from iohp.errors import GridLimitError
-from iohp.planner import PartitionPlan
+from iohp.planner import HardwareConfig, PartitionPlan
 
 PLAN = PartitionPlan(1, 1, 1, 1, 1, 1, "RABE", 0)
 
 
-@pytest.mark.parametrize("groups, name", [((65, 1), "g_na"), ((64, 65), "g_nb")])
-def test_make_geometry_names_parameter_and_limit(groups, name):
-    with pytest.raises(GridLimitError, match=f"{name}=65 .*64-bit group bitmap"):
-        make_geometry(PLAN, (200, 10, 200), groups)
+@pytest.mark.parametrize("groups, name", [((65, 1), "g_na"), ((64, 65), "g_nb"),
+                                          ((65, 65), "g_na")])
+def test_hardware_config_names_parameter_and_limit(groups, name):
+    message = f"^{name}=65 exceeds the 64-group limit of the 64-bit group bitmap$"
+    g_na, g_nb = groups
+    with pytest.raises(GridLimitError, match=message):
+        HardwareConfig(g_na=g_na, g_nb=g_nb)
+    with pytest.raises(GridLimitError, match=message):
+        HardwareConfig().with_grid(g_na, g_nb)
+
+
+def test_grid_positivity_is_checked_before_the_limit():
+    with pytest.raises(ValueError, match="^grid dims must be >= 1$"):
+        HardwareConfig(g_na=0, g_nb=65)
 
 
 def test_widest_grid_accepted():
@@ -23,7 +33,8 @@ def test_widest_grid_accepted():
 
 @pytest.mark.parametrize("m", [64, 130])
 def test_sweep_cell_reports_limit_whatever_the_data(tmp_path, m):
-    # a 64-row input leaves group 64 empty; the cell must fail all the same
+    # a 64-row input leaves group 64 empty; the cell must fail all the same,
+    # at config, before it plans
     report = tmp_path / "sweep.csv"
     rc = main(["sweep", "--m", str(m), "--k", "40", "--n", str(m),
                "--da", "0.2", "--db", "0.2", "--grids", "64,65",
@@ -32,5 +43,5 @@ def test_sweep_cell_reports_limit_whatever_the_data(tmp_path, m):
     rows = report.read_text().splitlines()[1:]
     assert rows[0].endswith(",ok")
     assert rows[1].endswith(
-        "error: compute: g_na=65 exceeds the 64-group limit of the 64-bit "
+        "error: config: g_na=65 exceeds the 64-group limit of the 64-bit "
         "group bitmap")
