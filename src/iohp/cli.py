@@ -50,15 +50,16 @@ def _check_chain(a: TripletMatrix, x: TripletMatrix, w1: DenseMatrix,
 
 
 def triplet_product(t: TripletMatrix, b: np.ndarray) -> np.ndarray:
-    """``t · b`` as one weighted ``np.bincount`` on cells ``row·width + col``:
-    each cell sums its products over t's triplets in stored order, from +0.0.
-    Memory is O(nnz·width); no engine code runs."""
-    width = b.shape[1]
-    cells = (t.rows[:, None] * width + np.arange(width)).ravel()
-    products = (t.vals[:, None] * b[t.cols]).ravel()
-    out = np.bincount(cells, products, minlength=t.n_rows * width)
-    # an empty t's bincount is int64
-    return out.astype(np.float64, copy=False).reshape(t.n_rows, width)
+    """``t · b`` one output column at a time: a weighted ``np.bincount`` on
+    t's rows per column of ``b``, read from one contiguous transpose, so each
+    cell sums its products over t's triplets in stored order, from +0.0.
+    Memory is O(nnz + rows·width); no engine code runs."""
+    out = np.empty((t.n_rows, b.shape[1]))
+    for j, column in enumerate(np.ascontiguousarray(b.T)):
+        # written into the float result: an empty t's bincount is int64
+        out[:, j] = np.bincount(t.rows, t.vals * column[t.cols],
+                                minlength=t.n_rows)
+    return out
 
 
 def gcn_check(a: TripletMatrix, x: TripletMatrix, w1: DenseMatrix,
@@ -171,6 +172,14 @@ def _check_dims(args, *flags: str) -> None:
         if value <= 0:
             raise CommandError("parse",
                                f"{flag}: expected a positive integer, got {value}")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The synthetic draws' generator; a negative ``--seed`` is a parse error."""
+    if seed < 0:
+        raise CommandError(
+            "parse", f"--seed: expected a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _draw(n_rows: int, n_cols: int, density: float, flag: str, rng):
@@ -305,7 +314,7 @@ def cmd_gcn(args) -> int:
     cfg = load_config(args.config)
     if args.synthetic:
         _check_dims(args, "--nodes", "--features", "--hidden", "--classes")
-        rng = np.random.default_rng(args.seed)
+        rng = _rng(args.seed)
         a_trip = _draw(args.nodes, args.nodes, args.da, "--da", rng)
         x_trip = _draw(args.nodes, args.features, args.dx, "--dx", rng)
         w1 = random_dense(args.features, args.hidden, rng)
@@ -362,7 +371,7 @@ def cmd_sweep(args) -> int:
     files = _operand_files(args)
     if files is None:
         _check_dims(args, "--m", "--k", "--n")
-        rng = np.random.default_rng(args.seed)
+        rng = _rng(args.seed)
         files = (_draw(args.m, args.k, args.da, "--da", rng),
                  _draw(args.k, args.n, args.db, "--db", rng))
     a_trip, b_trip = files

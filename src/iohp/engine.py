@@ -331,28 +331,29 @@ def sdmm_compute(a_blk: RpCscBlock, b: DenseMatrix, geom: TilingGeometry,
                  block_col: int) -> DensePsumGrid:
     """One sparse-dense pass: an A block against B's output block columns.
 
-    Every A entry reads its column's dense B row, restricted to the block's
-    column span, straight from ``b`` and adds its value times that row into
-    its strip row.  The strip is one weighted ``np.bincount`` over the
-    products' cells, which adds ``out[cell] += product`` in input order from
-    +0.0, so a strip cell receives its products in table (ascending inner
-    index) order.  The MAC counter only counts products whose dense operand
-    is nonzero, matching the nonzero-product optimum.
+    One output column at a time, B's column is gathered at the A entries'
+    inner indices and one weighted ``np.bincount`` adds each entry's value
+    times it into the entry's strip row, ``out[row] += product`` in input
+    order from +0.0, so a strip cell receives its products in table
+    (ascending inner index) order; memory is O(nnz + rows x width).  The MAC
+    counter only counts products whose dense operand is nonzero, matching
+    the nonzero-product optimum.
     """
-    k_lo, _ = geom.k_span(a_blk.block_k)
+    k_lo, k_hi = geom.k_span(a_blk.block_k)
     c_lo, c_hi = geom.block_cols(block_col)
     pos, group, rows, vals = a_blk.entry_table
-    k = k_lo + a_blk.col_idx[pos]
-    if len(k) and int(k.max()) >= b.n_rows:
+    k = a_blk.col_idx[pos]
+    if len(k) and k_lo + int(k.max()) >= b.n_rows:
         raise GatherError(
-            f"dense operand has {b.n_rows} rows; column index {int(k.max())} "
-            "has no matching row")
-    dense = b.data[k, c_lo:c_hi]
+            f"dense operand has {b.n_rows} rows; column index "
+            f"{k_lo + int(k.max())} has no matching row")
+    tile = b.data[k_lo:k_hi, c_lo:c_hi]
     n_rows, width = a_blk.g_na * a_blk.m_t, c_hi - c_lo
-    cell = ((group * a_blk.m_t + rows) * width)[:, None] + np.arange(width)
-    strip = np.bincount(cell.ravel(), (vals[:, None] * dense).ravel(),
-                        minlength=n_rows * width)
-    # an empty block's bincount is int64
-    strip = strip.astype(np.float64, copy=False).reshape(n_rows, width)
-    return DensePsumGrid(strip, int(np.count_nonzero(dense)),
+    strip_row = group * a_blk.m_t + rows
+    strip = np.empty((width, n_rows))  # one contiguous row per column
+    for j, column in enumerate(tile.T):
+        # written into the float strip: an empty block's bincount is int64
+        strip[j] = np.bincount(strip_row, vals * column.take(k),
+                               minlength=n_rows)
+    return DensePsumGrid(strip.T, int(np.count_nonzero(tile, axis=1)[k].sum()),
                          int(a_blk.busiest.sum()) * min(geom.n_t, width))

@@ -413,6 +413,18 @@ class TestBadSweepAndSyntheticInputs:
             f"error: parse: {flag}: expected a positive integer, got {value}\n")
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("argv", [SWEEP + ["--da", "0.3", "--db", "0.3"],
+                                      GCN], ids=["sweep", "gcn"])
+    @pytest.mark.parametrize("seed, rc", [("-1", 1), ("0", 0)])
+    def test_seed_must_not_be_negative(self, tmp_path, capsys, argv, seed, rc):
+        report = tmp_path / "r.csv"
+        assert main(argv + ["--seed", seed, "--report", str(report)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err == ("error: parse: --seed: expected a non-negative "
+                           "integer, got -1\n")
+        assert report.exists() == (rc == 0)
+
     @pytest.mark.parametrize("value, shown", [
         ("nan", "nan"), ("-1", "-1.0"), ("inf", "inf"), ("1.5", "1.5")])
     @pytest.mark.parametrize("command", ["spmm", "sim", "sweep"])

@@ -335,17 +335,24 @@ def geometry(case):
                          (m, k, n), groups)
 
 
-@pytest.mark.parametrize("values", ["int", "float"])
+@pytest.mark.parametrize("values", ["int", "float", "float_sliced"])
 @pytest.mark.parametrize("case", CASES)
 def test_sdmm_strip_equals_bank_loop(case, values):
+    """``float_sliced`` draws the ``float`` operands, then holds B's data as a
+    strided column-sliced view of a Fortran-ordered array."""
     rng = np.random.default_rng(17)
     m, k, n = case[:3]
-    ta = with_negative_zero(random_triplets(m, k, 0.4, rng, values))
+    ta = with_negative_zero(random_triplets(m, k, 0.4, rng,
+                                            values.removesuffix("_sliced")))
     b = random_dense(k, n, rng)
     if values == "int":
         b = DenseMatrix(k, n, np.floor(b.data * 9))
     b.data[rng.random(b.data.shape) < 0.2] = 0.0
     b.data[rng.random(b.data.shape) < 0.1] = -0.0
+    if values == "float_sliced":
+        wide = np.full((k, 2 * n), np.nan, order="F")
+        wide[:, 1::2] = b.data
+        b = DenseMatrix(k, n, wide[:, 1::2])
     geom, a = geometry(case), to_csc(ta)
     for bm in range(geom.t_m):
         for bk in range(geom.t_k):
