@@ -268,8 +268,11 @@ def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
     Each sum is the exact sum correctly rounded, so the result is identical
     under any permutation or regrouping of the inputs.  Two-term runs, the
     common case, are summed together as arrays, since IEEE ``a + b`` is that
-    rounding (bar -0.0 + -0.0, set to fsum's +0.0); longer runs, and pairs
-    of nans, whose sign fsum decides, go through ``_exact_sum`` one by one.
+    rounding (bar -0.0 + -0.0, set to fsum's +0.0); longer runs are summed
+    together by ``_proved_sums``' TwoSum cascade.  The runs it cannot prove
+    (zero sums, ties its error terms leave open, nans, infinities,
+    overflows), and pairs of nans, whose sign fsum decides, go through
+    ``_exact_sum`` one by one.
     """
     parts = [p for p in parts if p.nnz]
     if not parts:
@@ -288,11 +291,62 @@ def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
     a, b = out_vals[two], vals[starts[two] + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         out_vals[two] = a + b + 0.0  # + 0.0: fsum's +0.0 for -0.0 + -0.0
-    slow = length > 2
+    slow = np.zeros(len(starts), dtype=bool)
     slow[two] = np.isnan(a) & np.isnan(b)  # which nan numpy keeps varies
+    long = np.flatnonzero(length > 2)
+    if len(long):
+        long = long[np.argsort(-length[long])]
+        out_vals[long], proved = _proved_sums(vals, starts[long], length[long])
+        slow[long[~proved]] = True
     for i in np.flatnonzero(slow).tolist():
         out_vals[i] = _exact_sum(vals[starts[i]:starts[i] + length[i]])
     return OutputBlock(rows[starts], cols[starts], out_vals)
+
+
+def _proved_sums(vals, first, length) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's float sum, and where it is provably the correctly rounded
+    exact sum; run i is ``vals[first[i]:first[i] + length[i]]``, and the
+    lengths do not rise.
+
+    TwoSum (Knuth), cascaded over the runs one term position at a time,
+    gives each run's float sum ``p`` and each step's exact error ``e_j``;
+    cascaded over the ``e_j`` in turn, it gives their float sum ``c`` and
+    its exact errors ``f_j``, so the exact sum is ``p + c + sum(f_j)``
+    (Ogita, Rump and Oishi, "Accurate Sum and Dot Product", 2005).  Then
+    ``(y, d) = TwoSum(p, c)``.  Where every ``f_j`` is 0, ``p + c`` is the
+    exact sum and ``y`` is IEEE's rounding of it.  Elsewhere the exact sum
+    is within ``|d| + 2 * sum|f_j|`` of ``y`` (the float ``sum|f_j|`` is at
+    least ``1 - L * 2**-53`` times the exact one), and ``y`` is its rounding
+    where that is less than half the gap from ``|y|`` down to the next
+    double (the gap above is never smaller).  A zero ``y`` (fsum decides its
+    sign), a nan, an infinity or an overflow anywhere fails the test.  The
+    cascade takes no more steps than the product took passes and fill
+    rounds, since each of a run's terms comes from a distinct one.
+    """
+    p = vals[first].astype(np.float64)
+    c, size = np.zeros(len(p)), np.zeros(len(p))
+    opened = np.searchsorted(-length, -np.arange(1, length[0]))  # length > j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, n in enumerate(opened.tolist(), 1):
+            e = _two_sum(p[:n], vals[first[:n] + j])
+            size[:n] += np.abs(_two_sum(c[:n], e))
+        d = _two_sum(p, c)
+        mag = np.abs(p)
+        half_gap = (mag - np.nextafter(mag, 0)) / 2
+        proved = np.isfinite(p) & np.isfinite(d) & (p != 0) & (
+            (size == 0) | (np.abs(d) + 2 * size < half_gap))
+    return p, proved
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sets ``a`` to ``fl(a + b)`` in place and returns the exact error
+    ``a + b - fl(a + b)``; exact unless a step overflows, when the error is
+    not finite."""
+    s = a + b
+    back = s - a
+    err = (a - (s - back)) + (b - back)
+    a[...] = s
+    return err
 
 
 def _exact_sum(vals: np.ndarray) -> float:
