@@ -225,7 +225,8 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
             grid = sdmm_compute(a_blk, b, geom, n)
             macs += grid.macs
             util_psum.append(strip_util)
-            dense_result[r_lo:r_hi, c_lo:c_hi] += grid.strip[:r_hi - r_lo]
+            with np.errstate(over="ignore", invalid="ignore"):
+                dense_result[r_lo:r_hi, c_lo:c_hi] += grid.strip[:r_hi - r_lo]
         traces.append(StageTrace(encode, grid.compute_cycles,
                                  grid.addrmap_cycles, grid.spill_events))
 

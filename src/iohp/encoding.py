@@ -9,8 +9,10 @@ CSR), with ``g_nb`` column groups of ``n_t``: one format seen from the two
 sides of the inner dimension k.
 
 A block stores the shared index stream and its entry table: every entry as
-(position in the shared stream, group, group-local index, value), built by
-the encoder with one sort, with each position's busiest group run.  The
+(position in the shared stream, group, group-local index, value), in
+(position, group) order, with each position's busiest group run.  The
+encoder sorts only when the input's entries are out of that order; a
+canonical matrix's (from ``to_csc``/``to_csr``) never are.  The
 engine and the cost model read only these.  The paper's per-group streams
 and bitmap are the same entries grouped by (group, position), so a block
 stores nothing else.  Edge blocks may be ragged: the table simply holds
@@ -146,10 +148,12 @@ def _encode_strip(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray,
     ``ptr``/``idx``/``val`` are A's CSC or B's CSR arrays.  Entries of the k
     range whose outer index lies in ``outer_span`` land in group
     ``(idx - lo) // tile`` with group-local indices; k positions with no such
-    entry are omitted from the shared stream.  One mask keeps the entries in
-    input order, k ascending, and one stable sort by (position, group) makes
-    the entry table, in which each (position, group) run is one group's
-    entries at one position: the longest sets its position's busiest run.
+    entry are omitted from the shared stream.  A mask, taken only when some
+    entry lies outside the span, keeps the entries in input order, k
+    ascending; a stable sort by (position, group), taken only when they are
+    out of that order, makes the entry table, in which each (position,
+    group) run is one group's entries at one position: the longest sets its
+    position's busiest run.
     Returns the block's shared stream, the table and the busiest runs, in
     the blocks' field order.
     """
@@ -158,21 +162,28 @@ def _encode_strip(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray,
     first, last = ptr[k_lo], ptr[k_hi]
     inner = np.repeat(np.arange(k_hi - k_lo, dtype=np.int64),
                       np.diff(ptr[k_lo:k_hi + 1]))
-    outer = idx[first:last]
-    keep = (outer >= lo) & (outer < hi)
-    inner, outer, vals = inner[keep], outer[keep] - lo, val[first:last][keep]
+    outer, vals = idx[first:last], val[first:last]
+    if len(outer) and (outer.min() < lo or outer.max() >= hi):
+        keep = (outer >= lo) & (outer < hi)
+        inner, outer, vals = inner[keep], outer[keep], vals[keep]
+    outer = outer - lo
     new = run_starts(inner)  # each shared position's first entry
     inner_idx = inner[new]
     position = np.cumsum(new) - 1
     group = outer // tile
     local = outer - group * tile
     group = group.astype(np.int64, copy=False)
-    order = stable_order(position * n_groups + group, len(inner_idx) * n_groups)
-    table = tuple(a[order] for a in (position, group, local, vals))
-    position, group = table[:2]
-    starts = np.flatnonzero(run_starts(position, group))
-    busiest = np.zeros(len(inner_idx), dtype=np.int64)
-    np.maximum.at(busiest, position[starts], np.diff(starts, append=len(position)))
+    key = position * n_groups + group
+    table = (position, group, local, vals)
+    if (key[1:] < key[:-1]).any():  # a canonical matrix's key already rises
+        order = stable_order(key, len(inner_idx) * n_groups)
+        table = tuple(a[order] for a in table)
+        key = key[order]
+    starts = np.flatnonzero(run_starts(key))
+    # the sort moves no entry out of its position's span, so ``new`` still
+    # marks each position's first entry, and its first run
+    busiest = np.maximum.reduceat(np.diff(starts, append=len(key)),
+                                  np.flatnonzero(new[starts]))
     return inner_idx, table, busiest
 
 

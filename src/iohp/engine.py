@@ -18,16 +18,19 @@ identical under any PE scheduling.
 Store overflow (a product finding its row segment's ``s`` slots or the
 store's ``c_psum`` entries full; both are ``HardwareConfig`` fields) either
 aborts (policy ``fail``) or flushes the whole store through address mapping,
-emitting a partial output block (policy ``spill``).  One grid-wide fill cuts
-a pass's PE-major product stream into fills (one store's products between
-two flushes).  One stable sort by (PE, row) gives every product the
-``s``-th earlier product of its row; a fill ends before the first product
-whose running maximum of these lies inside it, or at ``c_psum`` products.
-So each round (one per overflow of the busiest store) is one search over the
-stores with products left.  The grid keeps that fill as per-PE arrays (row
-lengths, peaks, products, flushes), which is all the cost model reads.  A
-pass maps its held psums and its flushes with one sort each, into one block
-each in block-pair coordinates.
+emitting a partial output block (policy ``spill``).  Counting each PE's and
+each (PE, row)'s products tells whether any store overflows.  When none
+does, each PE's products are one fill, all held, and the pass maps them
+with one sort.  Otherwise one grid-wide cut divides a pass's PE-major
+product stream into fills (one store's products between two flushes).  One
+stable sort by (PE, row) gives every product the ``s``-th earlier product
+of its row; a fill ends before the first product whose running maximum of
+these lies inside it, or at ``c_psum`` products.  So each round (one per
+overflow of the busiest store) is one search over the stores with products
+left.  The grid keeps that fill as per-PE arrays (row lengths, peaks,
+products, flushes), which is all the cost model reads.  A pass maps its
+held psums and its flushes with one sort each, into one block each in
+block-pair coordinates.
 
 The grid a pass returns carries the pass's costs.  Compute is modeled
 lockstep per inner index: the grid shares one pair of index cursors, so a
@@ -134,11 +137,14 @@ def merge_join(a_blk: RpCscBlock,
     """Positions of the inner indices both blocks hold, in ascending k.
 
     Returns ``(ia, ib)``: ``a_blk.col_idx[ia] == b_blk.row_idx[ib]``.  Every
-    other shared position is consumed without products.
+    other shared position is consumed without products.  Both streams rise
+    strictly, so one search of A's stream in B's finds every match.
     """
-    _, ia, ib = np.intersect1d(a_blk.col_idx, b_blk.row_idx,
-                               assume_unique=True, return_indices=True)
-    return ia, ib
+    a_idx, b_idx = a_blk.col_idx, b_blk.row_idx
+    ib = np.searchsorted(b_idx, a_idx)
+    ia = np.flatnonzero(ib < len(b_idx))  # none above B's last can match
+    ia = ia[b_idx[ib[ia]] == a_idx[ia]]
+    return ia, ib[ia]
 
 
 def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
@@ -173,7 +179,9 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     pe = group_a[ea] * b_blk.g_nb + group_b[eb]
     order = stable_order(pe, a_blk.g_na * b_blk.g_nb)  # PE-major, (k, a, b) in a PE
     pair, ea, eb, pe = pair[order], ea[order], eb[order], pe[order]
-    grid, starts = fill_grid(pe, rows_a[ea], cols_b[eb], vals_a[ea] * vals_b[eb],
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = vals_a[ea] * vals_b[eb]
+    grid, starts = fill_grid(pe, rows_a[ea], cols_b[eb], vals,
                              (a_blk.g_na, b_blk.g_nb, a_blk.m_t, b_blk.n_t),
                              s, cfg.c_psum)
     # a fill that follows another of its PE starts at that PE's overflow
@@ -196,7 +204,10 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
     ``shape`` is ``(g_na, g_nb, m_t, n_t)``; product i goes to PE ``pe[i] =
     g * g_nb + h``, store row ``rows[i]``, column ``cols[i]``.  A fill is one
     store's products between two flushes: the longest run that keeps to
-    ``capacity`` entries and ``s`` per row.  One stable sort by (PE, row)
+    ``capacity`` entries and ``s`` per row.  One ``np.bincount`` of (PE, row)
+    decides whether any store overflows.  If none does, each PE with
+    products is one fill, its store holds all of them, and the only sort is
+    the held map's.  Otherwise the cut runs: one stable sort by (PE, row)
     gives each product its ``s``-th earlier product in its row, and ``reach``
     their running maximum: a fill from ``lo`` overflows at the first product
     whose ``reach`` is ``lo`` or more, so each round cuts the next fill of
@@ -207,7 +218,16 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
     g_na, g_nb, m_t, _ = shape
     n_pe = g_na * g_nb
     bounds = np.searchsorted(pe, np.arange(n_pe + 1))
+    appended = np.diff(bounds)
     key = pe * m_t + rows
+    row_len = np.bincount(key, minlength=n_pe * m_t)
+    if appended.max() <= capacity and row_len.max() <= s:
+        # no store overflows: each PE's products are one fill, all held
+        return PsumGrid(
+            shape, s, capacity, row_len.reshape(n_pe, m_t), appended.copy(),
+            appended, np.zeros(n_pe, dtype=np.int64),
+            _accumulate(*_at_pe(pe, rows, cols, shape), vals),
+            OutputBlock.empty()), bounds[:-1][appended > 0]
     order = stable_order(key, n_pe * m_t)  # each row's products in stream order
     back = np.flatnonzero(_ranks(key[order]) >= s)
     reach = np.full(len(pe), -1)
@@ -235,7 +255,7 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
     return PsumGrid(
         shape, s, capacity, np.bincount(h_pe * m_t + h_rows,
                                         minlength=n_pe * m_t).reshape(n_pe, m_t),
-        peak, np.diff(bounds), np.bincount(fill_pe[~last], minlength=n_pe),
+        peak, appended, np.bincount(fill_pe[~last], minlength=n_pe),
         _accumulate(*_at_pe(h_pe, h_rows, cols[held], shape), vals[held]),
         OutputBlock(*_at_pe(fill_pe[f], f_rows, flushes.col, shape),
                     flushes.value)), starts
@@ -259,7 +279,9 @@ def _accumulate(rows, cols, vals) -> OutputBlock:
     if not len(rows):
         return OutputBlock.empty()
     rows, cols, vals, starts = coordinate_runs(rows, cols, vals)
-    return OutputBlock(rows[starts], cols[starts], np.add.reduceat(vals, starts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.reduceat(vals, starts)
+    return OutputBlock(rows[starts], cols[starts], sums)
 
 
 def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
@@ -405,9 +427,10 @@ def sdmm_compute(a_blk: RpCscBlock, b: DenseMatrix, geom: TilingGeometry,
     n_rows, width = a_blk.g_na * a_blk.m_t, c_hi - c_lo
     strip_row = group * a_blk.m_t + rows
     strip = np.empty((width, n_rows))  # one contiguous row per column
-    for j, column in enumerate(tile.T):
-        # written into the float strip: an empty block's bincount is int64
-        strip[j] = np.bincount(strip_row, vals * column.take(k),
-                               minlength=n_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, column in enumerate(tile.T):
+            # written into the float strip: an empty block's bincount is int64
+            strip[j] = np.bincount(strip_row, vals * column.take(k),
+                                   minlength=n_rows)
     return DensePsumGrid(strip.T, int(np.count_nonzero(tile, axis=1)[k].sum()),
                          int(a_blk.busiest.sum()) * min(geom.n_t, width))

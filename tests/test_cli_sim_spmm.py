@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from iohp.cli import main
-from iohp.matrices import TripletMatrix, write_matrix_market
+from iohp.matrices import (TripletMatrix, load_dense_csv, load_matrix_market,
+                           to_dense, write_matrix_market)
 from iohp.synthetic import random_triplets
 
 
@@ -44,3 +45,35 @@ def test_spmm_sum_past_the_double_range_writes_inf(tmp_path):
     assert main(["spmm", "--a", str(a), "--b", str(b), "--mode", "ssmm",
                  "--out", str(out), "--report", str(tmp_path / "r.txt")]) == 0
     assert out.read_text().splitlines()[1:] == ["1 1 1", "1 1 inf"]
+
+
+@pytest.mark.parametrize("grid", ["8x8", "1x1"])
+@pytest.mark.parametrize("b_value", [1e200, 1e108])
+@pytest.mark.parametrize("command, mode", [("sim", "ssmm"), ("spmm", "ssmm"),
+                                           ("spmm", "sdmm")])
+def test_values_past_the_double_range_warn_nothing(tmp_path, capsys, command,
+                                                    mode, b_value, grid):
+    # C's first column: 1e200 * 1e200 overflows in the product, 1e200 *
+    # 1e108 in the sum of two, which a 1x1 grid's store holds (s = n_t = 2)
+    # and the 8x8 grid spills; numpy's warnings are errors here, so a
+    # warning fails the command
+    a, b, out = tmp_path / "a.mtx", tmp_path / "b.mtx", tmp_path / "c.out"
+    config = tmp_path / "grid.cfg"
+    config.write_text("g_na=1\ng_nb=1\n" if grid == "1x1" else "")
+    a_data = np.full((2, 2), 1e200)
+    b_data = np.array([[b_value, 0.0], [b_value, 0.0]])
+    for path, data in ((a, a_data), (b, b_data)):
+        write_matrix_market(TripletMatrix(2, 2, [
+            (i, j, data[i, j]) for i, j in zip(*np.nonzero(data))]), path)
+    args = [command, "--a", str(a), "--b", str(b), "--mode", mode,
+            "--config", str(config), "--report", str(tmp_path / "r.txt")]
+    assert main(args + (["--out", str(out)] if command == "spmm" else [])) == 0
+    assert capsys.readouterr().err == ""
+    if command == "sim":
+        return
+    with np.errstate(over="ignore"):
+        want = a_data @ b_data
+    assert np.isposinf(want[:, 0]).all()
+    got = (load_dense_csv(out) if mode == "sdmm"
+           else to_dense(load_matrix_market(out))).data
+    assert got.tobytes() == want.tobytes()

@@ -338,3 +338,15 @@ class TestSdmmComputeCycles:
         grid = sdmm_compute(a_blk, zeros, geom, 0)
         # columns 0 (busiest group has 2 entries) and 2 (1 entry), width 2
         assert grid.compute_cycles == (2 + 1) * 2
+
+
+def test_dense_strips_past_the_double_range_add_silently():
+    # k_t = 1: each k pass's strip holds 1e308 and their sum in the dense
+    # result overflows; numpy's warnings are errors here
+    a = to_csc(canonicalize(2, 2, [(i, j, 1e200) for i in range(2)
+                                   for j in range(2)]))
+    b = DenseMatrix.from_rows([[1e108, 1e108], [1e108, 1e108]])
+    result, stats = run(Workload(a, b), plan_of(2, 1, 2), HardwareConfig(
+        g_na=1, g_nb=1), "sdmm")
+    assert stats.t_k == 2
+    assert np.isposinf(result.data).all()

@@ -10,9 +10,13 @@ the engine keeps only the grid's arrays.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import iohp.engine
 from iohp.costmodel import Workload, _passes, run
@@ -24,6 +28,14 @@ from iohp.matrices import CscMatrix, DenseMatrix, TripletMatrix, to_csc, to_csr
 from iohp.planner import HardwareConfig, PartitionPlan
 from iohp.synthetic import random_dense, random_triplets
 from test_encoding_reference import col_span, group_slices, row_span
+
+
+def merge_join_reference(a_blk, b_blk):
+    """The join ``merge_join`` replaced: ``np.intersect1d`` of the two shared
+    index streams, with each common index's position in both."""
+    _, ia, ib = np.intersect1d(a_blk.col_idx, b_blk.row_idx,
+                               assume_unique=True, return_indices=True)
+    return ia, ib
 
 
 def sdmm_banks_reference(a_blk, b_rows, g_nb, n_t):
@@ -587,7 +599,7 @@ def compute_psums_reference(a_blk, b_blk, cfg, tile):
                               cfg.overflow_policy, tile)
                for _ in range(b_blk.g_nb)] for _ in range(a_blk.g_na)]
     a_slices, b_slices = group_slices(a_blk), group_slices(b_blk)
-    for i, j in zip(*merge_join(a_blk, b_blk)):
+    for i, j in zip(*merge_join_reference(a_blk, b_blk)):
         for g, rows_a, vals_a in a_slices[i]:
             for h, cols_b, vals_b in b_slices[j]:
                 st = stores[g][h]
@@ -688,3 +700,29 @@ def test_busiest_is_the_longest_member_run(case):
         longest = [max(len(vals) for _, _, vals in members)
                    for members in group_slices(blk)]
         assert_same_array(blk.busiest, np.array(longest, dtype=np.int64))
+
+
+def shared_stream(*indices):
+    return np.array(indices, dtype=np.int64)
+
+
+# strictly ascending shared index streams, as the encoders build them
+shared_streams = hnp.arrays(np.int64, st.integers(0, 40), unique=True,
+                            elements=st.integers(0, 60)).map(np.sort)
+
+
+@seed(28)
+@settings(max_examples=300, deadline=None)
+@given(shared_streams, shared_streams)
+@example(shared_stream(), shared_stream())
+@example(shared_stream(), shared_stream(0, 3))
+@example(shared_stream(2, 5), shared_stream())
+@example(shared_stream(0, 2, 4), shared_stream(1, 3, 5))  # disjoint
+@example(shared_stream(1, 4, 9), shared_stream(1, 4, 9))  # identical
+@example(shared_stream(3), shared_stream(0, 1, 2, 3, 7, 8))  # B longer
+@example(shared_stream(0, 1, 2, 5, 6, 60), shared_stream(6, 59))  # A longer
+def test_merge_join_equals_intersect1d(a_idx, b_idx):
+    a_blk, b_blk = SimpleNamespace(col_idx=a_idx), SimpleNamespace(row_idx=b_idx)
+    for got, ref in zip(merge_join(a_blk, b_blk),
+                        merge_join_reference(a_blk, b_blk), strict=True):
+        assert_same_array(got, ref)

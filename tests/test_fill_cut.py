@@ -21,8 +21,9 @@ from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import (OutputBlock, PsumGrid, _accumulate, _at_pe,
                          compute_psums, fill_grid)
 from iohp.errors import PsumOverflowError
-from iohp.matrices import CscMatrix, CsrMatrix
+from iohp.matrices import CscMatrix, CsrMatrix, to_csc, to_csr
 from iohp.planner import HardwareConfig, PartitionPlan
+from iohp.synthetic import random_triplets
 from test_engine_reference import fill_slots
 
 
@@ -156,6 +157,36 @@ CORNERS = {
 }
 
 
+def limit_corner(pe, rows, *shape_and_limits):
+    """A stream of the given PEs and rows, with drawn columns and values."""
+    n = len(pe)
+    return stream(pe, rows, RNG.integers(0, 3, n), RNG.uniform(-1, 1, n),
+                  *shape_and_limits)
+
+
+# stores filled exactly to a limit, which take fill_grid's no-overflow exit,
+# and the same streams with one product more, which take the cut: PE 0 and
+# PE 3 hold c_psum = 10 products in rows under s = 4, or row 1 of PE 0 and
+# row 2 of PE 1 hold s = 4
+AT_CAPACITY = [2, 0, 1, 3, 0, 2, 1, 0, 2, 1]
+CORNERS.update({
+    "PE at c_psum": limit_corner(
+        [0] * 10 + [1] * 4 + [3] * 10, AT_CAPACITY + [0, 1, 1, 3] + AT_CAPACITY,
+        2, 2, 4, 3, 4, 10),
+    "PE past c_psum": limit_corner(
+        [0] * 11 + [1] * 4 + [3] * 10,
+        AT_CAPACITY[:5] + [3] + AT_CAPACITY[5:] + [0, 1, 1, 3] + AT_CAPACITY,
+        2, 2, 4, 3, 4, 10),
+    "row at s": limit_corner([0] * 7 + [1] * 5,
+                             [1, 0, 1, 2, 1, 1, 0] + [2, 2, 0, 2, 2],
+                             2, 1, 3, 4, 4, 50),
+    "row past s": limit_corner([0] * 8 + [1] * 5,
+                               [1, 0, 1, 2, 1, 1, 1, 0] + [2, 2, 0, 2, 2],
+                               2, 1, 3, 4, 4, 50),
+})
+FILLED_TO_A_LIMIT = ("PE at c_psum", "row at s")
+
+
 @pytest.mark.parametrize("name", CORNERS)
 def test_corner_streams_cut_alike(name):
     check_against_reference(CORNERS[name])
@@ -170,15 +201,17 @@ def test_drawn_streams_cut_alike(case):
 
 
 def test_corners_spill():
-    # the corner streams exercise the cut: all but the empty one flush
+    # the corner streams exercise the cut: all but the empty one and the
+    # stores filled exactly to a limit flush
     spilled = {name: fill_grid(*case)[0].spill_events
                for name, case in CORNERS.items()}
-    assert spilled["empty"] == 0
-    assert all(spilled[name] > 0 for name in CORNERS if name != "empty")
+    quiet = ("empty",) + FILLED_TO_A_LIMIT
+    assert all(spilled[name] == 0 for name in quiet)
+    assert all(spilled[name] > 0 for name in CORNERS if name not in quiet)
 
 
-def sort_calls(monkeypatch, case):
-    """Spill events of ``fill_grid(*case)`` and the numpy sorts it called."""
+def counted_sorts(monkeypatch, call, *args):
+    """``call(*args)`` and the numpy sorts it made."""
     calls = []
 
     def counted(name, real):
@@ -190,9 +223,15 @@ def sort_calls(monkeypatch, case):
     for name in ("argsort", "lexsort", "sort"):
         monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
     try:
-        grid, _ = fill_grid(*case)
+        out = call(*args)
     finally:
         monkeypatch.undo()
+    return out, calls
+
+
+def sort_calls(monkeypatch, case):
+    """Spill events of ``fill_grid(*case)`` and the numpy sorts it called."""
+    (grid, _), calls = counted_sorts(monkeypatch, fill_grid, *case)
     return grid.spill_events, calls
 
 
@@ -209,6 +248,48 @@ def test_sorts_do_not_grow_with_spills(monkeypatch):
     many, busy_calls = sort_calls(monkeypatch, busy)
     assert 0 < few < 10 and many > 500
     assert len(calm_calls) == len(busy_calls) == 4
+
+
+def test_a_pass_with_no_overflow_sorts_only_its_held_map(monkeypatch):
+    # test_sorts_do_not_grow_with_spills' stream within both limits: no
+    # cut, and the held map's one (row, column) sort
+    rng = np.random.default_rng(5)
+    n = 2000
+    pe, rows = np.sort(rng.integers(0, 4, n)), rng.integers(0, 4, n)
+    cols, vals = rng.integers(0, 3, n), rng.uniform(-1, 1, n)
+    spills, calls = sort_calls(monkeypatch, stream(pe, rows, cols, vals, 2, 2,
+                                                  4, 3, n, n))
+    _, map_calls = counted_sorts(monkeypatch, _accumulate,
+                                 *_at_pe(pe, rows, cols, (2, 2, 4, 3)), vals)
+    assert spills == 0
+    assert calls == map_calls and len(calls) == 1
+    for name in FILLED_TO_A_LIMIT:
+        assert sort_calls(monkeypatch, CORNERS[name]) == (0, ["lexsort"])
+
+
+def test_a_canonical_matrix_encodes_without_a_sort(monkeypatch):
+    # to_csc/to_csr keep each strip in (position, group) order; a CSC with
+    # each column's rows reversed needs the sort
+    rng = np.random.default_rng(7)
+    a = to_csc(random_triplets(40, 30, 0.2, rng))
+    b = to_csr(random_triplets(30, 50, 0.2, rng))
+    geom = make_geometry(PartitionPlan(1, 1, 1, 4, 8, 5, "RABE", 0),
+                         (40, 30, 50), (3, 4))
+    assert geom.t_m > 1 and geom.t_k > 1 and geom.t_n > 1
+    blocks = [(encode_rp_csc, a, bm, bk) for bm in range(geom.t_m)
+              for bk in range(geom.t_k)]
+    blocks += [(encode_cp_csr, b, bk, bn) for bk in range(geom.t_k)
+               for bn in range(geom.t_n)]
+    for encode, matrix, i, j in blocks:
+        assert counted_sorts(monkeypatch, encode, matrix, geom, i, j)[1] == []
+    reversed_rows = np.concatenate([a.row_idx[lo:hi][::-1] for lo, hi in
+                                    zip(a.col_ptr[:-1], a.col_ptr[1:])])
+    reversed_vals = np.concatenate([a.value[lo:hi][::-1] for lo, hi in
+                                    zip(a.col_ptr[:-1], a.col_ptr[1:])])
+    unsorted = CscMatrix(40, 30, reversed_vals, reversed_rows, a.col_ptr)
+    assert any(counted_sorts(monkeypatch, encode_rp_csc, unsorted, geom, bm,
+                             bk)[1] for bm in range(geom.t_m)
+               for bk in range(geom.t_k))
 
 
 def _compressed(rows_major):
