@@ -53,8 +53,7 @@ import numpy as np
 from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry
 from .errors import (DimensionError, GatherError, MalformedBlockError,
                      PsumOverflowError)
-from .matrices import (CscMatrix, DenseMatrix, coordinate_runs, run_starts,
-                       stable_order)
+from .matrices import CscMatrix, DenseMatrix, coordinate_runs, stable_order
 from .planner import OVERFLOW_FAIL, HardwareConfig
 
 
@@ -229,10 +228,11 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
             _accumulate(*_at_pe(pe, rows, cols, shape), vals),
             OutputBlock.empty()), bounds[:-1][appended > 0]
     order = stable_order(key, n_pe * m_t)  # each row's products in stream order
-    back = np.flatnonzero(_ranks(key[order]) >= s)
+    first = np.cumsum(row_len) - row_len  # each (PE, row)'s first place in it
+    back = np.flatnonzero(np.arange(len(order)) - first[key[order]] >= s)
     reach = np.full(len(pe), -1)
     reach[order[back]] = order[back - s]  # the s-th earlier product in the row
-    del key, order
+    del key, order, first
     np.maximum.accumulate(reach, out=reach)
     lo, hi, starts = bounds[:-1], bounds[1:], [bounds[:0]]
     while (open_ := lo < hi).any():
@@ -259,12 +259,6 @@ def fill_grid(pe, rows, cols, vals, shape: tuple, s: int,
         _accumulate(*_at_pe(h_pe, h_rows, cols[held], shape), vals[held]),
         OutputBlock(*_at_pe(fill_pe[f], f_rows, flushes.col, shape),
                     flushes.value)), starts
-
-
-def _ranks(key) -> np.ndarray:
-    """Each element's rank in its run of equal keys, in a sorted array."""
-    at = np.arange(len(key))
-    return at - np.maximum.accumulate(np.where(run_starts(key), at, 0))
 
 
 def _at_pe(pe, rows, cols, shape: tuple):

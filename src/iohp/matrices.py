@@ -1,14 +1,23 @@
 """Canonical sparse/dense matrix types and file ingestion.
 
 Triplets keep int64 ``rows``/``cols`` and float64 ``vals`` arrays; CSC keeps
-(value, row_idx, col_ptr); CSR keeps (value, col_idx, row_ptr).  A Matrix
-Market body or a dense CSV file is parsed in one numpy pass; a line loop
-reads it again wherever that pass cannot vouch for the result, and only the
-loop raises, naming the faulty line.  No product is computed here: the
-brute-force dense product that every sparse path is checked against is a
-test reference.  A stored entry counts as nonzero even when its value is
-exactly 0.0 (duplicates that cancel stay stored, which keeps nnz conservation
-checks exact).
+(value, row_idx, col_ptr); CSR keeps (value, col_idx, row_ptr).
+
+A file is read once as bytes and never decoded whole: a Matrix Market
+banner and size header are decoded line by line, and its body, or a dense
+CSV file, is parsed in one numpy pass over the same buffer.  A path or
+``bytes`` that holds ``\\r`` is first rewritten as text mode reads it; a
+text stream's text is encoded once.  A line loop reads the text again
+wherever the numpy pass cannot vouch for the result (non-ASCII text among
+it), and only the loop raises, naming the faulty line.  Loading a real
+coordinate file peaks at about its size plus 82 bytes per entry; the
+writers format ``WRITE_CHUNK`` entries at a time, so their memory does not
+grow with nnz.
+
+No product is computed here: the brute-force dense product that every
+sparse path is checked against is a test reference.  A stored entry counts
+as nonzero even when its value is exactly 0.0 (duplicates that cancel stay
+stored, which keeps nnz conservation checks exact).
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .errors import (BoundsError, CoordinateError, DegenerateInputError,
 
 Entry = tuple[int, int, float]
 KEY_SORT_MIN = 512  # fewer pairs sort faster by lexsort than the key is built
+WRITE_CHUNK = 2 ** 14  # entries formatted per write: bounds a writer's memory
 
 
 class TripletMatrix:
@@ -231,14 +241,37 @@ def canonicalize(n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
     return TripletMatrix(n_rows, n_cols, arrays=(rows[starts], cols[starts], out))
 
 
-def _read_text(source) -> str:
-    """The whole text of a path, a text stream or ASCII bytes."""
-    if isinstance(source, bytes):
-        return source.decode("ascii")
+def _read_bytes(source) -> bytes:
+    """A source's contents as bytes: a path or ``bytes`` as a text-mode read
+    gives them, a text stream's text as it reads.
+
+    A path or ``bytes`` must be ASCII; any other byte raises the
+    ``UnicodeDecodeError`` that decoding the whole raises.  As in text mode,
+    ``\\r\\n`` and a lone ``\\r`` become ``\\n``, in a copy made only for
+    contents that hold ``\\r``.  A text stream's ``\\r`` is kept, and its text
+    is stored as UTF-8 with lone surrogates passed: its ASCII bytes when it is
+    ASCII, and otherwise bytes that only the line loops read, decoded.
+    """
     if isinstance(source, str) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="ascii") as f:
-            return f.read()
-    return source.read()
+        with open(source, "rb") as f:
+            data = f.read()
+    elif isinstance(source, bytes):
+        data = source
+    else:
+        return _encode(source.read())
+    if not data.isascii():
+        data.decode("ascii")  # raises, naming the first byte past ASCII
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _encode(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _decode(data: bytes) -> str:
+    return data.decode("utf-8", "surrogatepass")
 
 
 def load_matrix_market(source) -> TripletMatrix:
@@ -250,17 +283,24 @@ def load_matrix_market(source) -> TripletMatrix:
     on disk and converted to 0-based; duplicate coordinates are summed.  Past
     the size header's entry count only blank and ``%`` lines may follow.
     """
-    return _parse_mm(_read_text(source))
+    return _parse_mm(_read_bytes(source))
 
 
-def _end_line(text: str) -> int:
-    """The line number past the text's last line, where a missing line is
+def _end_line(data: bytes) -> int:
+    """The line number past the contents' last line, where a missing line is
     named."""
-    return text.count("\n") + 1 + (not text.endswith("\n"))
+    return data.count(b"\n") + 1 + (not data.endswith(b"\n"))
 
 
-def _parse_mm(text: str) -> TripletMatrix:
-    banner = text.partition("\n")[0]
+def _line_at(data: bytes, start: int) -> tuple[str, int]:
+    """The text of the line that starts at offset ``start``, and its end."""
+    end = data.find(b"\n", start)
+    end = len(data) if end < 0 else end
+    return _decode(data[start:end]), end
+
+
+def _parse_mm(data: bytes) -> TripletMatrix:
+    banner, end = _line_at(data, 0)
     parts = banner.split()
     if len(parts) < 5 or parts[0] != "%%MatrixMarket" or parts[1].lower() != "matrix":
         raise MatrixFormatError("line 1: bad MatrixMarket banner")
@@ -272,15 +312,14 @@ def _parse_mm(text: str) -> TripletMatrix:
     if symmetry not in ("general", "symmetric"):
         raise MatrixFormatError(f"line 1: unsupported symmetry '{symmetry}'")
 
-    lineno, start, tokens = 2, len(banner) + 1, None  # find the size header
-    while start <= len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        if (tokens := text[start:end].split()) and tokens[0][0] != "%":
+    lineno, start, tokens = 2, end + 1, None  # find the size header
+    while start <= len(data):
+        line, end = _line_at(data, start)
+        if (tokens := line.split()) and tokens[0][0] != "%":
             break
         lineno, start, tokens = lineno + 1, end + 1, None
     if tokens is None:
-        raise MatrixFormatError(f"line {_end_line(text)}: missing size header")
+        raise MatrixFormatError(f"line {_end_line(data)}: missing size header")
     if len(tokens) != 3:
         raise MatrixFormatError(f"line {lineno}: size header needs 'rows cols nnz'")
     try:
@@ -292,14 +331,15 @@ def _parse_mm(text: str) -> TripletMatrix:
     if max(n_rows, n_cols, nnz) > np.iinfo(np.int64).max:
         raise MatrixFormatError(f"line {lineno}: size header exceeds int64")
 
-    body = text[end + 1:]  # past the size header
+    start = end + 1  # the body, past the size header
     pattern = fieldkind == "pattern"
-    entries = _bulk_entries(body, pattern, nnz, n_rows, n_cols)
+    entries = _bulk_entries(data, start, pattern, nnz, n_rows, n_cols)
     if entries is None:
-        data = ((i, tokens) for i, line in enumerate(body.split("\n"), lineno + 1)
-                if (tokens := line.split()) and tokens[0][0] != "%")
-        entries = _line_entries(data, pattern, nnz, n_rows, n_cols,
-                                _end_line(text))
+        lines = _decode(data[start:]).split("\n")
+        entries = _line_entries(
+            ((i, tokens) for i, line in enumerate(lines, lineno + 1)
+             if (tokens := line.split()) and tokens[0][0] != "%"),
+            pattern, nnz, n_rows, n_cols, _end_line(data))
     if symmetry == "symmetric":
         entries = _mirror(*entries)
     return canonicalize(n_rows, n_cols, arrays=entries)
@@ -309,22 +349,27 @@ _ENTRY_ROW = np.dtype([("r", np.int64), ("c", np.int64), ("v", np.float64)])
 _PATTERN_ROW = np.dtype([("r", np.int64), ("c", np.int64)])
 
 
-def _bulk_entries(body: str, pattern: bool, nnz: int, n_rows: int, n_cols: int):
-    """0-based (rows, cols, vals) of every entry line in one numpy pass, or
-    None unless that pass provably reads what :func:`_line_entries` would.
+def _bulk_entries(data: bytes, start: int, pattern: bool, nnz: int,
+                  n_rows: int, n_cols: int):
+    """0-based (rows, cols, vals) of every entry line past offset ``start`` in
+    one numpy pass, or None unless that pass provably reads what
+    :func:`_line_entries` would.
 
-    numpy splits a line on the same whitespace as ``str.split`` and reads
-    ``int``/``float`` tokens as Python does, but rejects a few that Python
-    takes (``1_0``, extra tokens), so any conversion error, a ``%`` line, a
-    row count other than ``nnz`` or an index out of range is left to the line
-    loop, which accepts or names the faulty line.
+    numpy reads the bytes as ASCII through a stream over the same buffer
+    (no copy), splits a line on the same whitespace as ``str.split`` and
+    reads ``int``/``float`` tokens as Python does, but rejects a few that
+    Python takes (``1_0``, extra tokens, non-ASCII), so any conversion
+    error, a ``%`` line, a row count other than ``nnz`` or an index out of
+    range is left to the line loop, which accepts or names the faulty line.
     """
-    if "%" in body:
+    if data.find(b"%", start) >= 0:
         return None
+    stream = io.BytesIO(data)
+    stream.seek(start)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty body warns
-            table = np.loadtxt(io.StringIO(body), comments=None, ndmin=1,
+            table = np.loadtxt(stream, comments=None, ndmin=1, encoding="ascii",
                                dtype=_PATTERN_ROW if pattern else _ENTRY_ROW)
     except (ValueError, Warning):
         return None
@@ -391,8 +436,11 @@ def write_matrix_market(m: AnySparse, path) -> None:
     with open(path, "w", encoding="ascii") as f:
         f.write("%%MatrixMarket matrix coordinate real general\n")
         f.write(f"{t.n_rows} {t.n_cols} {t.nnz}\n")
-        f.write("".join([f"{r} {c} {v!r}\n" for r, c, v in zip(
-            (t.rows + 1).tolist(), (t.cols + 1).tolist(), t.vals.tolist())]))
+        for lo in range(0, t.nnz, WRITE_CHUNK):
+            part = slice(lo, lo + WRITE_CHUNK)
+            f.write("".join([f"{r} {c} {v!r}\n" for r, c, v in zip(
+                (t.rows[part] + 1).tolist(), (t.cols[part] + 1).tolist(),
+                t.vals[part].tolist())]))
 
 
 def _coords(m: AnySparse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -441,31 +489,39 @@ def to_dense(m: AnySparse) -> DenseMatrix:
 
 
 def write_dense_csv(m: DenseMatrix, path) -> None:
-    """One row per line, comma-separated, exact decimal text."""
+    """One row per line, comma-separated, exact decimal text; written about
+    ``WRITE_CHUNK`` values (at least one row) at a time."""
+    data = m.data.astype(np.float64, copy=False)
+    step = max(1, WRITE_CHUNK // max(m.n_cols, 1))
     with open(path, "w", encoding="ascii") as f:
-        f.write("".join([",".join(map(repr, row)) + "\n" for row in
-                         m.data.astype(np.float64, copy=False).tolist()]))
+        for lo in range(0, m.n_rows, step):
+            f.write("".join([",".join(map(repr, row)) + "\n"
+                             for row in data[lo:lo + step].tolist()]))
 
 
 def load_dense_csv(source) -> DenseMatrix:
-    """Comma-separated rows of floats; blank lines are skipped.  The text is
-    read in one numpy pass; the line loop reads it again when that pass
-    declines, and only the loop raises, naming the faulty line."""
-    text = _read_text(source)
-    rows = _bulk_csv(text)
-    return DenseMatrix.from_rows(_csv_rows(text) if rows is None else rows)
+    """Comma-separated rows of floats; blank lines are skipped.  A source
+    is read as :func:`load_matrix_market` reads it, then in one numpy pass;
+    the line loop reads it again when that pass declines, and only the loop
+    raises, naming the faulty line."""
+    data = _read_bytes(source)
+    rows = _bulk_csv(data)
+    return DenseMatrix.from_rows(_csv_rows(_decode(data)) if rows is None
+                                 else rows)
 
 
-def _bulk_csv(text: str):
-    """Every row as one float64 array, or None unless numpy reads the text as
-    :func:`_csv_rows` would.  numpy converts a token as ``float()`` does but
-    rejects a few that it takes (``1_0``, non-ASCII digits, whitespace-only
-    lines), and a ragged or empty file; those are left to the loop."""
+def _bulk_csv(data: bytes | str):
+    """Every row as one float64 array, or None unless numpy reads the bytes
+    (or the text) as :func:`_csv_rows` would.  numpy converts a token as
+    ``float()`` does but rejects a few that it takes (``1_0``, non-ASCII
+    digits, whitespace-only lines), and a ragged or empty file; those are
+    left to the loop."""
+    stream = io.BytesIO(_encode(data) if isinstance(data, str) else data)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file warns
-            return np.loadtxt(io.StringIO(text), delimiter=",", comments=None,
-                              ndmin=2, dtype=np.float64)
+            return np.loadtxt(stream, delimiter=",", comments=None, ndmin=2,
+                              dtype=np.float64, encoding="ascii")
     except (ValueError, Warning):
         return None
 
