@@ -208,8 +208,11 @@ def _plan(spec: WorkloadSpec, cfg: HardwareConfig,
         cfg = cfg.sdmm_variant()
     if not plan_file:
         return plan_partition(cfg, spec)
-    with open(plan_file, "r", encoding="ascii") as f:
-        plan = PartitionPlan.from_text(f.read())
+    try:
+        with open(plan_file, "r", encoding="ascii") as f:
+            plan = PartitionPlan.from_text(f.read())
+    except UnicodeDecodeError as e:  # name the file, as ``_load`` does
+        raise ValueError(f"{plan_file}: {e}") from e
     _check_plan_record(plan, spec, cfg)
     return plan
 
@@ -239,18 +242,18 @@ def _check_plan_record(plan: PartitionPlan, spec: WorkloadSpec,
                        cfg: HardwareConfig) -> None:
     """Reject a plan record made for other dims or with a wrong cost.
 
-    No tile may exceed the largest the planner offers (``ceil(m / g_na)``,
-    ``k``, ``ceil(n / g_nb)``), the tile counts must be ``make_geometry``'s,
-    and the record's strategy must be one ``dram_access`` offers here, at
-    the cost it predicts.
+    Tiles lie in 1 to the largest the planner offers (``ceil(m / g_na)``,
+    ``k``, ``ceil(n / g_nb)``), the tile counts are ``make_geometry``'s, and
+    the strategy is one ``dram_access`` offers here, at the cost it predicts.
     """
-    geom = make_geometry(plan, (spec.m, spec.k, spec.n), (cfg.g_na, cfg.g_nb))
     for name, largest in (("m_t", -(-spec.m // cfg.g_na)), ("k_t", spec.k),
                           ("n_t", -(-spec.n // cfg.g_nb))):
-        if getattr(plan, name) > largest:
-            raise ValueError(
-                f"plan record: {name}={getattr(plan, name)} exceeds the "
-                f"largest tile of this workload, {name}={largest}")
+        value = getattr(plan, name)
+        if not 1 <= value <= largest:
+            raise ValueError(f"plan record: {name}={value} " + (
+                "is not positive" if value < 1 else
+                f"exceeds the largest tile of this workload, {name}={largest}"))
+    geom = make_geometry(plan, (spec.m, spec.k, spec.n), (cfg.g_na, cfg.g_nb))
     for name in ("t_m", "t_k", "t_n"):
         if getattr(plan, name) != getattr(geom, name):
             raise ValueError(

@@ -9,11 +9,12 @@ tile passes: total cycles are the sum over passes of the slowest stage, plus
 the first pass's encode and the last pass's address map as fill/drain.  A
 pass encodes the entries it loads; the grid the engine returns prices the rest.
 
-DRAM reads follow the chosen reuse strategy's reload pattern: entry streams
-are counted per tile-load event and pointer streams once per full pass over
-a matrix, so with no spills the input-read total reproduces the strategy's
-predicted cost exactly.  Encoded-stream spills use the reduced on-chip
-widths; original-format loads use the configured full widths.
+Each pass appends one ``StageTrace``, and every ``SimStats`` total but the C
+write is a reduction over them.  A pass that loads a block reads its entry
+stream; the first pass of each traversal over a k span (A at row strip 0, B at
+column strip 0) also reads the span's pointer stream, so the input reads
+(spills aside) are the reuse strategy's predicted cost exactly.  Spills use the
+reduced on-chip index width; loads use the configured full widths.
 """
 
 from __future__ import annotations
@@ -40,12 +41,19 @@ REDUCED_BITS_INDEX = 16
 
 @dataclass(frozen=True)
 class StageTrace:
-    """Per tile-pass stage costs."""
+    """One tile pass: stage cycles, spills, MACs, DRAM bits, unclamped fills."""
 
     encode_cycles: int
     compute_cycles: int
     addrmap_cycles: int
     spill_events: int
+    macs: int
+    bits_a: int
+    bits_b: int
+    bits_spill: int
+    fill_a: float
+    fill_b: float
+    fill_psum: float
 
     @property
     def bottleneck(self) -> int:
@@ -183,10 +191,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
                          (cfg.g_na, cfg.g_nb))
 
     entry_bits = cfg.bits_value + cfg.bits_index
-    bits_a = bits_b = bits_spill = 0
-    util_a, util_b, util_psum = [], [], []
     traces: list[StageTrace] = []
-    macs = 0
     outputs: list[OutputBlock] = []  # every pass's outputs, global coordinates
     a_blocks = {(m, k): encode_rp_csc(a, geom, m, k)
                 for m in range(geom.t_m) for k in range(geom.t_k)}
@@ -195,72 +200,67 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
                     for k in range(geom.t_k) for n in range(geom.t_n)}
     else:
         dense_result = np.zeros((geom.m, geom.n))
-        strip_util = min(1.0, geom.m_t * geom.n_t / cfg.sdmm_variant().c_psum)
+        strip_fill = geom.m_t * geom.n_t / cfg.sdmm_variant().c_psum
 
     for m, n, k, a_loaded, b_loaded in _passes(plan.strategy, geom):
         a_blk = a_blocks[m, k]
-        if a_loaded:
-            bits_a += a_blk.nnz * entry_bits
-        encode = a_blk.nnz if a_loaded else 0
-        util_a.append(min(1.0, a_blk.nnz / cfg.c_a))
         (r_lo, r_hi), (c_lo, c_hi) = geom.block_rows(m), geom.block_cols(n)
+        k_lo, k_hi = geom.k_span(k)
+        pointer_bits = (k_hi - k_lo) * cfg.bits_len  # read on a traversal's first pass
+        encode = a_loaded * a_blk.nnz
+        bits_a = a_loaded * (a_blk.nnz * entry_bits + (m == 0) * pointer_bits)
 
         if mode == MODE_SSMM:
             b_blk = b_blocks[k, n]
-            if b_loaded:
-                bits_b += b_blk.nnz * entry_bits
-                encode += b_blk.nnz
-            util_b.append(min(1.0, b_blk.nnz / cfg.c_b))
+            encode += b_loaded * b_blk.nnz
+            bits_b = b_loaded * (b_blk.nnz * entry_bits + (n == 0) * pointer_bits)
             grid = compute_psums(a_blk, b_blk, cfg)
-            macs += grid.appended_products
-            util_psum.append(min(1.0, int(grid.peak.max()) / grid.capacity))
-            bits_spill += grid.spilled.nnz * (cfg.bits_value + REDUCED_BITS_INDEX)
+            macs, fill_b = grid.appended_products, b_blk.nnz / cfg.c_b
+            fill_psum = int(grid.peak.max()) / grid.capacity
+            bits_spill = grid.spilled.nnz * (cfg.bits_value + REDUCED_BITS_INDEX)
             outputs += [grid.spilled.shifted(r_lo, c_lo),
                         grid.held.shifted(r_lo, c_lo)]
         else:
-            k_lo, k_hi = geom.k_span(k)
-            if b_loaded:
-                bits_b += (k_hi - k_lo) * (c_hi - c_lo) * cfg.bits_value
-            util_b.append(min(1.0, a_blk.col_all_len * (c_hi - c_lo) / cfg.c_b))
+            bits_b = b_loaded * (k_hi - k_lo) * (c_hi - c_lo) * cfg.bits_value
+            fill_b = a_blk.col_all_len * (c_hi - c_lo) / cfg.c_b
             grid = sdmm_compute(a_blk, b, geom, n)
-            macs += grid.macs
-            util_psum.append(strip_util)
+            macs, fill_psum, bits_spill = grid.macs, strip_fill, 0
             with np.errstate(over="ignore", invalid="ignore"):
                 dense_result[r_lo:r_hi, c_lo:c_hi] += grid.strip[:r_hi - r_lo]
-        traces.append(StageTrace(encode, grid.compute_cycles,
-                                 grid.addrmap_cycles, grid.spill_events))
+        traces.append(StageTrace(encode, grid.compute_cycles, grid.addrmap_cycles,
+                                 grid.spill_events, macs, bits_a, bits_b,
+                                 bits_spill, a_blk.nnz / cfg.c_a, fill_b, fill_psum))
 
-    # pointer streams are read once per full traversal of each matrix
-    passes_a = 1 if plan.strategy == STRATEGY_RAF else geom.t_n
-    passes_b = 1 if plan.strategy == STRATEGY_RBF else geom.t_m
-    bits_a += passes_a * geom.k * cfg.bits_len
     if mode == MODE_SSMM:
-        bits_b += passes_b * geom.k * cfg.bits_len
         result = assemble_output(merge_output_blocks(outputs), geom)
         bits_c = result.nnz * entry_bits + geom.n * cfg.bits_len
     else:
         result = DenseMatrix(geom.m, geom.n, dense_result)
         bits_c = geom.m * geom.n * cfg.bits_value
 
-    total = (sum(t.bottleneck for t in traces) + traces[0].encode_cycles
-             + traces[-1].addrmap_cycles)
+    def total(name: str):
+        return sum(getattr(t, name) for t in traces)
+
+    # util_* is the mean over passes of min(1, fill); a row sums as np.mean does
+    fills = [[getattr(t, f"fill_{x}") for t in traces] for x in ("a", "b", "psum")]
+    util_a, util_b, util_psum = np.minimum(1.0, fills).mean(axis=1).tolist()
     stats = SimStats(
-        mode=mode,
-        strategy=plan.strategy,
+        mode=mode, strategy=plan.strategy,
         t_m=geom.t_m, t_k=geom.t_k, t_n=geom.t_n,
-        total_cycles=total,
-        encode_cycles=sum(t.encode_cycles for t in traces),
-        compute_cycles=sum(t.compute_cycles for t in traces),
-        addrmap_cycles=sum(t.addrmap_cycles for t in traces),
-        dram=DramCounter(bits_a_read=bits_a, bits_b_read=bits_b,
-                         bits_psum_spill=bits_spill, bits_c_write=bits_c),
-        buffer_utilization_a=float(np.mean(util_a)),
-        buffer_utilization_b=float(np.mean(util_b)),
-        buffer_utilization_psum=float(np.mean(util_psum)),
-        achieved_macs=macs,
+        total_cycles=(sum(t.bottleneck for t in traces)
+                      + traces[0].encode_cycles + traces[-1].addrmap_cycles),
+        encode_cycles=total("encode_cycles"),
+        compute_cycles=total("compute_cycles"),
+        addrmap_cycles=total("addrmap_cycles"),
+        dram=DramCounter(bits_a_read=total("bits_a"), bits_b_read=total("bits_b"),
+                         bits_psum_spill=total("bits_spill"), bits_c_write=bits_c),
+        buffer_utilization_a=util_a,
+        buffer_utilization_b=util_b,
+        buffer_utilization_psum=util_psum,
+        achieved_macs=total("macs"),
         peak_macs_per_cycle=cfg.g_na * cfg.g_nb,
         peak_macs_per_sec=cfg.g_na * cfg.g_nb * cfg.freq_hz,
-        spill_events=sum(t.spill_events for t in traces),
+        spill_events=total("spill_events"),
         predicted_dram_bits=plan.predicted_dram,
         traces=traces,
     )

@@ -57,13 +57,14 @@ class TripletMatrix:
         vals = np.asarray(arrays[2], dtype=np.float64)
         if not len(rows) == len(cols) == len(vals):
             raise MatrixFormatError("rows, cols and vals lengths differ")
-        whole = (rows == np.trunc(rows)) & (cols == np.trunc(cols))  # not NaN
-        inside = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)
-        bad = np.flatnonzero(~(whole & inside))
+        integral = rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
+        whole = integral or (rows == np.trunc(rows)) & (cols == np.trunc(cols))
+        bad = np.flatnonzero(~(whole & (rows >= 0) & (rows < n_rows)  # NaN fails
+                               & (cols >= 0) & (cols < n_cols)))
         if len(bad):  # name the first bad entry as it was given
             i = bad[0]
             r, c = entries[i][:2] if len(entries) else (rows[i], cols[i])
-            if not whole[i]:
+            if not integral and not whole[i]:
                 raise CoordinateError(f"entry ({r},{c}) has a non-integer coordinate")
             raise BoundsError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
         self.n_rows, self.n_cols, self.vals = n_rows, n_cols, vals
@@ -229,7 +230,9 @@ def canonicalize(n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
         arrays = t.rows, t.cols, t.vals
     rows, cols, vals = (np.asarray(a) for a in arrays)
     row_step, col_step = np.diff(rows), np.diff(cols)
-    if np.all((row_step > 0) | ((row_step == 0) & (col_step > 0))):
+    ordered = np.all((row_step > 0) | ((row_step == 0) & (col_step > 0)))
+    del row_step, col_step  # not held through the copies below
+    if ordered:
         return TripletMatrix(n_rows, n_cols,
                              arrays=(rows, cols, vals.astype(np.float64)))
     rows, cols, vals, starts = coordinate_runs(rows, cols, vals)

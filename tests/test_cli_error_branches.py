@@ -93,4 +93,4 @@ def test_plan_record_with_zero_tile(tmp_path, capsys):
                     "predicted_dram=480\n")
     _fails(capsys, ["sim", "--a", a, "--b", a, "--mode", "ssmm",
                     "--plan", str(plan)],
-           "error: plan: tile dimensions must be positive")
+           "error: plan: plan record: m_t=0 is not positive")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -5,13 +6,14 @@ import numpy as np
 import pytest
 
 import iohp.costmodel
-from iohp.costmodel import CSV_COLUMNS, Workload, run
+from iohp.costmodel import CSV_COLUMNS, StageTrace, Workload, run
 from iohp.encoding import encode_cp_csr, encode_rp_csc, make_geometry
 from iohp.engine import compute_psums, fill_grid, sdmm_compute
 from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize, to_csc,
                            to_csr, to_dense, to_triplets)
 from iohp.planner import HardwareConfig, PartitionPlan, plan_partition
 from iohp.synthetic import random_dense, random_triplets
+from test_golden_reports import SPILL_CFG, _tiled_plan
 from test_matrices_reference import dense_matmul
 
 
@@ -282,6 +284,68 @@ class TestStageTraces:
             assert (trace.compute_cycles, trace.addrmap_cycles,
                     trace.spill_events) == (grid.compute_cycles, 0, 0)
             assert (grid.addrmap_cycles, grid.spill_events) == (0, 0)
+
+
+ROOMY = replace(SPILL_CFG, c_a=10 ** 6, c_b=10 ** 6, c_psum=10 ** 9, s=10 ** 6)
+
+
+class TestPassRecords:
+    """``StageTrace`` is the one per-pass record: every ``SimStats`` total but
+    the C write is one reduction over ``stats.traces``."""
+
+    def test_record_holds_only_what_a_total_reads(self):
+        assert [f.name for f in dataclasses.fields(StageTrace)] == [
+            "encode_cycles", "compute_cycles", "addrmap_cycles",
+            "spill_events", "macs", "bits_a", "bits_b", "bits_spill",
+            "fill_a", "fill_b", "fill_psum"]
+
+    @pytest.mark.parametrize("strategy", ["RAF", "RBF", "RABE"])
+    @pytest.mark.parametrize("mode, roomy", [("ssmm", False), ("ssmm", True),
+                                             ("sdmm", False)])
+    def test_totals_are_reductions_over_records(self, strategy, mode, roomy):
+        rng = np.random.default_rng(37)
+        a = to_csc(random_triplets(37, 29, 0.12, rng))
+        b = (to_csr(random_triplets(29, 41, 0.12, rng)) if mode == "ssmm"
+             else random_dense(29, 19, rng))
+        wl = Workload(a, b)
+        plan = _tiled_plan(wl, ROOMY, (10, 8, 4), strategy)  # all resident
+        stats = run(wl, plan, ROOMY if roomy else SPILL_CFG, mode)[1]
+        records = stats.traces
+        assert min(plan.t_m, plan.t_k, plan.t_n) > 1
+
+        def total(name):
+            return sum(getattr(t, name) for t in records)
+
+        def util(name):
+            return float(np.mean([min(1.0, getattr(t, name)) for t in records]))
+
+        assert stats.total_cycles == (sum(t.bottleneck for t in records)
+                                      + records[0].encode_cycles
+                                      + records[-1].addrmap_cycles)
+        for name in ("encode_cycles", "compute_cycles", "addrmap_cycles",
+                     "spill_events"):
+            assert getattr(stats, name) == total(name)
+        assert stats.achieved_macs == total("macs") == mac_law(a, b)
+        assert (stats.dram.bits_a_read, stats.dram.bits_b_read,
+                stats.dram.bits_psum_spill) == (total("bits_a"), total("bits_b"),
+                                                total("bits_spill"))
+        assert (stats.buffer_utilization_a, stats.buffer_utilization_b,
+                stats.buffer_utilization_psum) == (util("fill_a"), util("fill_b"),
+                                                   util("fill_psum"))
+        # input reads are the strategy's prediction; spills add only to
+        # the spill stream
+        assert (stats.spill_events > 0) == (mode == "ssmm" and not roomy)
+        assert total("bits_a") + total("bits_b") == stats.predicted_dram_bits
+
+    def test_fill_past_capacity_is_kept_unclamped(self):
+        # one 4 x 4 A block of 16 entries against c_a = 4: the record keeps
+        # the overfill that the report's utilisation clamps to 1
+        full = [(r, c, 1.0 + r + c) for r in range(4) for c in range(4)]
+        a, b = to_csc(TripletMatrix(4, 4, full)), to_csr(TripletMatrix(4, 4, full))
+        stats = run(Workload(a, b), plan_of(2, 4, 2),
+                    HardwareConfig(c_a=4, g_na=2, g_nb=2), "ssmm")[1]
+        assert [t.fill_a for t in stats.traces] == [4.0]
+        assert "util_A=1\n" in stats.to_text()
 
 
 def one_tile_stats(a, b, mode="ssmm", g=2):

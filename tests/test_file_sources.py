@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from iohp.matrices import (DenseMatrix, TripletMatrix, load_dense_csv,
-                           load_matrix_market, write_dense_csv,
+from iohp.matrices import (DenseMatrix, TripletMatrix, canonicalize,
+                           load_dense_csv, load_matrix_market, write_dense_csv,
                            write_matrix_market)
 
 ENDS = [b"\n", b"\r\n", b"\r"]
@@ -185,6 +185,19 @@ def test_load_peaks_below_four_times_the_file(tmp_path):
     size = path.stat().st_size  # 1.41 MB
     # 3.87x the file; 6.88x (9.69 MB) when the text was decoded whole
     assert traced_peak(lambda: load_matrix_market(path)) <= 4 * size
+
+
+def test_ordered_canonicalize_peaks_at_its_copies():
+    t = seeded_triplets(5000, 5000, 50_000)  # int64 coordinates, in order
+    arrays = (t.rows, t.cols, t.vals)
+    # 1.20 MB, the result's three copies; 2.10 MB when the two int64 diffs
+    # lived through the constructor and whole coordinates were truncated
+    assert traced_peak(lambda: canonicalize(5000, 5000, arrays=arrays)) \
+        <= 0.6 * 2.10e6
+    result = canonicalize(5000, 5000, arrays=arrays)
+    assert result == t
+    assert not any(np.shares_memory(x, y) for x, y in zip(
+        (result.rows, result.cols, result.vals), arrays))
 
 
 def test_write_peak_bounded_by_its_chunk(tmp_path):
