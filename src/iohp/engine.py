@@ -5,15 +5,13 @@ the block's shared column/row index streams are merge-joined, and for every
 matched inner index each active PE multiplies its A-group slice against its
 B-group slice.  Products land in an append-only psum store.
 
-Accumulation order is fixed by the traversal: a block pair's products are
-built at once and each store takes its own in (inner index, A entry,
-B entry) order; the end-of-pass map is one stable (row, column) sort of
-every store's held products, in address order, and each run of equal
-coordinates is summed as its first value plus numpy's pairwise sum of the
-rest (``np.add.reduceat``), wherever the run sits in the array.  The
-sparse-dense path adds each A row's products into one dense strip in
-ascending inner index.  Distinct PEs share no state, so results are
-identical under any PE scheduling.
+Accumulation order is fixed by the traversal: each store takes its products
+in (inner index, A entry, B entry) order, and the end-of-pass map sums each
+coordinate's run as a left fold in that order, as a fetch-accumulate unit
+adds (``matrices.fold_runs``, by which ``canonicalize`` sums duplicates).
+The sparse-dense path adds each A row's products into one dense strip in
+ascending inner index, from +0.0.  Distinct PEs share no state, so results
+are identical under any PE scheduling.
 
 Store overflow (a product finding its row segment's ``s`` slots or the
 store's ``c_psum`` entries full; both are ``HardwareConfig`` fields) either
@@ -53,7 +51,8 @@ import numpy as np
 from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry
 from .errors import (DimensionError, GatherError, MalformedBlockError,
                      PsumOverflowError)
-from .matrices import CscMatrix, DenseMatrix, coordinate_runs, stable_order
+from .matrices import (CscMatrix, DenseMatrix, coordinate_runs, fold_runs,
+                       stable_order, strictly_rising)
 from .planner import OVERFLOW_FAIL, HardwareConfig
 
 
@@ -268,14 +267,8 @@ def _at_pe(pe, rows, cols, shape: tuple):
 
 
 def _accumulate(rows, cols, vals) -> OutputBlock:
-    """Stable-sort psums by (row, column); ``np.add.reduceat`` each run (so
-    1.0, 1e16, -1e16 sums to 1.0, not to the left-to-right 0.0)."""
-    if not len(rows):
-        return OutputBlock.empty()
-    rows, cols, vals, starts = coordinate_runs(rows, cols, vals)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.add.reduceat(vals, starts)
-    return OutputBlock(rows[starts], cols[starts], sums)
+    """Address mapping: ``fold_runs`` (1.0, 1e16, -1e16 sums to 0.0)."""
+    return OutputBlock(*fold_runs(rows, cols, vals))
 
 
 def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
@@ -293,10 +286,8 @@ def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
     parts = [p for p in parts if p.nnz]
     if not parts:
         return OutputBlock.empty()
-    if len(parts) == 1:  # already merged if its (row, col) pairs strictly rise
-        r, c = parts[0].row, parts[0].col
-        if np.all((r[1:] > r[:-1]) | ((r[1:] == r[:-1]) & (c[1:] > c[:-1]))):
-            return parts[0]
+    if len(parts) == 1 and strictly_rising(parts[0].row, parts[0].col):
+        return parts[0]  # already merged
     rows, cols, vals, starts = coordinate_runs(
         np.concatenate([p.row for p in parts]),
         np.concatenate([p.col for p in parts]),

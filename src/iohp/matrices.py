@@ -141,6 +141,29 @@ def coordinate_runs(rows, cols, vals):
     return rows, cols, vals, np.flatnonzero(run_starts(rows, cols))
 
 
+def strictly_rising(rows, cols) -> bool:
+    """Whether the (row, col) pairs are sorted and none repeats."""
+    r0, r1 = rows[:-1], rows[1:]
+    return bool(np.all(r1 >= r0) and np.all((r1 > r0) | (cols[1:] > cols[:-1])))
+
+
+def fold_runs(rows, cols, vals):
+    """Stable-sort triplets by (row, col); sum each run as a sequential
+    accumulator adds, ``((v0 + v1) + v2) + ...`` in arrival order, silently
+    past the double range.  Returns (rows, cols, float64 sums); strictly
+    rising input comes back as it is, its values copied."""
+    if strictly_rising(rows, cols):
+        return rows, cols, vals.astype(np.float64)
+    rows, cols, vals, starts = coordinate_runs(rows, cols, vals)
+    out, run = vals[starts].astype(np.float64), np.arange(len(starts))
+    length = np.diff(starts, append=len(vals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, int(length.max(initial=1))):  # the runs still open
+            run = run[length[run] > j]
+            out[run] += vals[starts[run] + j]
+    return rows[starts], cols[starts], out
+
+
 @dataclass(frozen=True, eq=False)
 class CscMatrix:
     """Compressed sparse column: value/row_idx per entry, col_ptr per column."""
@@ -221,27 +244,11 @@ def check_density(name: str, density: float) -> None:
 
 def canonicalize(n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
                  arrays: tuple | None = None) -> TripletMatrix:
-    """Sort by (row, col); sum each coordinate's values as a left fold in input
-    order (-0.0 + v is v, so a fold starts at its first value).  Takes entries
-    (checked as given) or ``arrays=(rows, cols, vals)`` (checked once sorted).
-    Input whose (row, col) keys already rise strictly is taken as it is."""
+    """:func:`fold_runs` of entries (checked as given) or of ``arrays=(rows,
+    cols, vals)`` (checked once summed)."""
     if arrays is None:
-        t = TripletMatrix(n_rows, n_cols, entries)
-        arrays = t.rows, t.cols, t.vals
-    rows, cols, vals = (np.asarray(a) for a in arrays)
-    row_step, col_step = np.diff(rows), np.diff(cols)
-    ordered = np.all((row_step > 0) | ((row_step == 0) & (col_step > 0)))
-    del row_step, col_step  # not held through the copies below
-    if ordered:
-        return TripletMatrix(n_rows, n_cols,
-                             arrays=(rows, cols, vals.astype(np.float64)))
-    rows, cols, vals, starts = coordinate_runs(rows, cols, vals)
-    out, run = vals[starts].astype(np.float64), np.arange(len(starts))
-    length = np.diff(starts, append=len(vals))
-    for j in range(1, int(length.max(initial=1))):  # the runs still open
-        run = run[length[run] > j]
-        out[run] += vals[starts[run] + j]
-    return TripletMatrix(n_rows, n_cols, arrays=(rows[starts], cols[starts], out))
+        arrays = _coords(TripletMatrix(n_rows, n_cols, entries))
+    return TripletMatrix(n_rows, n_cols, arrays=fold_runs(*map(np.asarray, arrays)))
 
 
 def _read_bytes(source) -> bytes:
@@ -513,13 +520,13 @@ def load_dense_csv(source) -> DenseMatrix:
                                  else rows)
 
 
-def _bulk_csv(data: bytes | str):
+def _bulk_csv(data: bytes):
     """Every row as one float64 array, or None unless numpy reads the bytes
-    (or the text) as :func:`_csv_rows` would.  numpy converts a token as
-    ``float()`` does but rejects a few that it takes (``1_0``, non-ASCII
-    digits, whitespace-only lines), and a ragged or empty file; those are
-    left to the loop."""
-    stream = io.BytesIO(_encode(data) if isinstance(data, str) else data)
+    as :func:`_csv_rows` would.  numpy converts a token as ``float()`` does
+    but rejects a few that it takes (``1_0``, non-ASCII digits,
+    whitespace-only lines), and a ragged or empty file; those are left to
+    the loop."""
+    stream = io.BytesIO(data)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file warns

@@ -187,15 +187,16 @@ class PartitionPlan:
 def record_fields(text: str, where: str, noun: str):
     """Yield (line number, name, value), both stripped, of each line of a
     config file or plan record; text after ``#`` is a comment.  ValueError
-    names the line (``<where> line N``) with no ``=`` or a repeated name; the
-    caller checks each line before the next is read, so the first fault wins."""
+    names the line (``<where> line N``) with no ``=``, an empty name or a
+    repeated name; the caller checks each line before the next is read, so
+    the first fault wins."""
     first = {}
     for i, line in enumerate(text.splitlines(), start=1):
         line = line.partition("#")[0].strip()
         if not line:
             continue
         name, sep, value = (part.strip() for part in line.partition("="))
-        if not sep:
+        if not (sep and name):
             raise ValueError(f"{where} line {i}: expected {noun}=value")
         if name in first:
             raise ValueError(f"{where} line {i}: {name}: already given on "

@@ -47,6 +47,24 @@ def test_spmm_sum_past_the_double_range_writes_inf(tmp_path):
     assert out.read_text().splitlines()[1:] == ["1 1 1", "1 1 inf"]
 
 
+@pytest.mark.parametrize("entries, want", [
+    ("1 1 1e308\n1 1 1e308\n", "1 1 inf"),
+    ("1 1 inf\n1 1 -inf\n", "1 1 nan"),
+])
+def test_spmm_duplicates_past_the_double_range_warn_nothing(
+        tmp_path, capsys, entries, want):
+    # A's two entries on one coordinate sum to inf, or inf - inf to nan, as
+    # the file is read; numpy's warnings are errors here
+    a, b, out = tmp_path / "a.mtx", tmp_path / "b.mtx", tmp_path / "c.mtx"
+    a.write_text("%%MatrixMarket matrix coordinate real general\n1 1 2\n"
+                 + entries)
+    write_matrix_market(TripletMatrix(1, 1, [(0, 0, 1.0)]), b)
+    assert main(["spmm", "--a", str(a), "--b", str(b), "--mode", "ssmm",
+                 "--out", str(out), "--report", str(tmp_path / "r.txt")]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[1:] == ["1 1 1", want]
+
+
 @pytest.mark.parametrize("grid", ["8x8", "1x1"])
 @pytest.mark.parametrize("b_value", [1e200, 1e108])
 @pytest.mark.parametrize("command, mode", [("sim", "ssmm"), ("spmm", "ssmm"),

@@ -215,27 +215,21 @@ def dump_psum_store(ps):
 
 
 def address_map_reference(ps):
-    """Per-row stable argsort of the columns, then a run-wise reduceat."""
-    value = ps.value_psum
-    col = ps.col_idx_psum
+    """Row by row, each column's psums summed by a Python left fold in
+    insertion order, the columns then in ascending order."""
     rows_out, cols_out, vals_out = [], [], []
     for r in range(ps.m_t):
-        ln = int(ps.row_len[r])
-        if ln == 0:
-            continue
-        addrs = ps.vc_addr[r, :ln]
-        cols = col[addrs]
-        order = np.argsort(cols, kind="stable")
-        scols = cols[order]
-        svals = value[addrs[order]]
-        starts = np.flatnonzero(np.concatenate(([True], scols[1:] != scols[:-1])))
-        rows_out.append(np.full(len(starts), r, dtype=np.int64))
-        cols_out.append(scols[starts])
-        vals_out.append(np.add.reduceat(svals, starts))
-    if not rows_out:
-        return OutputBlock.empty()
-    return OutputBlock(np.concatenate(rows_out), np.concatenate(cols_out),
-                       np.concatenate(vals_out))
+        sums = {}
+        for addr in ps.vc_addr[r, :int(ps.row_len[r])].tolist():
+            c, v = int(ps.col_idx_psum[addr]), float(ps.value_psum[addr])
+            sums[c] = sums[c] + v if c in sums else v
+        for c in sorted(sums):
+            rows_out.append(r)
+            cols_out.append(c)
+            vals_out.append(sums[c])
+    return OutputBlock(np.array(rows_out, dtype=np.int64),
+                       np.array(cols_out, dtype=np.int64),
+                       np.array(vals_out, dtype=np.float64))
 
 
 def merge_reference(parts):
@@ -466,19 +460,6 @@ def test_spilled_block_is_every_flush_at_its_pe(case):
                 spilled += grid.spilled.nnz
     if case[-1] != (1, 1):
         assert spilled
-
-
-def test_reduceat_is_the_same_at_any_offset():
-    # runs concatenated behind a pad of any length sum as they do alone
-    rng = np.random.default_rng(61)
-    for _ in range(200):
-        runs = [rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-8, 17, n)
-                for n in rng.integers(1, 300, int(rng.integers(1, 8)))]
-        pad = rng.uniform(-1, 1, int(rng.integers(0, 17)))
-        starts = len(pad) + np.cumsum([0] + [len(r) for r in runs[:-1]])
-        got = np.add.reduceat(np.concatenate([pad] + runs), starts)
-        alone = np.concatenate([np.add.reduceat(r, [0]) for r in runs])
-        assert_same_array(got, alone)
 
 
 def test_merge_equals_coordinate_loop():

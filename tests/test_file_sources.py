@@ -107,9 +107,6 @@ def outcomes(load, contents: bytes, path) -> list:
             outcome(text_file), outcome(string_io)]
 
 
-# duplicate sums may overflow to inf or meet inf - inf
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestSourceKinds:
     @seed(29)
     @settings(max_examples=300, deadline=None, database=None)

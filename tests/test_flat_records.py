@@ -36,6 +36,7 @@ class TestRecordFields:
 
     @pytest.mark.parametrize("text, message", [
         ("a=1\nb # no equals sign\n", "r line 2: expected name=value"),
+        ("a=1\n = 3\n", "r line 2: expected name=value"),
         ("a=1\n\na = 2 # again\n", "r line 3: a: already given on line 1"),
     ])
     def test_names_the_faulty_line(self, text, message):
@@ -57,6 +58,12 @@ class TestConfigFile:
         assert _sim(tmp_path, "--config", cfg) == 1
         assert capsys.readouterr().err == (
             f"error: config: {cfg} line 2: c_a: already given on line 1\n")
+
+    def test_empty_key_fails(self, tmp_path, capsys):
+        cfg = _config(tmp_path, "=3\n")
+        assert _sim(tmp_path, "--config", cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: config: {cfg} line 1: expected key=value\n")
 
     def test_key_case_is_exact(self, tmp_path, capsys):
         cfg = _config(tmp_path, "C_A=1\n")
@@ -90,3 +97,10 @@ class TestPlanRecord:
         plan = tmp_path / "plan.txt"
         plan.write_text(record)
         assert _sim(tmp_path, "--plan", str(plan)) == 0
+
+    def test_empty_field_name_fails(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(FITTING.replace("t_k=1\n", "=1\n"))
+        assert _sim(tmp_path, "--plan", str(plan)) == 1
+        assert capsys.readouterr().err == (
+            "error: plan: plan record line 2: expected field=value\n")
