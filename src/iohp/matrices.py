@@ -151,15 +151,23 @@ def fold_runs(rows, cols, vals):
     """Stable-sort triplets by (row, col); sum each run as a sequential
     accumulator adds, ``((v0 + v1) + v2) + ...`` in arrival order, silently
     past the double range.  Returns (rows, cols, float64 sums); strictly
-    rising input comes back as it is, its values copied."""
+    rising input comes back as it is, its values copied.  One step adds the
+    next term of every open run until fewer runs are open than term positions
+    are left; each of those is then one ``np.add.accumulate``."""
     if strictly_rising(rows, cols):
         return rows, cols, vals.astype(np.float64)
     rows, cols, vals, starts = coordinate_runs(rows, cols, vals)
     out, run = vals[starts].astype(np.float64), np.arange(len(starts))
     length = np.diff(starts, append=len(vals))
+    longest = int(length.max(initial=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, int(length.max(initial=1))):  # the runs still open
+        for j in range(1, longest):  # the runs still open
             run = run[length[run] > j]
+            if len(run) < longest - j:  # fewer runs than term positions left
+                for r in run.tolist():  # accumulate is a sequential left fold
+                    out[r] = np.add.accumulate(
+                        vals[starts[r]:starts[r] + length[r]], dtype=np.float64)[-1]
+                break
             out[run] += vals[starts[run] + j]
     return rows[starts], cols[starts], out
 

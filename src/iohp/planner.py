@@ -12,6 +12,9 @@ inequalities).  Three reuse strategies are costed:
 The candidate lattice enumerates tile counts (ceiling-divided tile sizes),
 which keeps the space finite and covers ragged edges; costs depend only on
 the strip counts ``t_m`` and ``t_n``, and feasibility is monotone in tile size.
+The search first tries the root trial, one tile count on each side
+(``t_m = t_k = t_n = 1``); when it fits it is the lattice's minimum, and no
+lattice is built.
 """
 
 from __future__ import annotations
@@ -257,16 +260,25 @@ def plan_partition(cfg: HardwareConfig, wl: WorkloadSpec) -> PartitionPlan:
     """Search the (m_t, k_t, n_t) lattice for minimal DRAM access.
 
     Ties break toward fewer blocks, then RAF > RBF > RABE, then larger k_t
-    (then m_t, n_t).  No cost reads k_t, so each (m_t, n_t) pair is costed at
-    its largest feasible k_t only.  The lattice is broadcast in blocks of at
+    (then m_t, n_t).  The root trial, ``t_m = t_k = t_n = 1``, is costed
+    first, with Python ints; when its three loads fit it is the tie key's
+    minimum over the whole lattice, since
+    * every cost is at least ``m_a + m_b`` (both > 0), reached only at
+      t_m = t_n = 1;
+    * only t_k = 1 as well gives one block;
+    * RAF's residency ``m_t*k*d_a < c_a*r_x`` is constraint (1) at k_t = k.
+    Otherwise no cost reads k_t, so each (m_t, n_t) pair is costed at its
+    largest feasible k_t only.  The lattice is broadcast in blocks of at
     most ``_CHUNK_CELLS`` trials (or one pair's k candidates)."""
     if min(wl.m, wl.k, wl.n) <= 0:
         raise DegenerateInputError("workload dimensions must be positive")
-    t_m, t_n = -(-wl.m // cfg.g_na), -(-wl.n // cfg.g_nb)  # the largest counts
-    top = max(wl.m_a * t_n + wl.m_b * t_m, t_m * wl.k * t_n)  # cost, t_m*t_k*t_n
+    m_t, n_t = -(-wl.m // cfg.g_na), -(-wl.n // cfg.g_nb)  # root tiles, top counts
+    top = max(wl.m_a * n_t + wl.m_b * m_t, m_t * wl.k * n_t)  # cost, t_m*t_k*t_n
     if top >= _UNOFFERED:
         raise DegenerateInputError(f"plan of (m, k, n)={(wl.m, wl.k, wl.n)} needs "
                                    f"costs or block counts up to {top}, past int64")
+    if all(load < bound for load, bound in _buffer_loads(m_t, wl.k, n_t, cfg, wl)):
+        return PartitionPlan(1, 1, 1, m_t, wl.k, n_t, STRATEGY_RAF, wl.m_a + wl.m_b)
     m_tiles, k_tiles, n_tiles = (_tile_candidates(*arg) for arg in (
         (wl.m, cfg.g_na), (wl.k, 1), (wl.n, cfg.g_nb)))  # (dims, counts) rows
     n_step = min(n_tiles.shape[1], max(1, _CHUNK_CELLS // k_tiles.shape[1]))

@@ -3,13 +3,16 @@ coordinate's values are a left fold in arrival order, ``((v0 + v1) + v2)
 + ...``, as a sequential accumulator adds them.  ``engine._accumulate`` and
 ``matrices.canonicalize`` are checked against a plain Python fold, bit for
 bit (-0.0 apart from 0.0, every nan counted as one), over values whose sums
-cancel, overflow or meet inf - inf.  pytest turns numpy's warnings into
-errors, so a fold that warns fails here too.
+cancel, overflow or meet inf - inf, and over runs of up to 2·10⁵ terms on
+one coordinate, which must fold in bounded time.  pytest turns numpy's
+warnings into errors, so a fold that warns fails here too.
 """
 
 import math
+import time
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -83,3 +86,39 @@ def test_fold_is_left_to_right_not_pairwise():
     vals = np.array([1.0, 1e16, -1e16])
     assert _accumulate(rows, cols, vals).value.tolist() == [0.0]
     assert canonicalize(1, 1, arrays=(rows, cols, vals)).vals.tolist() == [0.0]
+
+
+LONG_VALUES = [-0.0, 0.0, 1.0, 1e16, -1e16, 0.5, -3.0, 1e-300, 2.0 ** -1074]
+
+
+def long_runs(lengths, rng):
+    """Entries of one run per length, on the coordinates (i, i), in a shuffled
+    arrival order; every value is drawn from ``LONG_VALUES``."""
+    coords = np.repeat(np.arange(len(lengths)), lengths)
+    order = rng.permutation(len(coords))
+    vals = rng.choice(LONG_VALUES, len(coords))
+    return [(int(c), int(c), float(v)) for c, v in zip(coords[order], vals)]
+
+
+@pytest.mark.parametrize("lengths", [[1], [2], [3], [1000], [200_000],
+                                     [1, 1, 2, 3] * 250 + [5000]])
+def test_long_runs_are_the_python_fold(lengths):
+    # one step per term position would take 2·10⁵ steps for the longest run
+    entries = long_runs(lengths, np.random.default_rng(len(lengths) + sum(lengths)))
+    table = np.array(entries, dtype=np.float64).reshape(-1, 3)
+    rows, cols = table[:, :2].astype(np.int64).T
+    got = _accumulate(rows, cols, table[:, 2])
+    assert bits(got.row, got.col, got.value) == expected(entries)
+    n = len(lengths)
+    got = canonicalize(n, n, arrays=(rows, cols, table[:, 2]))
+    assert bits(got.rows, got.cols, got.vals) == expected(entries)
+
+
+def test_one_long_run_folds_in_bounded_time():
+    vals = np.random.default_rng(200_000).choice(LONG_VALUES, 200_000)
+    rows = cols = np.zeros(len(vals), dtype=np.int64)
+    start = time.perf_counter()
+    got = canonicalize(1, 1, arrays=(rows, cols, vals))
+    assert time.perf_counter() - start < 0.25
+    assert bits(got.rows, got.cols, got.vals) == expected(
+        [(0, 0, float(v)) for v in vals])

@@ -14,6 +14,13 @@ modelled number and every pass record stays as it was whenever neither run
 spills.  A spill is cut from the product order, so a spilling run may
 differ; the result keeps its pattern, and its values move only by the
 rounding of a reordered fold.
+
+The transpose mirror: ``Bᵀ·Aᵀ`` under the mirrored plan (RAF and RBF
+swapped, m_t and n_t swapped) on the mirrored config (g_na and g_nb, c_a and
+c_b swapped) reads the same blocks and forms the same products, so its
+encode and compute cycles, MACs, input bits and predicted DRAM are the
+original's.  A psum store's rows are A's rows, so the address map, the
+spills and the spilled results are not mirrored.
 """
 
 import dataclasses
@@ -24,7 +31,7 @@ from hypothesis import strategies as st
 
 from iohp.costmodel import Workload, run
 from iohp.matrices import canonicalize, to_csc, to_csr
-from iohp.planner import HardwareConfig, PartitionPlan
+from iohp.planner import HardwareConfig, PartitionPlan, dram_access
 from iohp.synthetic import random_triplets
 
 
@@ -107,3 +114,57 @@ def test_permuting_k_keeps_the_model_when_nothing_spills(case):
     assert result_p.col_ptr.tobytes() == result.col_ptr.tobytes()
     np.testing.assert_allclose(result_p.value, result.value, rtol=1e-12,
                                atol=1e-15)
+
+
+MIRROR = {"RAF": "RBF", "RBF": "RAF", "RABE": "RABE"}
+
+
+def transposed(t):
+    return canonicalize(t.n_cols, t.n_rows, arrays=(t.cols, t.rows, t.vals))
+
+
+@st.composite
+def mirrored_cases(draw):
+    """Operands, a plan and a config, and their mirrors; the stores range
+    from roomy to a few slots, so some runs spill."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m, k, n = (draw(st.integers(2, 40)) for _ in range(3))
+    ta = random_triplets(m, k, draw(st.floats(0.05, 0.5)), rng)
+    tb = random_triplets(k, n, draw(st.floats(0.05, 0.5)), rng)
+    m_t, k_t, n_t = (draw(st.integers(1, d)) for d in (m, k, n))
+    strategy = draw(st.sampled_from(["RAF", "RBF", "RABE"]))
+    cfg = HardwareConfig(c_a=draw(st.integers(1, 2048)),
+                         c_b=draw(st.integers(1, 2048)),
+                         c_psum=draw(st.sampled_from([2, 8, 256])),
+                         s=draw(st.sampled_from([None, 2, 64])),
+                         g_na=draw(st.integers(1, 3)), g_nb=draw(st.integers(1, 3)))
+    cfg_t = dataclasses.replace(cfg, g_na=cfg.g_nb, g_nb=cfg.g_na, c_a=cfg.c_b,
+                                c_b=cfg.c_a)
+    plan = PartitionPlan(-(-m // (cfg.g_na * m_t)), -(-k // k_t),
+                         -(-n // (cfg.g_nb * n_t)), m_t, k_t, n_t, strategy, 0)
+    plan_t = PartitionPlan(plan.t_n, plan.t_k, plan.t_m, n_t, k_t, m_t,
+                           MIRROR[strategy], 0)
+    return ((Workload(to_csc(ta), to_csr(tb)), plan, cfg),
+            (Workload(to_csc(transposed(tb)), to_csr(transposed(ta))), plan_t,
+             cfg_t))
+
+
+@seed(19)
+@settings(max_examples=60, deadline=None, database=None)
+@given(mirrored_cases())
+def test_transpose_mirror_keeps_the_model_but_the_address_map(case):
+    (workload, plan, cfg), (workload_t, plan_t, cfg_t) = case
+    costs = dict(dram_access(plan, cfg, workload.spec(cfg)))
+    costs_t = dict(dram_access(plan_t, cfg_t, workload_t.spec(cfg_t)))
+    assert costs_t == {MIRROR[name]: cost for name, cost in costs.items()}
+    _, stats = run(workload, plan, cfg, "ssmm")
+    _, stats_t = run(workload_t, plan_t, cfg_t, "ssmm")
+    assert (stats_t.t_m, stats_t.t_k, stats_t.t_n) == (stats.t_n, stats.t_k,
+                                                        stats.t_m)
+    assert stats_t.encode_cycles == stats.encode_cycles
+    assert stats_t.compute_cycles == stats.compute_cycles
+    assert stats_t.achieved_macs == stats.achieved_macs
+    assert stats_t.dram.bits_a_read == stats.dram.bits_b_read
+    assert stats_t.dram.bits_b_read == stats.dram.bits_a_read
+    # not compared: addrmap_cycles, spill_events, bits_psum_spill and the
+    # result's sums, which follow the psum store's rows, A's rows

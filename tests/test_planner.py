@@ -498,6 +498,82 @@ class TestLatticeBlocks:
                 plan_partition(cfg, wl)
 
 
+def root_plan(cfg: HardwareConfig, wl: WorkloadSpec) -> PartitionPlan:
+    """The unit-count trial: one strip of A, one of B, all of k."""
+    return PartitionPlan(1, 1, 1, -(-wl.m // cfg.g_na), wl.k,
+                         -(-wl.n // cfg.g_nb), "RAF", wl.m_a + wl.m_b)
+
+
+class TestRootTrial:
+    """A product whose unit-count trial fits is planned without the lattice,
+    and a trial on or past any of the three strict bounds is not."""
+
+    @pytest.fixture
+    def lattice_calls(self, monkeypatch):
+        calls = []
+        cheapest = planner._cheapest
+
+        def counted(*args):
+            calls.append(args)
+            return cheapest(*args)
+        monkeypatch.setattr(planner, "_cheapest", counted)
+        return calls
+
+    @pytest.fixture
+    def no_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the lattice was costed")
+        monkeypatch.setattr(planner, "_cheapest", refuse)
+
+    def test_fitting_batch_like_specs(self, no_lattice):
+        # the small-batch workload's draws: dims 1-256, densities 0.1-10 %
+        cfg = HardwareConfig()
+        rng = np.random.default_rng(3200)
+        fitting = 0
+        for _ in range(500):
+            m, k, n = (int(d) for d in rng.integers(1, 257, 3))
+            d_a, d_b = 10.0 ** rng.uniform(-3, -1, 2)
+            wl = WorkloadSpec.from_counts(m, k, n, round(m * k * d_a),
+                                          round(k * n * d_b), cfg)
+            if feasible(root_plan(cfg, wl), cfg, wl):
+                fitting += 1
+                assert plan_partition(cfg, wl) == plan_partition_reference(cfg, wl)
+        assert fitting > 400
+
+    @pytest.mark.parametrize("dims, d_a, d_b, b_dense", [
+        ((64, 32, 8), 0.05, 1.0, True),  # SDMM, doubled psum store
+        ((200, 200, 200), 0.0, 0.05, False),
+        ((200, 200, 200), 0.05, 0.0, False)])
+    def test_sdmm_and_zero_density_specs(self, no_lattice, dims, d_a, d_b,
+                                         b_dense):
+        cfg = HardwareConfig().sdmm_variant() if b_dense else HardwareConfig()
+        wl = WorkloadSpec.from_dims(*dims, d_a, d_b, cfg, b_dense=b_dense)
+        plan = plan_partition(cfg, wl)
+        assert plan == root_plan(cfg, wl) == plan_partition_reference(cfg, wl)
+
+    # 8 x 8 x 8 on a 1 x 1 grid, r_x = 0.5: every load is exact in binary, so
+    # the root's A load is nnz_a, its B load nnz_b, its psum load nnz_a·nnz_b/8
+    @pytest.mark.parametrize("caps, nnz, lattice", [
+        ((40, 1000, 10**6), (19, 30), False),  # A: 19 < 20
+        ((40, 1000, 10**6), (20, 30), True),   # A: on the bound
+        ((40, 1000, 10**6), (21, 30), True),   # one entry past it
+        ((1000, 40, 10**6), (30, 19), False),  # B: 19 < 20
+        ((1000, 40, 10**6), (30, 20), True),
+        ((1000, 40, 10**6), (30, 21), True),
+        ((1000, 1000, 64), (16, 15), False),   # psum: 30 < 32
+        ((1000, 1000, 64), (16, 16), True),    # 32, on the bound
+        ((1000, 1000, 64), (16, 17), True)])   # 34
+    def test_strict_bounds_at_the_root(self, lattice_calls, caps, nnz, lattice):
+        cfg = HardwareConfig(c_a=caps[0], c_b=caps[1], c_psum=caps[2],
+                             g_na=1, g_nb=1, r_x=0.5)
+        wl = WorkloadSpec.from_counts(8, 8, 8, *nnz, cfg)
+        loads = _buffer_loads(8, 8, 8, cfg, wl)
+        assert [load for load, _ in loads] == [nnz[0], nnz[1], nnz[0] * nnz[1] / 8]
+        assert all(load < bound for load, bound in loads) is not lattice
+        assert_plans_agree(cfg, wl)
+        assert bool(lattice_calls) is lattice
+
+
 class TestPlanSerialization:
     def test_text_roundtrip(self):
         plan = PartitionPlan(2, 3, 4, 10, 20, 5, "RBF", 123456)
