@@ -28,6 +28,9 @@ from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
 from .synthetic import random_dense, random_triplets
 
 DEFAULT_SDMM_THRESHOLD = 0.25
+# the most entries numpy can hold in one int64 array; a CSC or CSR pointer
+# array has one per column or row, plus one
+_POINTER_LIMIT = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
 class CommandError(Exception):
@@ -99,13 +102,19 @@ def load_config(path: str | None) -> HardwareConfig:
 
 
 def _load(parse, path: str):
-    """Read one input file with ``parse``; a malformed file is named."""
+    """Read one input file with ``parse``; a malformed file is named, and so
+    is a dimension too large for the pointer array a conversion builds."""
     try:
-        return parse(path)
+        m = parse(path)
     except OSError as e:
         raise CommandError("parse", str(e)) from e
     except ValueError as e:
         raise CommandError("parse", f"{path}: {e}") from e
+    for name, size in (("rows", m.n_rows), ("columns", m.n_cols)):
+        if size >= _POINTER_LIMIT:
+            raise CommandError("parse", f"{path}: {size} {name}, more than a "
+                               f"pointer array can index ({_POINTER_LIMIT - 1})")
+    return m
 
 
 def _resolve_mode(requested: str, b_triplets, threshold: float) -> str:

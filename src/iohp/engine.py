@@ -9,6 +9,8 @@ Accumulation order is fixed by the traversal: each store takes its products
 in (inner index, A entry, B entry) order, and the end-of-pass map sums each
 coordinate's run as a left fold in that order, as a fetch-accumulate unit
 adds (``matrices.fold_runs``, by which ``canonicalize`` sums duplicates).
+The run-wide merge folds each coordinate's partial sums the same way, in
+the order they arrive, so every psum is a left fold in arrival order.
 The sparse-dense path adds each A row's products into one dense strip in
 ascending inner index, from +0.0.  Distinct PEs share no state, so results
 are identical under any PE scheduling.
@@ -41,9 +43,7 @@ sorting, value fetch-accumulate), with concurrent per-PE units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,8 +51,8 @@ import numpy as np
 from .encoding import CpCsrBlock, RpCscBlock, TilingGeometry
 from .errors import (DimensionError, GatherError, MalformedBlockError,
                      PsumOverflowError)
-from .matrices import (CscMatrix, DenseMatrix, coordinate_runs, fold_runs,
-                       stable_order, strictly_rising)
+from .matrices import (CscMatrix, DenseMatrix, fold_runs, stable_order,
+                       strictly_rising)
 from .planner import OVERFLOW_FAIL, HardwareConfig
 
 
@@ -182,9 +182,9 @@ def compute_psums(a_blk: RpCscBlock, b_blk: CpCsrBlock,
     grid, starts = fill_grid(pe, rows_a[ea], cols_b[eb], vals,
                              (a_blk.g_na, b_blk.g_nb, a_blk.m_t, b_blk.n_t),
                              s, cfg.c_psum)
-    # a fill that follows another of its PE starts at that PE's overflow
-    over = np.flatnonzero(pe[starts[1:]] == pe[starts[:-1]]) + 1
-    if cfg.overflow_policy == OVERFLOW_FAIL and len(over):
+    if cfg.overflow_policy == OVERFLOW_FAIL and grid.spill_events:
+        # a fill that follows another of its PE starts at that PE's overflow
+        over = np.flatnonzero(pe[starts[1:]] == pe[starts[:-1]]) + 1
         i = over[np.lexsort((pe[starts[over]], pair[starts[over]]))[0]]
         tile = (a_blk.block_row, b_blk.block_col, a_blk.block_k)
         raise PsumOverflowError(
@@ -274,104 +274,21 @@ def _accumulate(rows, cols, vals) -> OutputBlock:
 def merge_output_blocks(parts: list[OutputBlock]) -> OutputBlock:
     """Sorted (row, column) merge summing coincident coordinates.
 
-    Each sum is the exact sum correctly rounded, so the result is identical
-    under any permutation or regrouping of the inputs.  Two-term runs, the
-    common case, are summed together as arrays, since IEEE ``a + b`` is that
-    rounding (bar -0.0 + -0.0, set to fsum's +0.0); longer runs are summed
-    together by ``_proved_sums``' TwoSum cascade.  The runs it cannot prove
-    (zero sums, ties its error terms leave open, nans, infinities,
-    overflows), and pairs of nans, whose sign fsum decides, go through
-    ``_exact_sum`` one by one.
+    The parts are taken in the given order, which ``costmodel.run`` makes
+    each coordinate's arrival order (k-major: a pass's flushes in fill
+    order, then its held psums), and each coordinate's run is a left fold
+    in that order: ``fold_runs``, as the address map sums a store.  The
+    concatenations are passed straight to it, which frees them once sorted.
+    A lone strictly rising part is already merged and comes back as it is.
     """
     parts = [p for p in parts if p.nnz]
     if not parts:
         return OutputBlock.empty()
     if len(parts) == 1 and strictly_rising(parts[0].row, parts[0].col):
         return parts[0]  # already merged
-    rows, cols, vals, starts = coordinate_runs(
-        np.concatenate([p.row for p in parts]),
-        np.concatenate([p.col for p in parts]),
-        np.concatenate([p.value for p in parts]))
-    length = np.diff(starts, append=len(rows))
-    out_vals = vals[starts].astype(np.float64)
-    two = np.flatnonzero(length == 2)
-    a, b = out_vals[two], vals[starts[two] + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_vals[two] = a + b + 0.0  # + 0.0: fsum's +0.0 for -0.0 + -0.0
-    slow = np.zeros(len(starts), dtype=bool)
-    slow[two] = np.isnan(a) & np.isnan(b)  # which nan numpy keeps varies
-    long = np.flatnonzero(length > 2)
-    if len(long):
-        long = long[np.argsort(-length[long])]
-        out_vals[long], proved = _proved_sums(vals, starts[long], length[long])
-        slow[long[~proved]] = True
-    for i in np.flatnonzero(slow).tolist():
-        out_vals[i] = _exact_sum(vals[starts[i]:starts[i] + length[i]])
-    return OutputBlock(rows[starts], cols[starts], out_vals)
-
-
-def _proved_sums(vals, first, length) -> tuple[np.ndarray, np.ndarray]:
-    """Each run's float sum, and where it is provably the correctly rounded
-    exact sum; run i is ``vals[first[i]:first[i] + length[i]]``, and the
-    lengths do not rise.
-
-    TwoSum (Knuth), cascaded over the runs one term position at a time,
-    gives each run's float sum ``p`` and each step's exact error ``e_j``;
-    cascaded over the ``e_j`` in turn, it gives their float sum ``c`` and
-    its exact errors ``f_j``, so the exact sum is ``p + c + sum(f_j)``
-    (Ogita, Rump and Oishi, "Accurate Sum and Dot Product", 2005).  Then
-    ``(y, d) = TwoSum(p, c)``.  Where every ``f_j`` is 0, ``p + c`` is the
-    exact sum and ``y`` is IEEE's rounding of it.  Elsewhere the exact sum
-    is within ``|d| + 2 * sum|f_j|`` of ``y`` (the float ``sum|f_j|`` is at
-    least ``1 - L * 2**-53`` times the exact one), and ``y`` is its rounding
-    where that is less than half the gap from ``|y|`` down to the next
-    double (the gap above is never smaller).  A zero ``y`` (fsum decides its
-    sign), a nan, an infinity or an overflow anywhere fails the test.  The
-    cascade takes no more steps than the product took passes and fill
-    rounds, since each of a run's terms comes from a distinct one.
-    """
-    p = vals[first].astype(np.float64)
-    c, size = np.zeros(len(p)), np.zeros(len(p))
-    opened = np.searchsorted(-length, -np.arange(1, length[0]))  # length > j
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, n in enumerate(opened.tolist(), 1):
-            e = _two_sum(p[:n], vals[first[:n] + j])
-            size[:n] += np.abs(_two_sum(c[:n], e))
-        d = _two_sum(p, c)
-        mag = np.abs(p)
-        half_gap = (mag - np.nextafter(mag, 0)) / 2
-        proved = np.isfinite(p) & np.isfinite(d) & (p != 0) & (
-            (size == 0) | (np.abs(d) + 2 * size < half_gap))
-    return p, proved
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sets ``a`` to ``fl(a + b)`` in place and returns the exact error
-    ``a + b - fl(a + b)``; exact unless a step overflows, when the error is
-    not finite."""
-    s = a + b
-    back = s - a
-    err = (a - (s - back)) + (b - back)
-    a[...] = s
-    return err
-
-
-def _exact_sum(vals: np.ndarray) -> float:
-    """A run's sum as ``math.fsum`` gives it; where fsum raises, the IEEE
-    rounding of the exact sum: nan where a nan is present or +inf meets -inf,
-    the infinity where one is present, else the exact rational sum rounded
-    to the nearest double (+-inf only past the double range)."""
-    try:
-        return math.fsum(vals)
-    except (OverflowError, ValueError):
-        special = vals[~np.isfinite(vals)].tolist()
-        if special:
-            return sum(special)
-        exact = sum(map(Fraction, vals.tolist()))
-        try:
-            return float(exact)
-        except OverflowError:
-            return math.inf if exact > 0 else -math.inf
+    return OutputBlock(*fold_runs(np.concatenate([p.row for p in parts]),
+                                  np.concatenate([p.col for p in parts]),
+                                  np.concatenate([p.value for p in parts])))
 
 
 def assemble_output(merged: OutputBlock, geom: TilingGeometry) -> CscMatrix:

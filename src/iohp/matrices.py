@@ -157,9 +157,9 @@ def fold_runs(rows, cols, vals):
     if strictly_rising(rows, cols):
         return rows, cols, vals.astype(np.float64)
     rows, cols, vals, starts = coordinate_runs(rows, cols, vals)
-    out, run = vals[starts].astype(np.float64), np.arange(len(starts))
+    out = vals[starts].astype(np.float64)
     length = np.diff(starts, append=len(vals))
-    longest = int(length.max(initial=1))
+    run, longest = np.flatnonzero(length > 1), int(length.max(initial=1))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, longest):  # the runs still open
             run = run[length[run] > j]

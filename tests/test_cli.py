@@ -539,6 +539,25 @@ class TestOversizedSizeHeader:
         assert capsys.readouterr().err == (
             f"error: parse: {big}: line 2: size header exceeds int64\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["sim"], ["sim", "--mode", "sdmm"], ["spmm", "--out"], ["sweep"],
+        ["plan"]])
+    def test_size_past_a_pointer_array_fails_at_parse(self, tmp_path, capsys,
+                                                      argv):
+        # numpy refuses a 2**62 + 1 entry int64 array without allocating
+        # it, so an unchecked conversion would end at internal
+        huge = tmp_path / "huge.mtx"
+        huge.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"{2 ** 62} {2 ** 62} 1\n1 1 1.0\n")
+        out = tmp_path / "c.mtx"
+        rc = main(argv + [str(out)] * (argv[-1] == "--out")
+                  + ["--a", str(huge), "--b", str(huge)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: parse: {huge}: {2 ** 62} rows, more than a pointer array "
+            f"can index ({2 ** 60 - 2})\n")
+        assert not out.exists()
+
 
 class TestUnreadableConfig:
     @pytest.mark.parametrize("command", ["sim", "plan", "sweep"])

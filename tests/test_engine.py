@@ -200,46 +200,6 @@ class TestMerge:
             got[merged.row, merged.col] = merged.value
             assert np.array_equal(got, oracle)
 
-    def test_permutation_and_regrouping_invariance(self):
-        rng = np.random.default_rng(33)
-        blocks = []
-        for _ in range(6):
-            nnz = int(rng.integers(1, 8))
-            rows = np.sort(rng.integers(0, 3, nnz))
-            cols = rng.integers(0, 3, nnz)
-            t = canonicalize(3, 3, [(int(r), int(c), float(v)) for r, c, v in
-                                    zip(rows, cols, rng.uniform(-1, 1, nnz))])
-            blocks.append(OutputBlock(
-                np.array([e[0] for e in t.entries], dtype=np.int64),
-                np.array([e[1] for e in t.entries], dtype=np.int64),
-                np.array([e[2] for e in t.entries])))
-        ref = merge_output_blocks(blocks)
-        perm = merge_output_blocks(blocks[::-1])
-        regroup = merge_output_blocks(
-            [merge_output_blocks(blocks[:3]), merge_output_blocks(blocks[3:])])
-        for other in (perm, regroup):
-            assert np.array_equal(ref.row, other.row)
-            assert np.array_equal(ref.col, other.col)
-            assert np.array_equal(ref.value, other.value)  # bit-exact
-
-
-    @pytest.mark.parametrize("run, want", [
-        ([1e308, 1e308], np.inf),
-        ([-1e308, -1e308], -np.inf),
-        ([1e308, 1e308, -1e308], 1e308),  # only a partial sum overflows
-        ([np.inf, 1.0, -np.inf], np.nan),
-        ([1e308, 1e308, -np.inf], -np.inf),
-        ([1e308, 1e308, np.nan], np.nan),
-        ([np.inf, 1e308, 1e308], np.inf),
-    ])
-    def test_run_fsum_rejects_takes_the_rounded_exact_sum(self, run, want):
-        # every value lands on one coordinate, one block each
-        parts = [OutputBlock(np.array([1]), np.array([2]), np.array([v]))
-                 for v in run]
-        out = merge_output_blocks(parts)
-        assert out.row.tolist() == [1] and out.col.tolist() == [2]
-        np.testing.assert_array_equal(out.value, [want])
-
     def test_run_past_the_double_range_matches_the_held_path(self):
         # the same overflowing product, summed in one store (k_t = 2) or
         # merged across two k blocks (k_t = 1), as the dense product gives

@@ -8,7 +8,6 @@ directories, are rebuilt here from a pass's product stream and fill starts;
 the engine keeps only the grid's arrays.
 """
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -233,22 +232,16 @@ def address_map_reference(ps):
 
 
 def merge_reference(parts):
-    """Per-coordinate merge: fsum on every run, copy a lone entry."""
-    parts = [p for p in parts if p.nnz]
-    if not parts:
-        return OutputBlock.empty()
-    rows = np.concatenate([p.row for p in parts])
-    cols = np.concatenate([p.col for p in parts])
-    vals = np.concatenate([p.value for p in parts])
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    change = np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])))
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], len(rows))
-    out_vals = np.empty(len(starts))
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        out_vals[i] = vals[s] if e - s == 1 else math.fsum(vals[s:e])
-    return OutputBlock(rows[starts], cols[starts], out_vals)
+    """Per-coordinate merge: each coordinate's values added left to right in
+    part order by a Python loop, the coordinates then in (row, col) order."""
+    sums = {}
+    for p in parts:
+        for r, c, v in zip(p.row.tolist(), p.col.tolist(), p.value.tolist()):
+            sums[r, c] = sums[r, c] + v if (r, c) in sums else v
+    keys = sorted(sums)
+    return OutputBlock(np.array([r for r, _ in keys], dtype=np.int64),
+                       np.array([c for _, c in keys], dtype=np.int64),
+                       np.array([sums[key] for key in keys], dtype=np.float64))
 
 
 def assemble_reference(parts, geom):
@@ -298,7 +291,7 @@ def run_output_reference(workload, plan, cfg):
                 blks = st.spilled + [address_map(st)]
                 if any(blk.nnz for blk in blks):
                     parts.setdefault((m, g, n, h), []).extend(blks)
-    merged = {key: merge_output_blocks(blocks) for key, blocks in parts.items()}
+    merged = {key: merge_reference(blocks) for key, blocks in parts.items()}
     return assemble_reference(merged, geom)
 
 

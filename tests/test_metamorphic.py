@@ -2,8 +2,8 @@
 
 Power-of-two value scaling: running (4·A, 0.5·B) instead of (A, B) leaves
 every modelled number as it was and doubles the result exactly.  Each
-product 4a·0.5b is exactly 2ab, and a left fold or a correctly rounded sum
-of doubled terms is the doubled sum, away from overflow and underflow
+product 4a·0.5b is exactly 2ab, and a left fold of doubled terms is the
+doubled fold, away from overflow and underflow
 (values lie in [-1, 1), and no product or sum nears the subnormal range).
 The cases spill and split k, so the run-wide merge sums runs of three or
 more terms.
@@ -21,6 +21,11 @@ c_b swapped) reads the same blocks and forms the same products, so its
 encode and compute cycles, MACs, input bits and predicted DRAM are the
 original's.  A psum store's rows are A's rows, so the address map, the
 spills and the spilled results are not mirrored.
+
+The strategy: RAF, RBF and RABE with the same tiles run the same passes in
+another order, and each coordinate's partial sums still arrive in k order
+(a pass's flushes in fill order, then its held psums), so the result is
+byte-identical under all three, whether or not the stores spill.
 """
 
 import dataclasses
@@ -36,14 +41,14 @@ from iohp.synthetic import random_triplets
 
 
 @st.composite
-def spilling_cases(draw):
+def spilling_cases(draw, values: str = "float"):
     """Operands, a plan with t_k > 1 and a config whose stores overflow."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     m, n = (draw(st.integers(8, 40)) for _ in range(2))
     k = draw(st.integers(8, 60))
     density = draw(st.floats(0.2, 0.5))
-    a = to_csc(random_triplets(m, k, density, rng))
-    b = to_csr(random_triplets(k, n, density, rng))
+    a = to_csc(random_triplets(m, k, density, rng, values))
+    b = to_csr(random_triplets(k, n, density, rng, values))
     plan = PartitionPlan(1, 1, 1, draw(st.integers(1, m)),
                          draw(st.integers(1, k // 2)), draw(st.integers(1, n)),
                          draw(st.sampled_from(["RAF", "RBF", "RABE"])), 0)
@@ -73,6 +78,27 @@ def test_power_of_two_scaling_doubles_the_result_and_keeps_the_model(case):
     assert result4.row_idx.tobytes() == result.row_idx.tobytes()
     assert result4.col_ptr.tobytes() == result.col_ptr.tobytes()
     assert result4.value.tobytes() == (2.0 * result.value).tobytes()
+
+
+def result_bytes(result) -> tuple:
+    return tuple(x.tobytes() for x in (result.value, result.row_idx,
+                                       result.col_ptr))
+
+
+@seed(23)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(["float", "int"]).flatmap(spilling_cases))
+def test_results_do_not_depend_on_the_strategy(case):
+    a, b, plan, cfg = case
+    results = set()
+    for strategy in ("RAF", "RBF", "RABE"):
+        result, stats = run(Workload(a, b),
+                            dataclasses.replace(plan, strategy=strategy), cfg,
+                            "ssmm")
+        assert stats.t_k >= 2
+        results.add(result_bytes(result))
+    assume(stats.spill_events > 0)  # the same passes spill under each
+    assert len(results) == 1
 
 
 @st.composite
