@@ -28,8 +28,8 @@ from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
 from .synthetic import random_dense, random_triplets
 
 DEFAULT_SDMM_THRESHOLD = 0.25
-# the most entries numpy can hold in one int64 array; a CSC or CSR pointer
-# array has one per column or row, plus one
+# the most entries numpy can hold in one 8-byte array: a CSC or CSR pointer
+# array has one per column or row, plus one; a dense B one per cell
 _POINTER_LIMIT = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
@@ -228,6 +228,9 @@ def _plan(spec: WorkloadSpec, cfg: HardwareConfig,
 
 def _workload(a_trip, b_trip, mode: str) -> Workload:
     """A as CSC; B as ``mode`` runs it, dense under SDMM, else CSR."""
+    if mode == MODE_SDMM and b_trip.n_rows * b_trip.n_cols >= _POINTER_LIMIT:
+        raise CommandError("parse", f"B is {b_trip.n_rows}x{b_trip.n_cols}, more "
+                           f"cells than a dense array can hold ({_POINTER_LIMIT - 1})")
     b = to_dense(b_trip) if mode == MODE_SDMM else to_csr(b_trip)
     return Workload(to_csc(a_trip), b)
 

@@ -40,32 +40,37 @@ WRITE_CHUNK = 2 ** 14  # entries formatted per write: bounds a writer's memory
 
 class TripletMatrix:
     """Explicit coordinates, from (row, col, value) tuples or ``arrays=(rows,
-    cols, vals)``; ``entries`` reads the tuples back.  Canonical (see
+    cols, vals)``; ``entries`` reads the tuples back.  Coordinates lie below
+    2**53 in tuples (float64) and 2**63 in arrays (int64).  Canonical (see
     :func:`canonicalize`) means unique coordinates sorted by (row, col)."""
 
     __slots__ = ("n_rows", "n_cols", "rows", "cols", "vals")
 
     def __init__(self, n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
                  arrays: tuple | None = None):
+        bits = 63  # int64; tuples pass through float64, exact below 2**53
         if arrays is None:
             entries = entries if isinstance(entries, (list, tuple)) else list(entries)
             flat = np.fromiter(itertools.chain.from_iterable(entries), np.float64)
             if len(flat) != 3 * len(entries):
                 raise MatrixFormatError("entries must be (row, col, value) triples")
-            arrays = flat[0::3], flat[1::3], flat[2::3]
+            arrays, bits = (flat[0::3], flat[1::3], flat[2::3]), 53
         rows, cols = np.asarray(arrays[0]), np.asarray(arrays[1])
         vals = np.asarray(arrays[2], dtype=np.float64)
         if not len(rows) == len(cols) == len(vals):
             raise MatrixFormatError("rows, cols and vals lengths differ")
         integral = rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
         whole = integral or (rows == np.trunc(rows)) & (cols == np.trunc(cols))
-        bad = np.flatnonzero(~(whole & (rows >= 0) & (rows < n_rows)  # NaN fails
-                               & (cols >= 0) & (cols < n_cols)))
-        if len(bad):  # name the first bad entry as it was given
+        bad = np.flatnonzero(~(whole & (rows >= 0) & (rows < min(n_rows, 2 ** bits))
+                               & (cols >= 0) & (cols < min(n_cols, 2 ** bits))))
+        if len(bad):  # name the first bad entry as it was given; NaN fails
             i = bad[0]
             r, c = entries[i][:2] if len(entries) else (rows[i], cols[i])
             if not integral and not whole[i]:
                 raise CoordinateError(f"entry ({r},{c}) has a non-integer coordinate")
+            if 0 <= r < n_rows and 0 <= c < n_cols:
+                raise BoundsError(
+                    f"entry ({r},{c}) has a coordinate of 2**{bits} or more")
             raise BoundsError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
         self.n_rows, self.n_cols, self.vals = n_rows, n_cols, vals
         self.rows, self.cols = rows.astype(np.int64), cols.astype(np.int64)
@@ -373,27 +378,21 @@ def _bulk_entries(data: bytes, start: int, pattern: bool, nnz: int,
     one numpy pass, or None unless that pass provably reads what
     :func:`_line_entries` would.
 
-    numpy reads the bytes as ASCII through a stream over the same buffer
-    (no copy), splits a line on the same whitespace as ``str.split`` and
-    reads ``int``/``float`` tokens as Python does, but rejects a few that
-    Python takes (``1_0``, extra tokens, non-ASCII), so any conversion
-    error, a ``%`` line, a row count other than ``nnz`` or an index out of
-    range is left to the line loop, which accepts or names the faulty line.
+    numpy (:func:`_loadtxt`) splits a line on the same whitespace as
+    ``str.split`` and reads ``int``/``float`` tokens as Python does, but
+    rejects a few that Python takes (``1_0``, extra tokens, non-ASCII), so
+    any conversion error, a ``%`` line, a row count other than ``nnz`` or an
+    index out of range is left to the line loop, which accepts or names the
+    faulty line.
     """
     if data.find(b"%", start) >= 0:
         return None
-    stream = io.BytesIO(data)
-    stream.seek(start)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty body warns
-            table = np.loadtxt(stream, comments=None, ndmin=1, encoding="ascii",
-                               dtype=_PATTERN_ROW if pattern else _ENTRY_ROW)
-    except (ValueError, Warning):
+    table = _loadtxt(data, start, ndmin=1,
+                     dtype=_PATTERN_ROW if pattern else _ENTRY_ROW)
+    if table is None or len(table) != nnz:
         return None
     rows, cols = table["r"], table["c"]
-    if len(table) != nnz or not np.all((rows >= 1) & (rows <= n_rows)
-                                       & (cols >= 1) & (cols <= n_cols)):
+    if not np.all((rows >= 1) & (rows <= n_rows) & (cols >= 1) & (cols <= n_cols)):
         return None
     vals = np.ones(nnz) if pattern else table["v"]
     return rows - 1, cols - 1, vals
@@ -444,13 +443,9 @@ def _mirror(rows, cols, vals):
 
 def write_matrix_market(m: AnySparse, path) -> None:
     """Write coordinate real general Matrix Market; values round-trip exactly.
-    A TripletMatrix is written as stored, CSC and CSR canonical."""
-    if isinstance(m, CscMatrix):  # row-major; columns stay rising in a row
-        order = stable_order(m.row_idx, m.n_rows)
-        m = canonicalize(m.n_rows, m.n_cols,
-                         arrays=tuple(a[order] for a in _coords(m)))
-    t = m if isinstance(m, TripletMatrix) else \
-        canonicalize(m.n_rows, m.n_cols, arrays=_coords(m))
+    A TripletMatrix is written as stored, a CSC or CSR matrix as its
+    :func:`to_triplets`."""
+    t = m if isinstance(m, TripletMatrix) else to_triplets(m)
     with open(path, "w", encoding="ascii") as f:
         f.write("%%MatrixMarket matrix coordinate real general\n")
         f.write(f"{t.n_rows} {t.n_cols} {t.nnz}\n")
@@ -489,20 +484,23 @@ def to_csr(t: TripletMatrix) -> CsrMatrix:
     return CsrMatrix(t.n_rows, t.n_cols, *_compress(t.rows, t.cols, t.vals, t.n_rows))
 
 
-def to_triplets(m: Union[CscMatrix, CsrMatrix, DenseMatrix]) -> TripletMatrix:
-    if not isinstance(m, DenseMatrix):
-        return canonicalize(m.n_rows, m.n_cols, arrays=_coords(m))
-    rr, cc = np.nonzero(m.data)
-    return TripletMatrix(m.n_rows, m.n_cols, arrays=(rr, cc, m.data[rr, cc]))
+def to_triplets(m: Union[AnySparse, DenseMatrix]) -> TripletMatrix:
+    """A sparse matrix's canonical entries: :func:`fold_runs` of its stored
+    entries in storage order, a CSC matrix's put in row order by one stable
+    sort first; a dense matrix's nonzero cells."""
+    if isinstance(m, DenseMatrix):
+        rr, cc = np.nonzero(m.data)
+        return TripletMatrix(m.n_rows, m.n_cols, arrays=(rr, cc, m.data[rr, cc]))
+    order = (stable_order(m.row_idx, m.n_rows) if isinstance(m, CscMatrix)
+             else slice(None))
+    return canonicalize(m.n_rows, m.n_cols, arrays=[a[order] for a in _coords(m)])
 
 
 def to_dense(m: AnySparse) -> DenseMatrix:
-    """Scatter stored entries onto a zero matrix; the last write wins."""
-    rows, cols, vals = _coords(m)
-    _, last = np.unique((rows * m.n_cols + cols)[::-1], return_index=True)
-    keep = len(rows) - 1 - last
+    """The entries of :func:`to_triplets` scattered onto a zero matrix."""
+    t = to_triplets(m)
     out = np.zeros((m.n_rows, m.n_cols))
-    out[rows[keep], cols[keep]] = vals[keep]
+    out[t.rows, t.cols] = t.vals
     return DenseMatrix(m.n_rows, m.n_cols, out)
 
 
@@ -534,12 +532,18 @@ def _bulk_csv(data: bytes):
     but rejects a few that it takes (``1_0``, non-ASCII digits,
     whitespace-only lines), and a ragged or empty file; those are left to
     the loop."""
+    return _loadtxt(data, 0, delimiter=",", ndmin=2, dtype=np.float64)
+
+
+def _loadtxt(data: bytes, start: int, **kwargs):
+    """``np.loadtxt`` of the ASCII bytes past offset ``start``, read in place
+    with warnings as errors (an empty body warns); None where numpy declines."""
     stream = io.BytesIO(data)
+    stream.seek(start)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty file warns
-            return np.loadtxt(stream, delimiter=",", comments=None, ndmin=2,
-                              dtype=np.float64, encoding="ascii")
+            warnings.simplefilter("error")
+            return np.loadtxt(stream, comments=None, encoding="ascii", **kwargs)
     except (ValueError, Warning):
         return None
 

@@ -558,6 +558,30 @@ class TestOversizedSizeHeader:
             f"can index ({2 ** 60 - 2})\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["sim"], ["spmm", "--out"], ["sweep"]])
+    def test_dense_b_past_one_array_fails_at_parse(self, tmp_path, capsys,
+                                                   monkeypatch, argv):
+        # each dimension passes the pointer check, but a dense B of 2**80
+        # cells does not fit one array; no operand form may be built, since
+        # A's CSC pointer array alone would have 2**40 + 1 entries
+        def refuse(t):
+            raise AssertionError("an operand form was built")
+
+        for name in ("to_csc", "to_csr", "to_dense"):
+            monkeypatch.setattr(cli, name, refuse)
+        a, b = tmp_path / "a.mtx", tmp_path / "b.mtx"
+        for path, rows in ((a, 1), (b, 2 ** 40)):
+            path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                            f"{rows} {2 ** 40} 1\n1 1 1.0\n")
+        out = tmp_path / "c.csv"
+        rc = main(argv + [str(out)] * (argv[-1] == "--out")
+                  + ["--mode", "sdmm", "--a", str(a), "--b", str(b)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: parse: B is {2 ** 40}x{2 ** 40}, more cells than a dense "
+            f"array can hold ({2 ** 60 - 2})\n")
+        assert not out.exists()
+
 
 class TestUnreadableConfig:
     @pytest.mark.parametrize("command", ["sim", "plan", "sweep"])

@@ -2,10 +2,12 @@
 ``iohp`` commands, so a change that moves any result byte (a summation
 order, a written digit) fails here, while ``tests/golden_reports.txt`` pins
 the reports.  Each command's inputs are drawn from its own seed and written
-as Matrix Market files; the report is read back only to check that the
-spilling cases still spill and split k.  To re-record after an intended
-result change, run ``PYTHONPATH=src python tests/test_golden_outputs.py``
-and list the moved lines in the change's notes.
+as Matrix Market files (a B that lists one coordinate twice, or symmetric
+pattern files, where ``WRITERS`` says so); the report is read back only to
+check that the spilling cases still spill and split k.  To re-record after
+an intended result change, run ``PYTHONPATH=src python
+tests/test_golden_outputs.py`` and list the moved lines in the change's
+notes.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from iohp.cli import main
-from iohp.matrices import write_matrix_market
+from iohp.matrices import TripletMatrix, write_matrix_market
 from iohp.synthetic import random_triplets
 
 GOLDEN = Path(__file__).with_name("golden_outputs.txt")
@@ -32,11 +34,37 @@ SPMM_CASES = {
     "spmm_ssmm_int_spill": (4, (60, 90, 50), 0.12, "int",
                             ["--mode", "ssmm"], SPILL_CONFIG),
     "spmm_sdmm_float": (5, (40, 30, 12), 0.15, "float", ["--mode", "sdmm"], ""),
+    "spmm_sdmm_float_repeat": (6, (40, 30, 12), 0.15, "float",
+                               ["--mode", "sdmm"], ""),
+    "spmm_ssmm_symmetric_pattern": (8, (30, 30, 30), 0.15, "float",
+                                    ["--mode", "ssmm"], ""),
 }
 SPILLING = ("spmm_ssmm_float_spill", "spmm_ssmm_int_spill")
 GCN_ARGS = ["gcn", "--synthetic", "--nodes", "40", "--features", "24",
             "--hidden", "6", "--classes", "3", "--da", "0.1", "--dx", "0.2",
             "--seed", "7"]
+
+
+def write_repeating(t: TripletMatrix, path: Path) -> None:
+    """``t`` with its first entry listed once more at the end, as stored."""
+    write_matrix_market(TripletMatrix(t.n_rows, t.n_cols, arrays=(
+        np.append(t.rows, t.rows[:1]), np.append(t.cols, t.cols[:1]),
+        np.append(t.vals, t.vals[:1]))), path)
+
+
+def write_symmetric_pattern(t: TripletMatrix, path: Path) -> None:
+    """The pattern of ``t``'s lower triangle, as a symmetric pattern file."""
+    low = t.rows >= t.cols
+    path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                    f"{t.n_rows} {t.n_cols} {int(low.sum())}\n" + "".join(
+                        f"{r + 1} {c + 1}\n" for r, c in
+                        zip(t.rows[low].tolist(), t.cols[low].tolist())),
+                    encoding="ascii")
+
+
+# name: the writers of A's and B's files, where not write_matrix_market
+WRITERS = {"spmm_sdmm_float_repeat": (write_matrix_market, write_repeating),
+           "spmm_ssmm_symmetric_pattern": (write_symmetric_pattern,) * 2}
 
 
 def sha256(path: Path) -> str:
@@ -49,10 +77,10 @@ def run_spmm(name: str, tmp: Path) -> dict:
     seed, (m, k, n), density, values, flags, config = SPMM_CASES[name]
     rng = np.random.default_rng(seed)
     paths = {}
-    for operand, (rows, cols) in (("a", (m, k)), ("b", (k, n))):
+    writers = WRITERS.get(name, (write_matrix_market,) * 2)
+    for operand, (rows, cols), write in zip("ab", ((m, k), (k, n)), writers):
         paths[operand] = tmp / f"{name}_{operand}.mtx"
-        write_matrix_market(random_triplets(rows, cols, density, rng, values),
-                            paths[operand])
+        write(random_triplets(rows, cols, density, rng, values), paths[operand])
     out, report = tmp / f"{name}.out", tmp / f"{name}.report"
     argv = ["spmm", "--a", str(paths["a"]), "--b", str(paths["b"]),
             "--out", str(out), "--report", str(report),

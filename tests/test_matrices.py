@@ -176,6 +176,32 @@ class TestConversions:
         assert to_triplets(to_csr(t)) == t
 
 
+class TestCoordinatesNeverMove:
+    """A coordinate is stored exactly or rejected with an error that names its
+    entry.  Tuples pass through float64, which rounds integers from 2**53, so
+    they must lie below it; ``arrays=`` holds int64, which ends at 2**63."""
+
+    @pytest.mark.parametrize("row, n_rows", [(2 ** 53 + 1, 2 ** 60),
+                                             (2 ** 63 + 10, 2 ** 80)])
+    def test_tuple_coordinate_past_2_53_rejected(self, row, n_rows):
+        with pytest.raises(BoundsError, match=rf"^entry \({row},0\) has a "
+                           r"coordinate of 2\*\*53 or more$"):
+            TripletMatrix(n_rows, 4, [(row, 0, 1.0)])
+        t = TripletMatrix(2 ** 60, 4, arrays=([2 ** 53 + 1], [0], [1.0]))
+        assert t.rows.tolist() == [2 ** 53 + 1]
+
+    def test_neighbouring_tuple_coordinates_not_merged(self):
+        with pytest.raises(BoundsError, match=r"^entry \(9007199254740993,0\) "):
+            canonicalize(2 ** 60, 4, [(2 ** 53 + 1, 0, 1.0), (2 ** 53, 0, 2.0)])
+
+    @pytest.mark.parametrize("rows", [[2 ** 70],
+                                      np.array([2 ** 63 + 10], np.uint64)])
+    def test_array_coordinate_past_int64_rejected(self, rows):
+        with pytest.raises(BoundsError, match=rf"^entry \({rows[0]},0\) has a "
+                           r"coordinate of 2\*\*63 or more$"):
+            TripletMatrix(2 ** 80, 4, arrays=(rows, [0], [1.0]))
+
+
 class TestDense:
     def test_to_dense_empty(self):
         d = to_dense(TripletMatrix(2, 2, []))

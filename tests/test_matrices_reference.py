@@ -153,18 +153,12 @@ def ref_to_triplets(m):
 
 
 def ref_to_dense(m):
+    """The canonical fold of ``m``'s stored entries, scattered onto zeros."""
+    t = ref_canonicalize(m.n_rows, m.n_cols, m.entries) \
+        if isinstance(m, RefTriplets) else ref_to_triplets(m)
     out = np.zeros((m.n_rows, m.n_cols))
-    if isinstance(m, RefTriplets):
-        for r, c, v in m.entries:
-            out[r, c] = v
-    elif isinstance(m, CscMatrix):
-        for c in range(m.n_cols):
-            s, e = m.col_ptr[c], m.col_ptr[c + 1]
-            out[m.row_idx[s:e], c] = m.value[s:e]
-    else:
-        for r in range(m.n_rows):
-            s, e = m.row_ptr[r], m.row_ptr[r + 1]
-            out[r, m.col_idx[s:e]] = m.value[s:e]
+    for r, c, v in t.entries:
+        out[r, c] = v
     return out
 
 
@@ -727,14 +721,23 @@ class TestConversions:
         csc = CscMatrix(2, 2, np.array([1.0, 1e16, -1e16, 2.0]),
                         np.array([0, 0, 0, 1]), np.array([0, 3, 4]))
         assert_same(to_triplets(csc), ref_to_triplets(csc))
+        assert to_dense(csc).data.tolist() == [[0.0, 0.0], [0.0, 2.0]]
         assert to_dense(csc).data.tobytes() == ref_to_dense(csc).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(entry_lists)
-    def test_to_dense_last_write_wins(self, case):
+    def test_to_dense_folds_duplicates(self, case):
+        # a repeated coordinate holds its left fold in storage order, in
+        # every sparse form, as to_triplets scattered onto zeros
         n, raw = case
         t = TripletMatrix(n, n, raw)
-        assert to_dense(t).data.tobytes() == ref_to_dense(ref_triplets(t)).tobytes()
+        dense = to_dense(t).data.tobytes()
+        assert dense == ref_to_dense(ref_triplets(t)).tobytes()
+        for m in (t, to_csc(t), to_csr(t)):
+            c = to_triplets(m)
+            scattered = np.zeros((n, n))
+            scattered[c.rows, c.cols] = c.vals
+            assert to_dense(m).data.tobytes() == scattered.tobytes()
 
     def test_write_matches_reference(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -26,6 +26,14 @@ The strategy: RAF, RBF and RABE with the same tiles run the same passes in
 another order, and each coordinate's partial sums still arrive in k order
 (a pass's flushes in fill order, then its held psums), so the result is
 byte-identical under all three, whether or not the stores spill.
+
+The mode: one B gives one product whether it runs as CSR under SSMM or
+dense under SDMM, each planned as the CLI plans it.  Integer values sum
+exactly in any order, so the results are bit-identical; float results agree
+to the rounding of a reordered fold.  A canonical B with no stored zero has
+as many nonzero dense cells as stored entries, so both modes count the same
+MACs.  A B that stores a coordinate twice is densified as the left fold of
+its values; SSMM multiplies each stored entry, so only the values compare.
 """
 
 import dataclasses
@@ -34,8 +42,9 @@ import numpy as np
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from iohp.cli import _run_one
 from iohp.costmodel import Workload, run
-from iohp.matrices import canonicalize, to_csc, to_csr
+from iohp.matrices import TripletMatrix, canonicalize, to_csc, to_csr, to_dense
 from iohp.planner import HardwareConfig, PartitionPlan, dram_access
 from iohp.synthetic import random_triplets
 
@@ -194,3 +203,54 @@ def test_transpose_mirror_keeps_the_model_but_the_address_map(case):
     assert stats_t.dram.bits_b_read == stats.dram.bits_a_read
     # not compared: addrmap_cycles, spill_events, bits_psum_spill and the
     # result's sums, which follow the psum store's rows, A's rows
+
+
+@st.composite
+def mode_cases(draw):
+    """A as CSC, B in triplets and a config: float or integer values, none
+    zero; input buffers from a few entries (k splits) to roomy and stores
+    from a few slots (SSMM spills) to roomy.  Some Bs list a few of their
+    coordinates once more, with values of their own."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = draw(st.sampled_from(["float", "int"]))
+    m, k, n = (draw(st.integers(2, 30)) for _ in range(3))
+    ta = random_triplets(m, k, draw(st.floats(0.05, 0.5)), rng, values)
+    tb = random_triplets(k, n, draw(st.floats(0.05, 0.5)), rng, values)
+    assume(tb.nnz and np.all(ta.vals != 0) and np.all(tb.vals != 0))
+    repeats = draw(st.sampled_from([0, 0, 1, 3]))
+    if repeats:
+        pick = rng.integers(0, tb.nnz, repeats)
+        extra = random_triplets(1, repeats, 1.0, rng, values).vals
+        tb = TripletMatrix(k, n, arrays=(np.append(tb.rows, tb.rows[pick]),
+                                         np.append(tb.cols, tb.cols[pick]),
+                                         np.append(tb.vals, extra)))
+    cfg = HardwareConfig(c_a=draw(st.sampled_from([8, 64, 2048])),
+                         c_b=draw(st.sampled_from([8, 64, 2048])),
+                         c_psum=draw(st.sampled_from([2, 8, 256])),
+                         g_na=draw(st.integers(1, 3)), g_nb=draw(st.integers(1, 3)))
+    return to_csc(ta), tb, repeats, values, cfg
+
+
+@seed(29)
+@settings(max_examples=60, deadline=None, database=None)
+@given(mode_cases())
+def test_ssmm_and_sdmm_compute_one_product(case):
+    a, tb, repeats, values, cfg = case
+    sparse, stats, _ = _run_one(Workload(a, to_csr(tb)), "ssmm", cfg)
+    dense, stats_d, _ = _run_one(Workload(a, to_dense(tb)), "sdmm", cfg)
+    if values == "int":
+        assert to_dense(sparse).data.tobytes() == dense.data.tobytes()
+    else:  # a fold of at most 30 terms below 3 in size rounds by under 1e-12
+        np.testing.assert_allclose(to_dense(sparse).data, dense.data,
+                                   rtol=1e-12, atol=1e-12)
+    if not repeats:
+        assert stats.achieved_macs == stats_d.achieved_macs
+
+
+def test_a_repeated_b_coordinate_sums_alike_in_both_modes():
+    a = to_csc(TripletMatrix(2, 2, [(0, 0, 1.0), (1, 1, 1.0)]))
+    b = TripletMatrix(2, 2, [(0, 0, 1.0), (0, 0, 2.0), (1, 1, 5.0)])
+    sparse, _, _ = _run_one(Workload(a, to_csr(b)), "ssmm", HardwareConfig())
+    dense, _, _ = _run_one(Workload(a, to_dense(b)), "sdmm", HardwareConfig())
+    assert to_dense(sparse).data.tolist() == [[3.0, 0.0], [0.0, 5.0]]
+    assert dense.data.tolist() == [[3.0, 0.0], [0.0, 5.0]]
