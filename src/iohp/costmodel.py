@@ -13,8 +13,8 @@ Each pass appends one ``StageTrace``, and every ``SimStats`` total but the C
 write is a reduction over them.  A pass that loads a block reads its entry
 stream; the first pass of each traversal over a k span (A at row strip 0, B at
 column strip 0) also reads the span's pointer stream, so the input reads
-(spills aside) are the reuse strategy's predicted cost exactly.  Spills use the
-reduced on-chip index width; loads use the configured full widths.
+(spills aside) are the reuse strategy's predicted cost exactly.  Sparse loads
+and SSMM's C write cost ``sparse_bits``; spills use the reduced index width.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .engine import (OutputBlock, assemble_output, compute_psums,
                      merge_output_blocks, sdmm_compute)
 from .matrices import CscMatrix, CsrMatrix, DenseMatrix
 from .planner import (HardwareConfig, PartitionPlan, WorkloadSpec,
-                      STRATEGY_RAF, STRATEGY_RBF)
+                      STRATEGY_RAF, STRATEGY_RBF, sparse_bits)
 
 MODE_SSMM = "ssmm"
 MODE_SDMM = "sdmm"
@@ -190,7 +190,6 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
     geom = make_geometry(plan, (a.n_rows, a.n_cols, b.n_cols),
                          (cfg.g_na, cfg.g_nb))
 
-    entry_bits = cfg.bits_value + cfg.bits_index
     traces: list[StageTrace] = []
     outputs: list[OutputBlock] = []  # every pass's outputs, global coordinates
     a_blocks = {(m, k): encode_rp_csc(a, geom, m, k)
@@ -206,14 +205,13 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
         a_blk = a_blocks[m, k]
         (r_lo, r_hi), (c_lo, c_hi) = geom.block_rows(m), geom.block_cols(n)
         k_lo, k_hi = geom.k_span(k)
-        pointer_bits = (k_hi - k_lo) * cfg.bits_len  # read on a traversal's first pass
         encode = a_loaded * a_blk.nnz
-        bits_a = a_loaded * (a_blk.nnz * entry_bits + (m == 0) * pointer_bits)
+        bits_a = a_loaded * sparse_bits(a_blk.nnz, (m == 0) * (k_hi - k_lo), cfg)
 
         if mode == MODE_SSMM:
             b_blk = b_blocks[k, n]
             encode += b_loaded * b_blk.nnz
-            bits_b = b_loaded * (b_blk.nnz * entry_bits + (n == 0) * pointer_bits)
+            bits_b = b_loaded * sparse_bits(b_blk.nnz, (n == 0) * (k_hi - k_lo), cfg)
             grid = compute_psums(a_blk, b_blk, cfg)
             macs, fill_b = grid.appended_products, b_blk.nnz / cfg.c_b
             fill_psum = int(grid.peak.max()) / grid.capacity
@@ -233,7 +231,7 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
 
     if mode == MODE_SSMM:
         result = assemble_output(merge_output_blocks(outputs), geom)
-        bits_c = result.nnz * entry_bits + geom.n * cfg.bits_len
+        bits_c = sparse_bits(result.nnz, geom.n, cfg)
     else:
         result = DenseMatrix(geom.m, geom.n, dense_result)
         bits_c = geom.m * geom.n * cfg.bits_value

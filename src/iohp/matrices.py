@@ -3,16 +3,15 @@
 Triplets keep int64 ``rows``/``cols`` and float64 ``vals`` arrays; CSC keeps
 (value, row_idx, col_ptr); CSR keeps (value, col_idx, row_ptr).
 
-A file is read once as bytes and never decoded whole: a Matrix Market
-banner and size header are decoded line by line, and its body, or a dense
-CSV file, is parsed in one numpy pass over the same buffer.  A path or
-``bytes`` that holds ``\\r`` is first rewritten as text mode reads it; a
-text stream's text is encoded once.  A line loop reads the text again
-wherever the numpy pass cannot vouch for the result (non-ASCII text among
-it), and only the loop raises, naming the faulty line.  Loading a real
-coordinate file peaks at about its size plus 82 bytes per entry; the
-writers format ``WRITE_CHUNK`` entries at a time, so their memory does not
-grow with nnz.
+A file is a path or ``bytes`` of ASCII text, read once as bytes and never
+decoded whole; one that holds ``\\r`` is first rewritten as text mode reads
+it.  A Matrix Market banner and size header are decoded line by line, and
+its body, or a dense CSV file, is parsed in one numpy pass over the same
+buffer.  A line loop reads the text again wherever the numpy pass cannot
+vouch for the result, and only the loop raises, naming the faulty line.
+Loading a real coordinate file peaks at about its size plus 82 bytes per
+entry; the writers format ``WRITE_CHUNK`` entries at a time, so their
+memory does not grow with nnz.
 
 No product is computed here: the brute-force dense product that every
 sparse path is checked against is a test reference.  A stored entry counts
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -41,34 +41,35 @@ WRITE_CHUNK = 2 ** 14  # entries formatted per write: bounds a writer's memory
 class TripletMatrix:
     """Explicit coordinates, from (row, col, value) tuples or ``arrays=(rows,
     cols, vals)``; ``entries`` reads the tuples back.  Coordinates lie below
-    2**53 in tuples (float64) and 2**63 in arrays (int64).  Canonical (see
-    :func:`canonicalize`) means unique coordinates sorted by (row, col)."""
+    2**53 in tuples and float arrays, 2**63 in integer arrays.  Canonical
+    (see :func:`canonicalize`) means unique coordinates sorted by (row, col)."""
 
     __slots__ = ("n_rows", "n_cols", "rows", "cols", "vals")
 
     def __init__(self, n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
                  arrays: tuple | None = None):
-        bits = 63  # int64; tuples pass through float64, exact below 2**53
         if arrays is None:
             entries = entries if isinstance(entries, (list, tuple)) else list(entries)
             flat = np.fromiter(itertools.chain.from_iterable(entries), np.float64)
             if len(flat) != 3 * len(entries):
                 raise MatrixFormatError("entries must be (row, col, value) triples")
-            arrays, bits = (flat[0::3], flat[1::3], flat[2::3]), 53
+            arrays = flat[0::3], flat[1::3], flat[2::3]
         rows, cols = np.asarray(arrays[0]), np.asarray(arrays[1])
+        bits_r, bits_c = (53 if a.dtype.kind == "f" else 63 for a in (rows, cols))
         vals = np.asarray(arrays[2], dtype=np.float64)
         if not len(rows) == len(cols) == len(vals):
             raise MatrixFormatError("rows, cols and vals lengths differ")
         integral = rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
         whole = integral or (rows == np.trunc(rows)) & (cols == np.trunc(cols))
-        bad = np.flatnonzero(~(whole & (rows >= 0) & (rows < min(n_rows, 2 ** bits))
-                               & (cols >= 0) & (cols < min(n_cols, 2 ** bits))))
+        bad = np.flatnonzero(~(whole & (rows >= 0) & (rows < min(n_rows, 2 ** bits_r))
+                               & (cols >= 0) & (cols < min(n_cols, 2 ** bits_c))))
         if len(bad):  # name the first bad entry as it was given; NaN fails
             i = bad[0]
-            r, c = entries[i][:2] if len(entries) else (rows[i], cols[i])
+            r, c = entries[i][:2] if len(entries) else (arrays[0][i], arrays[1][i])
             if not integral and not whole[i]:
                 raise CoordinateError(f"entry ({r},{c}) has a non-integer coordinate")
             if 0 <= r < n_rows and 0 <= c < n_cols:
+                bits = bits_r if r >= 2 ** bits_r else bits_c
                 raise BoundsError(
                     f"entry ({r},{c}) has a coordinate of 2**{bits} or more")
             raise BoundsError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
@@ -265,23 +266,19 @@ def canonicalize(n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
 
 
 def _read_bytes(source) -> bytes:
-    """A source's contents as bytes: a path or ``bytes`` as a text-mode read
-    gives them, a text stream's text as it reads.
+    """The contents of ``bytes``, or of the file at a path, as a text-mode
+    read gives them; any other source raises ``os.fspath``'s ``TypeError``.
 
-    A path or ``bytes`` must be ASCII; any other byte raises the
+    The contents must be ASCII; any other byte raises the
     ``UnicodeDecodeError`` that decoding the whole raises.  As in text mode,
     ``\\r\\n`` and a lone ``\\r`` become ``\\n``, in a copy made only for
-    contents that hold ``\\r``.  A text stream's ``\\r`` is kept, and its text
-    is stored as UTF-8 with lone surrogates passed: its ASCII bytes when it is
-    ASCII, and otherwise bytes that only the line loops read, decoded.
+    contents that hold ``\\r``.
     """
-    if isinstance(source, str) or hasattr(source, "__fspath__"):
-        with open(source, "rb") as f:
-            data = f.read()
-    elif isinstance(source, bytes):
+    if isinstance(source, bytes):
         data = source
     else:
-        return _encode(source.read())
+        with open(os.fspath(source), "rb") as f:
+            data = f.read()
     if not data.isascii():
         data.decode("ascii")  # raises, naming the first byte past ASCII
     if b"\r" in data:
@@ -289,22 +286,14 @@ def _read_bytes(source) -> bytes:
     return data
 
 
-def _encode(text: str) -> bytes:
-    return text.encode("utf-8", "surrogatepass")
-
-
-def _decode(data: bytes) -> str:
-    return data.decode("utf-8", "surrogatepass")
-
-
 def load_matrix_market(source) -> TripletMatrix:
     """Parse Matrix Market coordinate format into a canonical TripletMatrix.
 
-    Accepts a path, text stream, or bytes.  Handles real/integer/pattern
-    fields and general/symmetric symmetry; symmetric inputs are expanded to
-    full general form.  Pattern entries get value 1.0.  Indices are 1-based
-    on disk and converted to 0-based; duplicate coordinates are summed.  Past
-    the size header's entry count only blank and ``%`` lines may follow.
+    Accepts a path or bytes.  Handles real/integer/pattern fields and
+    general/symmetric symmetry; symmetric inputs are expanded to full general
+    form.  Pattern entries get value 1.0.  Indices are 1-based on disk and
+    converted to 0-based; duplicate coordinates are summed.  Past the size
+    header's entry count only blank and ``%`` lines may follow.
     """
     return _parse_mm(_read_bytes(source))
 
@@ -319,7 +308,7 @@ def _line_at(data: bytes, start: int) -> tuple[str, int]:
     """The text of the line that starts at offset ``start``, and its end."""
     end = data.find(b"\n", start)
     end = len(data) if end < 0 else end
-    return _decode(data[start:end]), end
+    return data[start:end].decode("ascii"), end
 
 
 def _parse_mm(data: bytes) -> TripletMatrix:
@@ -358,7 +347,7 @@ def _parse_mm(data: bytes) -> TripletMatrix:
     pattern = fieldkind == "pattern"
     entries = _bulk_entries(data, start, pattern, nnz, n_rows, n_cols)
     if entries is None:
-        lines = _decode(data[start:]).split("\n")
+        lines = data[start:].decode("ascii").split("\n")
         entries = _line_entries(
             ((i, tokens) for i, line in enumerate(lines, lineno + 1)
              if (tokens := line.split()) and tokens[0][0] != "%"),
@@ -380,7 +369,7 @@ def _bulk_entries(data: bytes, start: int, pattern: bool, nnz: int,
 
     numpy (:func:`_loadtxt`) splits a line on the same whitespace as
     ``str.split`` and reads ``int``/``float`` tokens as Python does, but
-    rejects a few that Python takes (``1_0``, extra tokens, non-ASCII), so
+    rejects a few that Python takes (``1_0``, extra tokens), so
     any conversion error, a ``%`` line, a row count other than ``nnz`` or an
     index out of range is left to the line loop, which accepts or names the
     faulty line.
@@ -516,22 +505,21 @@ def write_dense_csv(m: DenseMatrix, path) -> None:
 
 
 def load_dense_csv(source) -> DenseMatrix:
-    """Comma-separated rows of floats; blank lines are skipped.  A source
-    is read as :func:`load_matrix_market` reads it, then in one numpy pass;
-    the line loop reads it again when that pass declines, and only the loop
-    raises, naming the faulty line."""
+    """Comma-separated rows of floats; blank lines are skipped.  A path or
+    bytes is read as :func:`load_matrix_market` reads it, then in one numpy
+    pass; the line loop reads it again when that pass declines, and only the
+    loop raises, naming the faulty line."""
     data = _read_bytes(source)
     rows = _bulk_csv(data)
-    return DenseMatrix.from_rows(_csv_rows(_decode(data)) if rows is None
+    return DenseMatrix.from_rows(_csv_rows(data.decode("ascii")) if rows is None
                                  else rows)
 
 
 def _bulk_csv(data: bytes):
     """Every row as one float64 array, or None unless numpy reads the bytes
     as :func:`_csv_rows` would.  numpy converts a token as ``float()`` does
-    but rejects a few that it takes (``1_0``, non-ASCII digits,
-    whitespace-only lines), and a ragged or empty file; those are left to
-    the loop."""
+    but rejects a few that it takes (``1_0``, whitespace-only lines), and a
+    ragged or empty file; those are left to the loop."""
     return _loadtxt(data, 0, delimiter=",", ndmin=2, dtype=np.float64)
 
 

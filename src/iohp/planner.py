@@ -140,12 +140,13 @@ class WorkloadSpec:
         if b_dense:  # every element stored, no index or pointer streams
             nnz_b = k * n
         return cls(m, k, n, nnz_a / (m * k), nnz_b / (k * n),
-                   m_a=_sparse_bits(nnz_a, k, cfg),
+                   m_a=sparse_bits(nnz_a, k, cfg),
                    m_b=nnz_b * cfg.bits_value if b_dense
-                   else _sparse_bits(nnz_b, k, cfg), b_dense=b_dense)
+                   else sparse_bits(nnz_b, k, cfg), b_dense=b_dense)
 
 
-def _sparse_bits(nnz: int, ptr_len: int, cfg: HardwareConfig) -> int:
+def sparse_bits(nnz: int, ptr_len: int, cfg: HardwareConfig) -> int:
+    """Full-width value and index per entry, one length per pointer."""
     return nnz * (cfg.bits_value + cfg.bits_index) + ptr_len * cfg.bits_len
 
 

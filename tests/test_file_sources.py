@@ -1,12 +1,12 @@
 """Every source kind reads alike, and the file readers and writers keep their
 memory bounded.
 
-The same Matrix Market or dense CSV contents are read as a path, as
-``bytes``, as the text stream that ``open(path, encoding="ascii")`` gives and
-as an ``io.StringIO`` of that stream's text.  All of them must give the same
-matrix, bit for bit, or raise the same exception with the same message: a
-path or ``bytes`` is read as text mode reads a file (``\\r\\n`` and a lone
-``\\r`` end a line; a byte past ASCII raises ``UnicodeDecodeError``).
+The same Matrix Market or dense CSV contents are read as a ``str`` path, as a
+``pathlib.Path`` and as ``bytes``.  All of them must give the same matrix, bit
+for bit, or raise the same exception with the same message: each is read as
+text mode reads a file (``\\r\\n`` and a lone ``\\r`` end a line; a byte past
+ASCII raises ``UnicodeDecodeError``).  Any other source, a text stream among
+them, is refused with ``TypeError``.
 """
 
 import io
@@ -94,17 +94,8 @@ def outcome(call):
 
 def outcomes(load, contents: bytes, path) -> list:
     path.write_bytes(contents)
-
-    def text_file():
-        with open(path, encoding="ascii") as f:
-            return load(f)
-
-    def string_io():
-        with open(path, encoding="ascii") as f:
-            return load(io.StringIO(f.read()))
-
-    return [outcome(lambda: load(str(path))), outcome(lambda: load(contents)),
-            outcome(text_file), outcome(string_io)]
+    return [outcome(lambda: load(str(path))), outcome(lambda: load(path)),
+            outcome(lambda: load(contents))]
 
 
 class TestSourceKinds:
@@ -147,13 +138,21 @@ class TestSourceKinds:
         assert results[0][0] is UnicodeDecodeError
         assert f"in position {position}:" in results[0][1]
 
-    def test_text_stream_keeps_its_lone_cr(self):
-        # a text stream is read as it reads: here the \r joins two lines
-        text = ("%%MatrixMarket matrix coordinate real general\n2 2 2\n"
-                "1 1 1.0\r2 2 2.0\n")
-        with pytest.raises(ValueError, match="^line 4: expected 2 entries"):
-            load_matrix_market(io.StringIO(text))
-        assert load_matrix_market(text.encode()).nnz == 2
+    @pytest.mark.parametrize("load, contents", [
+        (load_matrix_market,
+         b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n"),
+        (load_dense_csv, b"1,2\n3,4\n"),
+    ], ids=["matrix_market", "csv"])
+    def test_other_source_kinds_refused(self, tmp_path, load, contents):
+        path = tmp_path / "source"
+        path.write_bytes(contents)
+        load(path)  # the contents read: only the source kind is refused
+        with open(path, encoding="ascii") as text_file:
+            # -1 is no open descriptor, so a reader that took ints would fail
+            # with OSError, not TypeError
+            for source in (io.StringIO(contents.decode()), text_file, -1):
+                with pytest.raises(TypeError):
+                    load(source)
 
 
 # --- memory -----------------------------------------------------------------

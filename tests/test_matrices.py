@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from test_matrices_reference import dense_matmul
 
 
 def mm(text: str):
-    return load_matrix_market(io.StringIO(text))
+    return load_matrix_market(text.encode())
 
 
 class TestLoadMatrixMarket:
@@ -178,8 +176,9 @@ class TestConversions:
 
 class TestCoordinatesNeverMove:
     """A coordinate is stored exactly or rejected with an error that names its
-    entry.  Tuples pass through float64, which rounds integers from 2**53, so
-    they must lie below it; ``arrays=`` holds int64, which ends at 2**63."""
+    entry.  Tuples and float arrays hold float64, which rounds integers from
+    2**53, so their coordinates must lie below it; an integer array holds
+    int64, which ends at 2**63."""
 
     @pytest.mark.parametrize("row, n_rows", [(2 ** 53 + 1, 2 ** 60),
                                              (2 ** 63 + 10, 2 ** 80)])
@@ -200,6 +199,14 @@ class TestCoordinatesNeverMove:
         with pytest.raises(BoundsError, match=rf"^entry \({rows[0]},0\) has a "
                            r"coordinate of 2\*\*63 or more$"):
             TripletMatrix(2 ** 80, 4, arrays=(rows, [0], [1.0]))
+
+    def test_mixed_list_coordinate_past_2_53_rejected(self):
+        arrays = ([2 ** 53 + 1, 2.0], [0, 1], [1.0, 1.0])  # rows turn float64
+        with pytest.raises(BoundsError, match=r"^entry \(9007199254740993,0\) has "
+                           r"a coordinate of 2\*\*53 or more$"):
+            TripletMatrix(2 ** 60, 4, arrays=arrays)
+        with pytest.raises(BoundsError, match=r"coordinate of 2\*\*53 or more$"):
+            canonicalize(2 ** 60, 4, arrays=arrays)
 
 
 class TestDense:

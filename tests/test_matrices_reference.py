@@ -234,7 +234,7 @@ def outcome(call):
     """(result, None) or (None, (error type, message))."""
     try:
         return call(), None
-    except (MatrixFormatError, BoundsError) as e:
+    except (MatrixFormatError, BoundsError, UnicodeDecodeError) as e:
         return None, (type(e), str(e))
 
 
@@ -395,7 +395,7 @@ def mm_texts(draw):
 
 
 def parse_both(text):
-    got = outcome(lambda: load_matrix_market(io.StringIO(text)))
+    got = outcome(lambda: load_matrix_market(text.encode()))
     want = outcome(lambda: ref_parse_mm(io.StringIO(text)))
     return got, want
 
@@ -457,7 +457,7 @@ class TestMatrixMarket:
         text = ("%%MatrixMarket matrix coordinate real general\n"
                 "2 2 1\n1 1 1.0\n% c\n\n2 2 5.0\n")
         with pytest.raises(MatrixFormatError, match="^line 6: more entries than the 1"):
-            load_matrix_market(io.StringIO(text))
+            load_matrix_market(text.encode())
 
     def test_bytes_and_path_sources(self, tmp_path):
         text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 -0.0\n1 2 3\n"
@@ -482,9 +482,9 @@ def parse_paths(text):
 
     real_bulk = matrices._bulk_entries
     with mock.patch.object(matrices, "_bulk_entries", bulk):
-        shipped = outcome(lambda: load_matrix_market(io.StringIO(text)))
+        shipped = outcome(lambda: load_matrix_market(text.encode()))
     with mock.patch.object(matrices, "_bulk_entries", lambda *args: None):
-        loop = outcome(lambda: load_matrix_market(io.StringIO(text)))
+        loop = outcome(lambda: load_matrix_market(text.encode()))
     return shipped, loop, any(answered)
 
 
@@ -576,7 +576,11 @@ class TestBulkBodyParse:
     @settings(max_examples=500, deadline=None)
     @given(tricky_mm_texts())
     def test_tricky_files_same_outcome(self, text):
-        assert_same_outcome(*parse_paths(text)[:2])
+        shipped, loop, _ = parse_paths(text)
+        assert_same_outcome(shipped, loop)
+        # a file is ASCII: "١" or "\xa0" fails before either parse
+        assert (shipped[1] is not None
+                and shipped[1][0] is UnicodeDecodeError) == (not text.isascii())
 
     GENERAL = "%%MatrixMarket matrix coordinate real general\n"
 
@@ -594,7 +598,7 @@ class TestBulkBodyParse:
         ("2 2 3\n1 1 1.0\n2 2 2.0\n", "line 5: expected 3 entries, got 2"),
         ("2 2 1\n1 1 1.0\n2 2 2.0\n",
          "line 4: more entries than the 1 the size header declares"),
-        ("2 2 2\n1 1 1.0\r2 2 2.0\n", "line 4: expected 2 entries, got 1"),
+        ("2 2 2\n1 1 1.0\x0b2 2 2.0\n", "line 4: expected 2 entries, got 1"),
     ])
     def test_numpy_rejects_loop_decides(self, body, error):
         shipped, loop, answered = parse_paths(self.GENERAL + body)
@@ -615,7 +619,7 @@ class TestBulkBodyParse:
         text = f"{self.GENERAL}{2 ** 60} 1 1\n{2 ** 53 + 2} 1 1.0\n"
         stub = matrices._bulk_entries if bulk else (lambda *args: None)
         with mock.patch.object(matrices, "_bulk_entries", stub):
-            t = load_matrix_market(io.StringIO(text))
+            t = load_matrix_market(text.encode())
         assert t.rows.tolist() == [2 ** 53 + 1]
 
     def test_symmetric_duplicates_fold_in_file_order(self):
@@ -665,11 +669,11 @@ class TestBulkCsvParse:
     @settings(max_examples=300, deadline=None)
     @given(csv_texts())
     def test_bulk_equals_loop_bit_for_bit(self, text):
-        bulk = matrices._bulk_csv(matrices._encode(text))
+        bulk = matrices._bulk_csv(text.encode())
         assert bulk is not None
         assert bulk.view(np.int64).tolist() == \
             np.asarray(matrices._csv_rows(text)).view(np.int64).tolist()
-        assert load_dense_csv(io.StringIO(text)).data.tobytes() == bulk.tobytes()
+        assert load_dense_csv(text.encode()).data.tobytes() == bulk.tobytes()
 
     @pytest.mark.parametrize("text, error", [
         ("1_0,2\n", None),  # Python's float reads 1_0
@@ -678,16 +682,20 @@ class TestBulkCsvParse:
         ("1,2\n3\n", "line 2: ragged CSV row"),
         ("1,,2\n", "line 1: bad CSV number"),
         ("1,2,\n", "line 1: bad CSV number"),
-        ("1\r2\n", "line 1: bad CSV number"),
+        ("1\x0b2\n", "line 1: bad CSV number"),
         ("# a comment\n1\n", "line 1: bad CSV number"),
         ("\n \n", "line 1: empty CSV matrix"),
         ("", "line 1: empty CSV matrix"),
     ])
     def test_numpy_declines_loop_decides(self, text, error):
-        assert matrices._bulk_csv(matrices._encode(text)) is None
+        assert matrices._bulk_csv(text.encode()) is None
         loop = csv_outcome(lambda: matrices._csv_rows(text))
-        shipped = csv_outcome(lambda: load_dense_csv(io.StringIO(text)).data)
-        assert shipped == loop and loop[1] == error
+        assert loop[1] == error
+        if text.isascii():
+            assert csv_outcome(lambda: load_dense_csv(text.encode()).data) == loop
+        else:  # a file is ASCII, whatever the loop reads
+            with pytest.raises(UnicodeDecodeError):
+                load_dense_csv(text.encode())
 
 
 # --- conversions and writing ------------------------------------------------
