@@ -214,10 +214,10 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
             bits_b = b_loaded * sparse_bits(b_blk.nnz, (n == 0) * (k_hi - k_lo), cfg)
             grid = compute_psums(a_blk, b_blk, cfg)
             macs, fill_b = grid.appended_products, b_blk.nnz / cfg.c_b
-            fill_psum = int(grid.peak.max()) / grid.capacity
+            fill_psum = int(np.maximum.reduce(grid.peak)) / grid.capacity
             bits_spill = grid.spilled.nnz * (cfg.bits_value + REDUCED_BITS_INDEX)
-            outputs += [grid.spilled.shifted(r_lo, c_lo),
-                        grid.held.shifted(r_lo, c_lo)]
+            outputs += [blk.shifted(r_lo, c_lo) for blk in (grid.spilled, grid.held)
+                        if blk.nnz]
         else:
             bits_b = b_loaded * (k_hi - k_lo) * (c_hi - c_lo) * cfg.bits_value
             fill_b = a_blk.col_all_len * (c_hi - c_lo) / cfg.c_b
@@ -239,9 +239,11 @@ def run(workload: Workload, plan: PartitionPlan, cfg: HardwareConfig, mode: str)
     def total(name: str):
         return sum(getattr(t, name) for t in traces)
 
-    # util_* is the mean over passes of min(1, fill); a row sums as np.mean does
+    # util_* is the mean over passes of min(1, fill), summed and divided as
+    # np.mean does
     fills = [[getattr(t, f"fill_{x}") for t in traces] for x in ("a", "b", "psum")]
-    util_a, util_b, util_psum = np.minimum(1.0, fills).mean(axis=1).tolist()
+    util_a, util_b, util_psum = (np.add.reduce(np.minimum(1.0, fills), axis=1)
+                                 / len(traces)).tolist()
     stats = SimStats(
         mode=mode, strategy=plan.strategy,
         t_m=geom.t_m, t_k=geom.t_k, t_n=geom.t_n,

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, DegenerateInputError
-from .matrices import CscMatrix, CsrMatrix, run_starts, stable_order
+from .matrices import (CscMatrix, CsrMatrix, run_lengths, run_starts,
+                       stable_order)
 
 
 @dataclass(frozen=True)
@@ -160,30 +161,30 @@ def _encode_strip(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray,
     k_lo, k_hi = k_span
     lo, hi = outer_span
     first, last = ptr[k_lo], ptr[k_hi]
-    inner = np.repeat(np.arange(k_hi - k_lo, dtype=np.int64),
-                      np.diff(ptr[k_lo:k_hi + 1]))
+    inner = np.arange(k_hi - k_lo, dtype=np.int64).repeat(
+        ptr[k_lo + 1:k_hi + 1] - ptr[k_lo:k_hi])
     outer, vals = idx[first:last], val[first:last]
-    if len(outer) and (outer.min() < lo or outer.max() >= hi):
+    if len(outer) and (np.minimum.reduce(outer) < lo
+                       or np.maximum.reduce(outer) >= hi):
         keep = (outer >= lo) & (outer < hi)
         inner, outer, vals = inner[keep], outer[keep], vals[keep]
     outer = outer - lo
     new = run_starts(inner)  # each shared position's first entry
     inner_idx = inner[new]
-    position = np.cumsum(new) - 1
-    group = outer // tile
-    local = outer - group * tile
+    position = new.cumsum() - 1
+    group, local = np.divmod(outer, tile)
     group = group.astype(np.int64, copy=False)
     key = position * n_groups + group
     table = (position, group, local, vals)
-    if (key[1:] < key[:-1]).any():  # a canonical matrix's key already rises
+    if np.logical_or.reduce(key[1:] < key[:-1]):  # a canonical matrix's key rises
         order = stable_order(key, len(inner_idx) * n_groups)
         table = tuple(a[order] for a in table)
         key = key[order]
-    starts = np.flatnonzero(run_starts(key))
+    starts = run_starts(key).nonzero()[0]
     # the sort moves no entry out of its position's span, so ``new`` still
     # marks each position's first entry, and its first run
-    busiest = np.maximum.reduceat(np.diff(starts, append=len(key)),
-                                  np.flatnonzero(new[starts]))
+    busiest = np.maximum.reduceat(run_lengths(starts, len(key)),
+                                  new[starts].nonzero()[0])
     return inner_idx, table, busiest
 
 

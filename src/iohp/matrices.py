@@ -17,6 +17,12 @@ No product is computed here: the brute-force dense product that every
 sparse path is checked against is a test reference.  A stored entry counts
 as nonzero even when its value is exactly 0.0 (duplicates that cancel stay
 stored, which keeps nnz conservation checks exact).
+
+The helpers a tile pass runs call ndarray methods and ufuncs, never numpy's
+Python-level wrappers: on 60-element arrays (2-core Xeon VM)
+``np.diff(x, append=n)`` takes 6.4-6.9 us against 1.2 us for
+``run_lengths``, and ``np.flatnonzero`` 1.3-2.3 us against 0.3-0.5 us for
+``.nonzero()[0]``.
 """
 
 from __future__ import annotations
@@ -48,32 +54,8 @@ class TripletMatrix:
 
     def __init__(self, n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
                  arrays: tuple | None = None):
-        if arrays is None:
-            entries = entries if isinstance(entries, (list, tuple)) else list(entries)
-            flat = np.fromiter(itertools.chain.from_iterable(entries), np.float64)
-            if len(flat) != 3 * len(entries):
-                raise MatrixFormatError("entries must be (row, col, value) triples")
-            arrays = flat[0::3], flat[1::3], flat[2::3]
-        rows, cols = np.asarray(arrays[0]), np.asarray(arrays[1])
-        bits_r, bits_c = (53 if a.dtype.kind == "f" else 63 for a in (rows, cols))
-        vals = np.asarray(arrays[2], dtype=np.float64)
-        if not len(rows) == len(cols) == len(vals):
-            raise MatrixFormatError("rows, cols and vals lengths differ")
-        integral = rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
-        whole = integral or (rows == np.trunc(rows)) & (cols == np.trunc(cols))
-        bad = np.flatnonzero(~(whole & (rows >= 0) & (rows < min(n_rows, 2 ** bits_r))
-                               & (cols >= 0) & (cols < min(n_cols, 2 ** bits_c))))
-        if len(bad):  # name the first bad entry as it was given; NaN fails
-            i = bad[0]
-            r, c = entries[i][:2] if len(entries) else (arrays[0][i], arrays[1][i])
-            if not integral and not whole[i]:
-                raise CoordinateError(f"entry ({r},{c}) has a non-integer coordinate")
-            if 0 <= r < n_rows and 0 <= c < n_cols:
-                bits = bits_r if r >= 2 ** bits_r else bits_c
-                raise BoundsError(
-                    f"entry ({r},{c}) has a coordinate of 2**{bits} or more")
-            raise BoundsError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
-        self.n_rows, self.n_cols, self.vals = n_rows, n_cols, vals
+        rows, cols, self.vals = _checked_arrays(n_rows, n_cols, entries, arrays)
+        self.n_rows, self.n_cols = n_rows, n_cols
         self.rows, self.cols = rows.astype(np.int64), cols.astype(np.int64)
 
     @property
@@ -96,6 +78,40 @@ class TripletMatrix:
         return f"TripletMatrix({self.n_rows}, {self.n_cols}, {self.entries!r})"
 
 
+def _checked_arrays(n_rows: int, n_cols: int, entries: Iterable[Entry],
+                    arrays: tuple | None):
+    """The (rows, cols, float64 vals) arrays of ``entries`` or ``arrays``,
+    uncopied where they are arrays already; an entry whose coordinate is not
+    a whole number inside the matrix and below its dtype's bound raises an
+    error that names it as it was given."""
+    if arrays is None:
+        entries = entries if isinstance(entries, (list, tuple)) else list(entries)
+        flat = np.fromiter(itertools.chain.from_iterable(entries), np.float64)
+        if len(flat) != 3 * len(entries):
+            raise MatrixFormatError("entries must be (row, col, value) triples")
+        arrays = flat[0::3], flat[1::3], flat[2::3]
+    rows, cols = np.asarray(arrays[0]), np.asarray(arrays[1])
+    bits_r, bits_c = (53 if a.dtype.kind == "f" else 63 for a in (rows, cols))
+    vals = np.asarray(arrays[2], dtype=np.float64)
+    if not len(rows) == len(cols) == len(vals):
+        raise MatrixFormatError("rows, cols and vals lengths differ")
+    integral = rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
+    whole = integral or (rows == np.trunc(rows)) & (cols == np.trunc(cols))
+    bad = np.flatnonzero(~(whole & (rows >= 0) & (rows < min(n_rows, 2 ** bits_r))
+                           & (cols >= 0) & (cols < min(n_cols, 2 ** bits_c))))
+    if len(bad):  # name the first bad entry as it was given; NaN fails
+        i = bad[0]
+        r, c = entries[i][:2] if len(entries) else (arrays[0][i], arrays[1][i])
+        if not integral and not whole[i]:
+            raise CoordinateError(f"entry ({r},{c}) has a non-integer coordinate")
+        if 0 <= r < n_rows and 0 <= c < n_cols:
+            bits = bits_r if r >= 2 ** bits_r else bits_c
+            raise BoundsError(
+                f"entry ({r},{c}) has a coordinate of 2**{bits} or more")
+        raise BoundsError(f"entry ({r},{c}) outside {n_rows}x{n_cols}")
+    return rows, cols, vals
+
+
 def coordinate_order(major, minor) -> np.ndarray:
     """Stable order by (major, minor): one :func:`stable_order` of the int64
     key ``major * (max(minor) + 1) + minor`` for ``KEY_SORT_MIN`` or more pairs
@@ -103,9 +119,10 @@ def coordinate_order(major, minor) -> np.ndarray:
     A key below 2**32 (a matrix of up to 2**32 cells) sorts in two 16-bit
     radix passes."""
     if (len(major) >= KEY_SORT_MIN and major.dtype.kind in "iu"
-            and minor.dtype.kind in "iu" and min(major.min(), minor.min()) >= 0):
-        width = int(minor.max()) + 1
-        bound = int(major.max()) * width + width
+            and minor.dtype.kind in "iu"
+            and min(np.minimum.reduce(major), np.minimum.reduce(minor)) >= 0):
+        width = int(np.maximum.reduce(minor)) + 1
+        bound = int(np.maximum.reduce(major)) * width + width
         if bound <= 2 ** 63:
             major, minor = (a.astype(np.int64, copy=False) for a in (major, minor))
             return stable_order(major * width + minor, bound)
@@ -123,7 +140,7 @@ def stable_order(keys, bound: int) -> np.ndarray:
         return np.argsort(keys.astype(np.uint16), kind="stable")
     if bound > 2 ** 32:
         return np.argsort(keys, kind="stable")
-    if np.all(keys[1:] >= keys[:-1]):
+    if np.logical_and.reduce(keys[1:] >= keys[:-1]):
         return np.arange(len(keys))
     order = np.argsort(keys.astype(np.uint16), kind="stable")  # the low 16 bits
     return order[np.argsort((keys[order] >> 16).astype(np.uint16), kind="stable")]
@@ -133,24 +150,36 @@ def run_starts(*keys) -> np.ndarray:
     """Mask of each run's first element, in arrays sorted by the keys
     together."""
     first, *rest = keys
-    new = np.ones(len(first), dtype=bool)
+    new = np.empty(len(first), dtype=bool)
+    new[:1] = True
     new[1:] = first[1:] != first[:-1]
     for key in rest:
         new[1:] |= key[1:] != key[:-1]
     return new
 
 
+def run_lengths(starts, end: int) -> np.ndarray:
+    """``np.diff(starts, append=end)`` of int64 ``starts``: the length of each
+    run of a sequence ``end`` long whose runs start at ``starts``."""
+    lengths = np.empty(len(starts), dtype=np.int64)
+    lengths[:-1] = starts[1:]
+    lengths[-1:] = end
+    lengths -= starts
+    return lengths
+
+
 def coordinate_runs(rows, cols, vals):
     """Stable-sort triplets by (row, col); return them and each run's start."""
     order = coordinate_order(rows, cols)
     rows, cols, vals = rows[order], cols[order], vals[order]
-    return rows, cols, vals, np.flatnonzero(run_starts(rows, cols))
+    return rows, cols, vals, run_starts(rows, cols).nonzero()[0]
 
 
 def strictly_rising(rows, cols) -> bool:
     """Whether the (row, col) pairs are sorted and none repeats."""
     r0, r1 = rows[:-1], rows[1:]
-    return bool(np.all(r1 >= r0) and np.all((r1 > r0) | (cols[1:] > cols[:-1])))
+    return bool(np.logical_and.reduce(r1 >= r0) and np.logical_and.reduce(
+        (r1 > r0) | (cols[1:] > cols[:-1])))
 
 
 def fold_runs(rows, cols, vals):
@@ -164,8 +193,8 @@ def fold_runs(rows, cols, vals):
         return rows, cols, vals.astype(np.float64)
     rows, cols, vals, starts = coordinate_runs(rows, cols, vals)
     out = vals[starts].astype(np.float64)
-    length = np.diff(starts, append=len(vals))
-    run, longest = np.flatnonzero(length > 1), int(length.max(initial=1))
+    length = run_lengths(starts, len(vals))
+    run, longest = (length > 1).nonzero()[0], int(np.maximum.reduce(length, initial=1))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, longest):  # the runs still open
             run = run[length[run] > j]
@@ -195,7 +224,7 @@ class CscMatrix:
             raise MatrixFormatError("col_ptr must have n_cols+1 offsets")
         if self.col_ptr[0] != 0 or self.col_ptr[-1] != len(self.value):
             raise MatrixFormatError("col_ptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.col_ptr) < 0):
+        if np.logical_or.reduce(self.col_ptr[1:] < self.col_ptr[:-1]):
             raise MatrixFormatError("col_ptr must be non-decreasing")
 
     @property
@@ -220,7 +249,7 @@ class CsrMatrix:
             raise MatrixFormatError("row_ptr must have n_rows+1 offsets")
         if self.row_ptr[0] != 0 or self.row_ptr[-1] != len(self.value):
             raise MatrixFormatError("row_ptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.row_ptr) < 0):
+        if np.logical_or.reduce(self.row_ptr[1:] < self.row_ptr[:-1]):
             raise MatrixFormatError("row_ptr must be non-decreasing")
 
     @property
@@ -258,11 +287,11 @@ def check_density(name: str, density: float) -> None:
 
 def canonicalize(n_rows: int, n_cols: int, entries: Iterable[Entry] = (),
                  arrays: tuple | None = None) -> TripletMatrix:
-    """:func:`fold_runs` of entries (checked as given) or of ``arrays=(rows,
-    cols, vals)`` (checked once summed)."""
-    if arrays is None:
-        arrays = _coords(TripletMatrix(n_rows, n_cols, entries))
-    return TripletMatrix(n_rows, n_cols, arrays=fold_runs(*map(np.asarray, arrays)))
+    """:func:`fold_runs` of entries or of ``arrays=(rows, cols, vals)``, both
+    checked as given, as :class:`TripletMatrix` checks them."""
+    rows, cols, vals = _checked_arrays(n_rows, n_cols, entries, arrays)
+    return TripletMatrix(n_rows, n_cols, arrays=fold_runs(
+        rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False), vals))
 
 
 def _read_bytes(source) -> bytes:
@@ -459,7 +488,7 @@ def _compress(major, minor, vals, n_major: int):
     """Stable sort by (major, minor): (values, minor indices, major offsets)."""
     order = coordinate_order(major, minor)
     ptr = np.zeros(n_major + 1, dtype=np.int64)
-    np.cumsum(np.bincount(major, minlength=n_major), out=ptr[1:])
+    np.bincount(major, minlength=n_major).cumsum(out=ptr[1:])
     return vals[order], minor[order], ptr
 
 

@@ -3,7 +3,7 @@ with one argsort of an int64 key where that key is exact and lexicographic,
 and with ``np.lexsort`` everywhere else; either way the order is
 ``np.lexsort((minor, major))``'s.  Checked directly and through
 ``coordinate_runs``, ``_compress`` and ``canonicalize``, whose error names the
-first bad entry in that order.  ``stable_order``'s radix paths equal
+first bad entry as it was given.  ``stable_order``'s radix paths equal
 ``np.argsort(keys, kind="stable")`` at each width's edges."""
 
 from unittest import mock
@@ -16,8 +16,8 @@ from hypothesis.extra import numpy as hnp
 
 from iohp import matrices
 from iohp.errors import BoundsError, CoordinateError
-from iohp.matrices import (KEY_SORT_MIN, canonicalize, coordinate_order,
-                           coordinate_runs, stable_order)
+from iohp.matrices import (KEY_SORT_MIN, TripletMatrix, canonicalize,
+                           coordinate_order, coordinate_runs, stable_order)
 
 INT64_MAX = 2 ** 63 - 1
 
@@ -158,23 +158,25 @@ def test_integer_valued_floats_go_to_lexsort():
 
 @pytest.mark.parametrize("n, rows, cols, error, text", [
     (3, [-1, 0, 2], [0, -5, 1], BoundsError, "entry (-1,0) outside 3x3"),
-    (3, [2, -1, 0, -2], [0, 1, 2, 2], BoundsError, "entry (-2,2) outside 3x3"),
-    (3, [1.5, 1.0, 0.0], [0, 5, 1], BoundsError, "entry (1.0,5) outside 3x3"),
+    (3, [2, -1, 0, -2], [0, 1, 2, 2], BoundsError, "entry (-1,1) outside 3x3"),
+    (3, [1.5, 1.0, 0.0], [0, 5, 1], CoordinateError,
+     "entry (1.5,0) has a non-integer coordinate"),
     (4, [2.0, 0.0, 1.0], [0.5, 3.0, 1.0], CoordinateError,
      "entry (2.0,0.5) has a non-integer coordinate"),
     (3, [0.0, 1.0], [2.5, -1.0], CoordinateError,
      "entry (0.0,2.5) has a non-integer coordinate"),
 ])
-def test_canonicalize_names_the_first_bad_entry_in_sorted_order(
+def test_canonicalize_names_the_first_bad_entry_as_given(
         n, rows, cols, error, text):
-    # the type and text that the lexsort-only sort gave, for few pairs and
-    # for enough to pass the size guard (the repeats fold together)
+    # the entry TripletMatrix names, before any sort, for few pairs and for
+    # enough to pass the size guard
     for size in (len(rows), KEY_SORT_MIN):
-        with pytest.raises(error) as raised:
-            canonicalize(n, n, arrays=(np.resize(np.array(rows), size),
-                                       np.resize(np.array(cols), size),
-                                       np.ones(size)))
-        assert type(raised.value) is error and str(raised.value) == text
+        arrays = (np.resize(np.array(rows), size), np.resize(np.array(cols), size),
+                  np.ones(size))
+        for build in (canonicalize, TripletMatrix):
+            with pytest.raises(error) as raised:
+                build(n, n, arrays=arrays)
+            assert type(raised.value) is error and str(raised.value) == text
 
 
 def edge_keys(bound: int, dtype, rng) -> np.ndarray:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from iohp.encoding import encode_rp_csc, make_geometry
 from iohp.errors import BoundsError, DimensionError, MatrixFormatError
 from iohp.matrices import (CscMatrix, DenseMatrix, TripletMatrix, canonicalize,
-                           load_dense_csv, load_matrix_market, to_csc, to_csr,
-                           to_dense, to_triplets, write_dense_csv,
-                           write_matrix_market)
+                           load_dense_csv, load_matrix_market, run_lengths,
+                           to_csc, to_csr, to_dense, to_triplets,
+                           write_dense_csv, write_matrix_market)
 from iohp.planner import PartitionPlan
 from test_encoding_reference import decode
 from test_matrices_reference import dense_matmul
@@ -205,8 +207,35 @@ class TestCoordinatesNeverMove:
         with pytest.raises(BoundsError, match=r"^entry \(9007199254740993,0\) has "
                            r"a coordinate of 2\*\*53 or more$"):
             TripletMatrix(2 ** 60, 4, arrays=arrays)
-        with pytest.raises(BoundsError, match=r"coordinate of 2\*\*53 or more$"):
+
+    def test_canonicalize_names_a_mixed_list_coordinate_as_given(self):
+        # checked before the fold, which would hold 2**53 + 1 as 2**53
+        arrays = ([2 ** 53 + 1, 2.0], [0, 1], [1.0, 1.0])
+        with pytest.raises(BoundsError, match=r"^entry \(9007199254740993,0\) has "
+                           r"a coordinate of 2\*\*53 or more$"):
             canonicalize(2 ** 60, 4, arrays=arrays)
+
+
+class TestRunLengths:
+    """``run_lengths`` is ``np.diff(starts, append=end)``, values and dtype."""
+
+    @seed(36)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 2 ** 40), max_size=40), st.integers(0, 2 ** 20))
+    def test_is_diff_with_append(self, points, tail):
+        starts = np.unique(np.array(points, dtype=np.int64))  # rising, intp
+        end = int(starts[-1]) + tail if len(starts) else tail
+        want = np.diff(starts, append=end)
+        got = run_lengths(starts, end)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("starts, end", [([], 0), ([], 5), ([0], 1), ([0], 7),
+                                             ([3], 3)])
+    def test_empty_and_single_run(self, starts, end):
+        starts = np.array(starts, dtype=np.intp)
+        want = np.diff(starts, append=end)
+        got = run_lengths(starts, end)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 class TestDense:
